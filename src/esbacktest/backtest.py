@@ -15,13 +15,14 @@ comparison test that needs reserve series for both VAR and ES.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .estimators import es_empirical, var_empirical
-from .secured import SecuredSample
+from .secured import SecuredSample, _require_finite
 
 __all__ = [
     "ZONES",
@@ -80,6 +81,7 @@ def _values(y) -> np.ndarray:
     arr = np.asarray(y, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("sample must not be empty")
+    _require_finite(arr, "sample")
     return arr
 
 
@@ -156,6 +158,9 @@ def z_stat(realized, var_reserve, es_reserve, alpha: float) -> float:
         raise ValueError("inputs must not be empty")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie strictly inside (0, 1), got {alpha}")
+    _require_finite(r, "realized")
+    _require_finite(v, "var_reserve")
+    _require_finite(e, "es_reserve")
     breach = r + v < 0
     if np.any(e[breach] <= 0):
         idx = int(np.flatnonzero(breach & (e <= 0))[0])
@@ -167,7 +172,12 @@ def z_stat(realized, var_reserve, es_reserve, alpha: float) -> float:
 
 
 def classify(value: float, th: ZoneThresholds) -> str:
-    """Map a statistic to its traffic-light zone by exclusive upper bounds."""
+    """Map a statistic to its traffic-light zone by exclusive upper bounds.
+
+    A non-finite statistic has no zone and is rejected.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"cannot classify non-finite statistic {value}")
     if value < th.green_upper:
         return "green"
     if value < th.yellow_upper:

@@ -8,8 +8,11 @@ Subcommands:
 * ``simulate`` - fit models per sample and emit simulated panels.
 
 Exit codes: 0 success, 2 input-data error, 3 configuration error. Every
-stochastic subcommand requires an explicit seed and is byte-reproducible
-for any worker count.
+subcommand validates the files it wrote before it returns; a failed output
+self-check exits with code 3 and names the check on stderr, since the run
+cannot vouch for what it wrote under this configuration. Every stochastic
+subcommand requires an explicit seed and is byte-reproducible for any
+worker count.
 """
 
 from __future__ import annotations
@@ -155,9 +158,13 @@ _RESULT_KEYS = {
 }
 
 
+class OutputCheckError(Exception):
+    """Raised when a file the command wrote fails its self-check."""
+
+
 def _check(cond: bool, message: str) -> None:
     if not cond:
-        raise AssertionError(f"output validation failed: {message}")
+        raise OutputCheckError(message)
 
 
 def _validate_result_dict(r: dict) -> None:
@@ -400,6 +407,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except OutputCheckError as exc:
+        print(f"output check failed: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, simulation.FitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

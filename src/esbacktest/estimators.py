@@ -5,7 +5,8 @@ sample moments, and analytic risk values for the supported distributions.
 
 Sign convention: estimators return the capital reserve, a positive number
 for a position carrying loss risk. Levels are lower-tail probabilities, so
-the 1% VAR of a standard normal is 2.3263.
+the 1% VAR of a standard normal is 2.3263. A sample containing NaN or
+infinity is rejected rather than estimated around.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .dist import DistSpec, Normal, SkewT, StudentT
+from .secured import _require_finite
 
 __all__ = [
     "SampleMoments",
@@ -29,7 +31,12 @@ __all__ = [
 
 
 class SampleMoments(NamedTuple):
-    """Mean and (n-1)-denominator standard deviation of a sample."""
+    """Mean and (n-1)-denominator standard deviation of a sample.
+
+    ``mean`` and ``sd`` may also be arrays holding the moments of several
+    equal-length samples, such as rolling windows; the normal estimators
+    then return one reserve per sample.
+    """
 
     mean: float
     sd: float
@@ -40,6 +47,7 @@ def _as_sample(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("sample must not be empty")
+    _require_finite(arr, "sample")
     return arr
 
 
@@ -87,11 +95,15 @@ def moments(x) -> SampleMoments:
     return SampleMoments(float(arr.mean()), float(arr.std(ddof=1)), arr.size)
 
 
+def _check_sd(sd) -> None:
+    if np.any(np.less(sd, 0)):
+        raise ValueError(f"standard deviation must be nonnegative, got {np.min(sd)}")
+
+
 def var_normal(m: SampleMoments, alpha: float) -> float:
     """Normal VAR from fitted moments: -(mean + sd * z_alpha)."""
     _check_level(alpha)
-    if m.sd < 0:
-        raise ValueError(f"standard deviation must be nonnegative, got {m.sd}")
+    _check_sd(m.sd)
     return -(m.mean + m.sd * float(stats.norm.ppf(alpha)))
 
 
@@ -104,8 +116,7 @@ def es_normal(m: SampleMoments, alpha: float) -> float:
     it does not reproduce those values and is not used here.)
     """
     _check_level(alpha)
-    if m.sd < 0:
-        raise ValueError(f"standard deviation must be nonnegative, got {m.sd}")
+    _check_sd(m.sd)
     z = float(stats.norm.ppf(alpha))
     return -m.mean + m.sd * float(stats.norm.pdf(z)) / alpha
 

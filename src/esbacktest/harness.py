@@ -5,6 +5,16 @@ returns is split per column into disjoint 500-day samples; for each sample
 the first 250 days seed a rolling one-day-ahead reserve estimate, the last
 250 days are secured against it, and the resulting statistics are
 classified and cross-tabulated.
+
+Rolling reserves come from one table, ``_KERNELS``, that maps each name in
+``ESTIMATORS`` to an array kernel. A kernel takes the (test, learn) view of
+all learning windows at once (``sliding_window_view``, no copy) and returns
+one reserve per test day, equal bit for bit to calling the scalar estimator
+on each window: the normal kernels reduce each row for its mean and sd and
+evaluate ``norm.ppf``/``norm.pdf`` once per series, the historical kernels
+take each row's order statistic with one 2-D ``np.partition``, and the ES
+tail is then averaged row by row in time order. A sample with a non-finite
+value is rejected before any kernel runs.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .backtest import (
     ES_THRESHOLDS,
@@ -28,7 +39,11 @@ from .backtest import (
     t_stat,
     z_stat,
 )
-from .estimators import es_empirical, es_normal, moments, var_empirical, var_normal
+from .estimators import SampleMoments, _as_sample, _tail_index, es_normal, var_normal
+
+# bench/spans.py wraps these scalar estimators by their names in this module
+# to attribute traced time to layers; the rolling kernels no longer call them.
+from .estimators import es_empirical, moments, var_empirical  # noqa: F401
 from .secured import build_normalized, build_secured
 
 __all__ = [
@@ -51,7 +66,6 @@ __all__ = [
     "write_heatmap_csv",
 ]
 
-ESTIMATORS = ("var_hist", "var_norm", "es_hist", "es_norm")
 FAMILIES = ("hist", "norm")
 
 _FF_SENTINELS = (-99.99, -999.0)
@@ -267,6 +281,35 @@ def split_samples(panel: ReturnPanel, window: int = 500) -> list[Sample]:
     return out
 
 
+def _normal_moments(windows: np.ndarray) -> SampleMoments:
+    return SampleMoments(
+        windows.mean(axis=1), windows.std(axis=1, ddof=1), windows.shape[1]
+    )
+
+
+def _hist_boundary(windows: np.ndarray, alpha: float) -> np.ndarray:
+    k = _tail_index(windows.shape[1], alpha)
+    return np.partition(windows, k, axis=1)[:, k]
+
+
+def _es_hist(windows: np.ndarray, alpha: float) -> np.ndarray:
+    boundary = _hist_boundary(windows, alpha)
+    # the tail mean stays per row so it sums in time order like es_empirical;
+    # a masked 2-D sum reorders the additions and drifts by an ulp
+    return np.array([-w[w <= b].mean() for w, b in zip(windows, boundary)])
+
+
+# Estimator name -> kernel mapping a (test, learn) array of rolling windows to
+# one reserve per window; each matches its scalar estimator bit for bit.
+_KERNELS = {
+    "var_hist": lambda windows, alpha: -_hist_boundary(windows, alpha),
+    "var_norm": lambda windows, alpha: var_normal(_normal_moments(windows), alpha),
+    "es_hist": _es_hist,
+    "es_norm": lambda windows, alpha: es_normal(_normal_moments(windows), alpha),
+}
+ESTIMATORS = tuple(_KERNELS)
+
+
 @dataclass(frozen=True)
 class RollingConfig:
     """Rolling one-day-ahead backtest configuration.
@@ -305,20 +348,21 @@ class RollingConfig:
 def _reserve_series(
     x: np.ndarray, learn: int, test: int, estimator: str, alpha: float
 ) -> np.ndarray:
-    out = np.empty(test)
-    for i in range(test):
-        window = x[i : i + learn]
-        if estimator == "var_hist":
-            out[i] = var_empirical(window, alpha)
-        elif estimator == "es_hist":
-            out[i] = es_empirical(window, alpha)
-        elif estimator == "var_norm":
-            out[i] = var_normal(moments(window), alpha)
-        elif estimator == "es_norm":
-            out[i] = es_normal(moments(window), alpha)
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
-    return out
+    """Reserve for each test day from the ``learn`` observations before it."""
+    windows = sliding_window_view(x[: learn + test - 1], learn)
+    return _KERNELS[estimator](windows, alpha)
+
+
+def _window_sample(x, learn: int, test: int) -> np.ndarray:
+    """The finite sample of length learn + test that one backtest consumes."""
+    if learn < 2 or test < 1:
+        raise ValueError("need learn >= 2 and test >= 1")
+    arr = _as_sample(x)
+    if arr.size != learn + test:
+        raise ValueError(
+            f"sample has {arr.size} observations, config needs {learn + test}"
+        )
+    return arr
 
 
 def _secure(realized, reserve, normalize: bool):
@@ -334,11 +378,7 @@ def rolling_backtest(x, cfg: RollingConfig) -> BacktestResult:
     ``learn`` observations ending the day before; both statistics and their
     zones are computed on the resulting secured sample.
     """
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size != cfg.window:
-        raise ValueError(
-            f"sample has {arr.size} observations, config needs {cfg.window}"
-        )
+    arr = _window_sample(x, cfg.learn, cfg.test)
     alpha = cfg.resolved_alpha
     reserve = _reserve_series(arr, cfg.learn, cfg.test, cfg.estimator, alpha)
     y = _secure(arr[cfg.learn :], reserve, cfg.normalize)
@@ -377,11 +417,7 @@ def compare_backtest(
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size != learn + test:
-        raise ValueError(
-            f"sample has {arr.size} observations, config needs {learn + test}"
-        )
+    arr = _window_sample(x, learn, test)
     if alpha_z is None:
         alpha_z = alpha_es
     realized = arr[learn:]

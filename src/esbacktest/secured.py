@@ -2,11 +2,13 @@
 
 A day is covered when pnl + reserve >= 0. The normalized variant rescales
 each day by its reserve so the implied risk is constant; it requires every
-reserve to be strictly positive and preserves the sign of each entry.
+reserve to be strictly positive and preserves the sign of each entry. A
+non-finite pnl or reserve is rejected, never scored as a covered day.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +27,23 @@ class SecuredSample:
         arr = np.asarray(self.values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("secured sample must not be empty")
+        _require_finite(arr, "secured sample")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
         return self.values.size
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    # any NaN or infinity makes the sum non-finite, and one sum costs less
+    # than a per-entry test; an overflowing sum falls through to that test
+    if math.isfinite(arr.sum()):
+        return
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{name} has non-finite value {arr[bad[0]]} at index {bad[0]}")
 
 
 def _pair(pnl, reserve) -> tuple[np.ndarray, np.ndarray]:
@@ -57,6 +70,8 @@ def build_normalized(pnl, reserve) -> SecuredSample:
     length, so the offending index is reported instead.
     """
     p, r = _pair(pnl, reserve)
+    # an infinite reserve would map its day to exactly 1 and hide the fault
+    _require_finite(r, "reserve")
     bad = np.flatnonzero(r <= 0)
     if bad.size:
         raise ValueError(

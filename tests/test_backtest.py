@@ -159,6 +159,15 @@ def test_z_stat_rejects_nonpositive_es_on_breach_days():
     assert z_stat([5.0], [2.0], [-1.0], 0.5) == -1.0
 
 
+def test_z_stat_rejects_non_finite_reserves():
+    with pytest.raises(ValueError, match="es_reserve has non-finite value nan at index 0"):
+        z_stat([-5.0, 1.0], [2.0, 2.0], [np.nan, 1.0], 0.5)
+    with pytest.raises(ValueError, match="var_reserve has non-finite value nan"):
+        z_stat([-5.0], [np.nan], [1.0], 0.5)
+    with pytest.raises(ValueError, match="realized has non-finite value inf"):
+        z_stat([np.inf], [1.0], [1.0], 0.5)
+
+
 def test_z_stat_rejects_bad_inputs():
     with pytest.raises(ValueError, match="length mismatch"):
         z_stat([1.0, 2.0], [1.0], [1.0], 0.5)
@@ -199,6 +208,18 @@ def test_classify_is_monotone():
     for th in (VAR_THRESHOLDS, ES_THRESHOLDS, Z_THRESHOLDS):
         ranks = [order[classify(v, th)] for v in values]
         assert ranks == sorted(ranks)
+
+
+def test_statistics_reject_non_finite_samples():
+    for stat in (t_stat, g_stat):
+        with pytest.raises(ValueError, match="non-finite value nan at index 1"):
+            stat([1.0, np.nan, -1.0])
+
+
+def test_classify_rejects_non_finite_statistics():
+    for value in (float("nan"), float("inf"), np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(value, VAR_THRESHOLDS)
 
 
 def test_thresholds_must_be_ordered():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from esbacktest import cli
 from esbacktest.cli import main
 
 
@@ -95,6 +96,18 @@ def test_backtest_short_panel_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "config error" in capsys.readouterr().err
+
+
+def test_failed_output_self_check_exits_3(tmp_path, panel_csv, capsys, monkeypatch):
+    def failing_check(path, header):
+        cli._check(False, f"forced failure for {header}")
+
+    monkeypatch.setattr(cli, "_validate_csv", failing_check)
+    argv = ["backtest", "--input", str(panel_csv), "--estimator", "var-hist"]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "output check failed: forced failure for nt_capped" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_flags_exit_3(capsys):

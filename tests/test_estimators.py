@@ -64,6 +64,17 @@ def test_empty_sample_rejected():
         es_empirical([], 0.5)
 
 
+def test_non_finite_sample_rejected():
+    # np.partition sorts NaN last, so it would silently drop out of the tail
+    for estimator in (var_empirical, es_empirical):
+        with pytest.raises(ValueError, match="non-finite value nan at index 0"):
+            estimator([np.nan, 1, 2, 3, -1], 0.2)
+        with pytest.raises(ValueError, match="non-finite value -inf at index 2"):
+            estimator([1, 2, -np.inf], 0.2)
+    with pytest.raises(ValueError, match="non-finite"):
+        moments([1.0, np.nan])
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
 def test_level_domain_is_open_unit_interval(alpha):
     with pytest.raises(ValueError):

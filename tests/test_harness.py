@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from esbacktest.backtest import BacktestResult
+from esbacktest.estimators import (
+    es_empirical,
+    es_normal,
+    moments,
+    var_empirical,
+    var_normal,
+)
 from esbacktest.harness import (
+    ESTIMATORS,
     ConfusionMatrix,
     DataError,
     ReturnPanel,
@@ -199,6 +207,49 @@ def test_rolling_reserves_follow_the_learning_window():
     k = math.floor(250 * 0.025)  # 7th smallest of each window
     expected = -(np.arange(250, dtype=float) + k)
     assert np.array_equal(reserve, expected)
+
+
+def _reserve_loop(x, learn, test, estimator, alpha):
+    """Per-window reference: one scalar estimator call per test day."""
+    out = np.empty(test)
+    for i in range(test):
+        window = x[i : i + learn]
+        if estimator == "var_hist":
+            out[i] = var_empirical(window, alpha)
+        elif estimator == "es_hist":
+            out[i] = es_empirical(window, alpha)
+        elif estimator == "var_norm":
+            out[i] = var_normal(moments(window), alpha)
+        elif estimator == "es_norm":
+            out[i] = es_normal(moments(window), alpha)
+        else:
+            raise ValueError(f"unknown estimator {estimator!r}")
+    return out
+
+
+@pytest.mark.parametrize("estimator", ["var_hist", "var_norm", "es_hist", "es_norm"])
+@pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
+@pytest.mark.parametrize("learn,test", [(250, 250), (100, 37), (2, 50)])
+@pytest.mark.parametrize("tied", [False, True])
+def test_reserve_kernels_match_per_window_loop(estimator, alpha, learn, test, tied):
+    rng = np.random.default_rng(59)
+    x = rng.standard_t(4, learn + test) * 0.01
+    if tied:
+        x = np.round(x, 3)  # ties at the tail boundary widen the ES average
+    expected = _reserve_loop(x, learn, test, estimator, alpha)
+    assert np.array_equal(_reserve_series(x, learn, test, estimator, alpha), expected)
+
+
+def test_rolling_rejects_non_finite_samples():
+    x = np.random.default_rng(60).standard_normal(500) * 0.01
+    for bad in (np.nan, np.inf):
+        x[100] = bad
+        for estimator in ESTIMATORS:
+            with pytest.raises(ValueError, match="non-finite value .* at index 100"):
+                rolling_backtest(x, RollingConfig(estimator))
+        for family in ("hist", "norm"):
+            with pytest.raises(ValueError, match="non-finite value .* at index 100"):
+                compare_backtest(x, family)
 
 
 def test_rolling_constant_series_is_fully_covered():

@@ -43,6 +43,21 @@ def test_nonpositive_reserve_names_offending_index():
         build_normalized([1.0, 1.0], [1.0, -0.5])
 
 
+def test_non_finite_inputs_rejected_not_scored_as_covered():
+    with pytest.raises(ValueError, match="non-finite value nan at index 0"):
+        build_secured([-1.0, -2.0, 0.5], [np.nan, 0.1, 0.1])
+    with pytest.raises(ValueError, match="non-finite value inf at index 1"):
+        build_secured([1.0, np.inf], [1.0, 1.0])
+    with pytest.raises(ValueError, match="reserve has non-finite value nan at index 0"):
+        build_normalized([-1.0, -2.0, 0.5], [np.nan, 0.1, 0.1])
+    with pytest.raises(ValueError, match="reserve has non-finite value inf"):
+        build_normalized([-1.0], [np.inf])
+    with pytest.raises(ValueError, match="non-finite value -inf at index 0"):
+        build_normalized([-np.inf], [1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        SecuredSample(np.array([0.5, np.nan]))
+
+
 def test_normalization_preserves_breach_indicators():
     rng = np.random.default_rng(21)
     for _ in range(200):
