@@ -17,6 +17,7 @@ from .backtest import (
 )
 from .dist import (
     PRESETS,
+    STREAM_CONTRACT,
     DistSpec,
     Normal,
     RngStream,
@@ -52,6 +53,7 @@ from .harness import (
     split_samples,
     write_heatmap_csv,
 )
+from .parallel import parallel_map
 from .secured import SecuredSample, build_normalized, build_secured
 from .simulation import (
     FitError,

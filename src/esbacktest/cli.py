@@ -29,6 +29,7 @@ from . import harness, simulation
 from .backtest import ZONES
 from .dist import dist_from_json, preset
 from .harness import DataError, RollingConfig
+from .parallel import parallel_map
 from .simulation import McConfig, garch_from_json
 
 __all__ = ["main", "build_parser"]
@@ -362,7 +363,7 @@ def cmd_simulate(args) -> int:
         (s.values, model, args.picks, args.seed, i * args.picks)
         for i, s in enumerate(samples)
     ]
-    outputs = harness._parallel_map(_simulate_task, tasks, args.workers)
+    outputs = parallel_map(_simulate_task, tasks, args.workers)
 
     names, columns, fits = [], [], []
     for sample, (params, sims) in zip(samples, outputs):

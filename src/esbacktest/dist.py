@@ -3,6 +3,11 @@
 Normal, Student-t, and skewed Student-t laws with pdf/cdf/quantile/sampling,
 plus counter-based random streams so Monte Carlo draws are reproducible and
 independent of worker scheduling.
+
+``STREAM_CONTRACT`` versions the map from (seed, stream) to draws. Version 2
+samples ``SkewT`` by the two-piece construction and keys Monte Carlo streams
+by block of runs (see ``simulation.mc_null``); the README's "Random streams"
+section states the whole contract.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from numpy.random import Generator, Philox
 from scipy import special, stats
 
 __all__ = [
+    "STREAM_CONTRACT",
     "RngStream",
     "Normal",
     "StudentT",
@@ -26,6 +32,8 @@ __all__ = [
     "preset",
     "PRESETS",
 ]
+
+STREAM_CONTRACT = 2
 
 _UINT64 = (1 << 64) - 1
 _OPEN_UNIT = float(1 << 53)
@@ -218,6 +226,21 @@ class SkewT:
         return out if out.ndim else float(out)
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
+        """Two-piece draws (Fernandez & Steel 1998): n of |T|, then n uniforms.
+
+        A draw keeps the positive side, scaled by xi, when its uniform falls
+        below the mass above zero, xi^2 / (1 + xi^2); otherwise it is negated
+        and scaled by 1 / xi.
+        """
+        _check_count(n)
+        gen = stream.generator()
+        a = np.abs(gen.standard_t(self.nu, n))
+        w = self.xi**2
+        z = np.where(gen.random(n) < w / (1.0 + w), self.xi * a, -a / self.xi)
+        return self.loc + self.scale * z
+
+    def sample_by_quantile(self, n: int, stream: RngStream) -> np.ndarray:
+        """Inverse-cdf draws: the quantile of n open uniforms, in stream order."""
         _check_count(n)
         gen = stream.generator()
         return np.asarray(self.quantile(_open_uniform(gen, n)))

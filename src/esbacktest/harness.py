@@ -19,9 +19,9 @@ value is rejected before any kernel runs.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -44,6 +44,7 @@ from .estimators import SampleMoments, _as_sample, _tail_index, es_normal, var_n
 # bench/spans.py wraps these scalar estimators by their names in this module
 # to attribute traced time to layers; the rolling kernels no longer call them.
 from .estimators import es_empirical, moments, var_empirical  # noqa: F401
+from .parallel import parallel_map
 from .secured import build_normalized, build_secured
 
 __all__ = [
@@ -136,11 +137,14 @@ def _read_lines(path) -> list[str]:
 
 def _parse_float(cell: str, lineno: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(
             f"line {lineno}: cannot parse {cell.strip()!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise DataError(f"line {lineno}: cell {cell.strip()!r} is not a finite number")
+    return value
 
 
 def _load_ff_daily(path) -> ReturnPanel:
@@ -463,27 +467,18 @@ def _run_one_compare(args) -> BacktestResult:
     return compare_backtest(values, **kwargs)
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_batch(
     samples: Sequence[Sample], cfg: RollingConfig, workers: int = 1
 ) -> list[BacktestResult]:
     """Map ``rolling_backtest`` over samples; ordering follows the input."""
-    return _parallel_map(_run_one, [(s.values, cfg) for s in samples], workers)
+    return parallel_map(_run_one, [(s.values, cfg) for s in samples], workers)
 
 
 def run_compare_batch(
     samples: Sequence[Sample], workers: int = 1, **kwargs
 ) -> list[BacktestResult]:
     """Map ``compare_backtest`` over samples; ordering follows the input."""
-    return _parallel_map(
+    return parallel_map(
         _run_one_compare, [(s.values, kwargs) for s in samples], workers
     )
 

@@ -2,16 +2,21 @@
 
 ``mc_null`` reproduces the null distributions of the nominal backtest
 statistics: each run draws an n-day sample, secures it with the analytic
-reserve for the requested level, and tallies the resulting counts. Runs
-derive their random streams from (seed, run_index), so the aggregate is
-reproducible and identical under any worker count.
+reserve for the requested level, and tallies the resulting counts. Runs are
+cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
+innovations from stream (seed, b) and tallies its rows with one (rows, n)
+sort and cumsum. Workers receive contiguous block ranges and integer counts
+add exactly, so the aggregate is reproducible and identical under any
+worker count (stream contract 2, ``dist.STREAM_CONTRACT``).
+
+The GARCH recursion ``_garch_paths`` steps once per day across all rows it
+is given: a Monte Carlo block, the picks of one fit, or one path.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -20,8 +25,9 @@ from scipy import optimize
 from scipy.signal import lfilter
 from scipy.special import expit
 
-from .dist import DistSpec, Normal, RngStream, SkewT, StudentT
+from .dist import DistSpec, Normal, RngStream, SkewT, StudentT, dist_to_json
 from .estimators import true_risk
+from .parallel import parallel_map
 
 __all__ = [
     "GARCH_BURN_IN",
@@ -40,6 +46,10 @@ __all__ = [
 
 GARCH_BURN_IN = 500
 _MAXFEV = 2000
+# Monte Carlo block size, part of the stream contract: at most this many
+# runs and this many draws per block
+_BLOCK_ROWS = 512
+_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,12 @@ class _Innovation:
         return cls(g.innovation, g.nu, g.xi)
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
-        raw = self.base.sample(n, stream)
+        # skew-t innovations stay inverse-cdf draws, so a GARCH path, and
+        # any panel drawn from one, keeps its values for a given stream
+        if self.kind == "normal":
+            raw = self.base.sample(n, stream)
+        else:
+            raw = self.base.sample_by_quantile(n, stream)
         return (raw - self.shift) / self.spread
 
     def quantile(self, p: float) -> float:
@@ -143,6 +158,31 @@ class _Innovation:
         return self.base.logpdf(self.shift + self.spread * z) + math.log(self.spread)
 
 
+def _garch_paths(g: GarchSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Returns and conditional sd of the GARCH paths driven by the rows of z.
+
+    Every row starts from the stationary variance, and the recursion steps
+    once per column across all rows. One row steps over Python floats,
+    where numpy's per-call cost would be most of the time. Each step is
+    elementwise IEEE arithmetic in the same order either way, so every row
+    equals the one-path scalar loop bit for bit.
+    """
+    m, steps = z.shape
+    if m == 1:
+        sqrt, columns, s2 = math.sqrt, z[0].tolist(), g.stationary_variance()
+    else:
+        sqrt, columns, s2 = np.sqrt, z.T, np.full(m, g.stationary_variance())
+    omega, a1, b1 = g.omega, g.a1, g.b1
+    path = []
+    for zt in columns:
+        sd = sqrt(s2)
+        path.append(sd)
+        eps = sd * zt
+        s2 = omega + a1 * eps * eps + b1 * s2
+    sigma = np.array(path).reshape(steps, m).T
+    return g.mu + sigma * z, sigma
+
+
 def garch_simulate(
     g: GarchSpec, n: int, stream: RngStream, burn_in: int = GARCH_BURN_IN
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -154,19 +194,9 @@ def garch_simulate(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    innov = _Innovation.of(g)
-    z = innov.sample(burn_in + n, stream)
-    total = burn_in + n
-    sigma = np.empty(total)
-    s2 = g.stationary_variance()
-    omega, a1, b1 = g.omega, g.a1, g.b1
-    for t in range(total):
-        sd = math.sqrt(s2)
-        sigma[t] = sd
-        eps = sd * z[t]
-        s2 = omega + a1 * eps * eps + b1 * s2
-    returns = g.mu + sigma * z
-    return returns[burn_in:], sigma[burn_in:]
+    z = _Innovation.of(g).sample(burn_in + n, stream)
+    returns, sigma = _garch_paths(g, z[np.newaxis])
+    return returns[0, burn_in:], sigma[0, burn_in:]
 
 
 def _conditional_variance(
@@ -393,42 +423,62 @@ class NullDistribution:
                 writer.writerow([k, repr(float(pmf[k])), repr(float(cdf[k]))])
 
 
-def _iid_addons(cfg: McConfig) -> tuple[float, float]:
+def _addons(cfg: McConfig) -> tuple[float, float]:
+    """The analytic VAR and ES reserves; unit-variance ones for GARCH."""
+    if isinstance(cfg.dist, GarchSpec):
+        innov = _Innovation.of(cfg.dist)
+        return -innov.quantile(cfg.alpha_var), innov.expected_shortfall(cfg.alpha_es)
     return (
         true_risk(cfg.dist, cfg.alpha_var, "VAR"),
         true_risk(cfg.dist, cfg.alpha_es, "ES"),
     )
 
 
-def _garch_addons(cfg: McConfig) -> tuple[float, float]:
-    innov = _Innovation.of(cfg.dist)
-    return -innov.quantile(cfg.alpha_var), innov.expected_shortfall(cfg.alpha_es)
+def _steps(cfg: McConfig) -> int:
+    """Innovations one run draws, the burn-in included."""
+    return cfg.n + (GARCH_BURN_IN if isinstance(cfg.dist, GarchSpec) else 0)
 
 
-def _mc_chunk(cfg: McConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    n = cfg.n
-    counts_t = np.zeros(n + 1, dtype=np.int64)
-    counts_g = np.zeros(n + 1, dtype=np.int64)
-    garch = isinstance(cfg.dist, GarchSpec)
-    if garch:
-        q_add, es_add = _garch_addons(cfg)
-        mu = cfg.dist.mu
-    else:
-        var_add, es_add = _iid_addons(cfg)
-    for run in range(lo, hi):
-        stream = RngStream(cfg.seed, run)
-        if garch:
-            # the per-day reserve is conditional: sigma_t scales the unit risk
-            x, sigma = garch_simulate(cfg.dist, n, stream)
-            eps = x - mu
-            y_var = eps + sigma * q_add
-            y_es = eps + sigma * es_add
-        else:
-            x = cfg.dist.sample(n, stream)
-            y_var = x + var_add
-            y_es = x + es_add
-        counts_t[int((y_var < 0).sum())] += 1
-        counts_g[int((np.cumsum(np.sort(y_es)) < 0).sum())] += 1
+def _block_rows(cfg: McConfig) -> int:
+    """Runs per Monte Carlo block."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // _steps(cfg)))
+
+
+def _secured_block(
+    cfg: McConfig, addons: tuple[float, float], rows: int, stream: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block's (rows, n) samples secured at the VAR and the ES reserve."""
+    steps = _steps(cfg)
+    var_add, es_add = addons
+    if isinstance(cfg.dist, GarchSpec):
+        # the per-day reserve is conditional: sigma_t scales the unit risk
+        z = _Innovation.of(cfg.dist).sample(rows * steps, stream).reshape(rows, steps)
+        x, sigma = _garch_paths(cfg.dist, z)
+        x, sigma = x[:, GARCH_BURN_IN:], sigma[:, GARCH_BURN_IN:]
+        eps = x - cfg.dist.mu
+        return eps + sigma * var_add, eps + sigma * es_add
+    x = cfg.dist.sample(rows * steps, stream).reshape(rows, steps)
+    return x + var_add, x + es_add
+
+
+def _tally(y_var: np.ndarray, y_es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts over 0..n of the per-row exception and worst-case-sum counts."""
+    size = y_var.shape[1] + 1
+    counts_t = np.bincount((y_var < 0).sum(1), minlength=size)
+    counts_g = np.bincount((np.cumsum(np.sort(y_es, 1), 1) < 0).sum(1), minlength=size)
+    return counts_t, counts_g
+
+
+def _mc_blocks(task) -> tuple[np.ndarray, np.ndarray]:
+    cfg, addons, lo, hi = task
+    rows = _block_rows(cfg)
+    counts_t = np.zeros(cfg.n + 1, dtype=np.int64)
+    counts_g = np.zeros(cfg.n + 1, dtype=np.int64)
+    for b in range(lo, hi):
+        m = min(rows, cfg.runs - b * rows)
+        ct, cg = _tally(*_secured_block(cfg, addons, m, RngStream(cfg.seed, b)))
+        counts_t += ct
+        counts_g += cg
     return counts_t, counts_g
 
 
@@ -438,27 +488,20 @@ def mc_null(
     """Null distributions of the nominal exception and worst-case-sum counts.
 
     Each run secures its sample with the analytic reserve (conditional,
-    sigma_t-scaled, for GARCH inputs) and tallies both counts. The result
-    depends only on (cfg, seed), not on ``workers``.
+    sigma_t-scaled, for GARCH inputs) and tallies both counts. Block b holds
+    runs [b * rows, (b + 1) * rows) and draws them from stream (seed, b),
+    one run per row. The result depends only on (cfg, seed), not on
+    ``workers``.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    workers = min(workers, cfg.runs)
-    if workers == 1:
-        counts_t, counts_g = _mc_chunk(cfg, 0, cfg.runs)
-    else:
-        edges = np.linspace(0, cfg.runs, workers + 1, dtype=int)
-        counts_t = np.zeros(cfg.n + 1, dtype=np.int64)
-        counts_g = np.zeros(cfg.n + 1, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_mc_chunk, cfg, int(lo), int(hi))
-                for lo, hi in zip(edges[:-1], edges[1:])
-            ]
-            for fut in futures:
-                ct, cg = fut.result()
-                counts_t += ct
-                counts_g += cg
+    addons = _addons(cfg)
+    blocks = -(-cfg.runs // _block_rows(cfg))
+    edges = np.linspace(0, blocks, min(workers, blocks) + 1, dtype=int)
+    tasks = [(cfg, addons, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    parts = parallel_map(_mc_blocks, tasks, workers)
+    counts_t = sum(ct for ct, _ in parts)
+    counts_g = sum(cg for _, cg in parts)
     return (
         NullDistribution("VAR", counts_t, cfg.runs, cfg.seed),
         NullDistribution("ES", counts_g, cfg.runs, cfg.seed),
@@ -482,9 +525,11 @@ def fit_and_simulate(
     if picks < 1:
         raise ValueError(f"need picks >= 1, got {picks}")
     length = x.size if length is None else length
+    if length < 1:
+        raise ValueError(f"need length >= 1, got {length}")
     if model in ("normal", "skew_t"):
         fitted = fit_iid(x, model)
-        params = {"model": model, **_dist_json(fitted)}
+        params = {"model": model, **dist_to_json(fitted)}
         sims = [
             np.asarray(fitted.sample(length, RngStream(seed, base_stream_id + p)))
             for p in range(picks)
@@ -493,16 +538,13 @@ def fit_and_simulate(
         innovation = "normal" if model == "garch_normal" else "skew_t"
         fitted = garch_fit(x, innovation)
         params = {"model": model, **garch_to_json(fitted)}
-        sims = [
-            garch_simulate(fitted, length, RngStream(seed, base_stream_id + p))[0]
+        innov = _Innovation.of(fitted)
+        z = np.stack([
+            innov.sample(GARCH_BURN_IN + length, RngStream(seed, base_stream_id + p))
             for p in range(picks)
-        ]
+        ])
+        sims = list(_garch_paths(fitted, z)[0][:, GARCH_BURN_IN:])
     else:
         raise ValueError(f"unknown model {model!r}")
     return params, sims
 
-
-def _dist_json(d: DistSpec) -> dict:
-    from .dist import dist_to_json
-
-    return dist_to_json(d)

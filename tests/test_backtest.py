@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from esbacktest.backtest import (
@@ -84,6 +86,34 @@ def test_g_stat_scale_invariant():
         y = rng.standard_normal(int(rng.integers(1, 60)))
         lam = float(rng.uniform(0.01, 100.0))
         assert g_stat(lam * y) == g_stat(y)
+
+
+# Samples for the properties below: entries are 0 or at least 1e-100 in
+# magnitude, so scaling by a power of two in [2^-30, 2^30] is exact.
+_entries = st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False).filter(
+    lambda v: v == 0 or abs(v) >= 1e-100
+)
+_samples = st.lists(_entries, min_size=1, max_size=64).map(np.array)
+_powers_of_two = st.integers(min_value=-30, max_value=30).map(lambda k: 2.0**k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples)
+def test_property_g_at_least_t(y):
+    assert g_stat(y).nominal >= t_stat(y).nominal
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples, _powers_of_two)
+def test_property_t_and_g_unchanged_under_positive_scaling(y, lam):
+    assert t_stat(lam * y) == t_stat(y)
+    assert g_stat(lam * y) == g_stat(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples)
+def test_property_dual_t_equals_t_stat(y):
+    assert dual_t(y) == t_stat(y).value
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,19 @@ def test_backtest_missing_file_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_backtest_non_finite_cell_exits_2(tmp_path, capsys, cell):
+    rng = np.random.default_rng(62)
+    values = [f"{v:.8f}" for v in rng.standard_normal(500) * 0.01]
+    values[123] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["a"] + values) + "\n")
+    argv = ["backtest", "--input", str(path), "--estimator", "var-hist"]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: line 125: cell {cell!r} is not a finite number" in err
+
+
 def test_backtest_short_panel_exits_3(tmp_path, capsys):
     path = tmp_path / "short.csv"
     rng = np.random.default_rng(61)

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from esbacktest.dist import (
+    STREAM_CONTRACT,
     Normal,
     RngStream,
     SkewT,
@@ -195,6 +196,37 @@ def test_skew_t_sample_moments_match_closed_forms():
     x = d.sample(10**6, RngStream(2024, 2))
     assert x.mean() == pytest.approx(d.mean(), abs=0.006)
     assert x.var(ddof=1) == pytest.approx(d.variance(), rel=0.02)
+
+
+@pytest.mark.parametrize("nu, xi", [(5.0, 0.8), (3.5, 1.6), (8.0, 1.0)])
+def test_two_piece_skew_t_sampler_matches_the_cdf(nu, xi):
+    d = SkewT(nu, xi)
+    x = d.sample(10**5, RngStream(2024, 3))
+    assert stats.kstest(x, d.cdf).pvalue > 0.001
+    # mass above zero is xi^2 / (1 + xi^2); allow 4 binomial standard errors
+    share = xi**2 / (1.0 + xi**2)
+    se = math.sqrt(share * (1.0 - share) / x.size)
+    assert abs((x > 0).mean() - share) < 4.0 * se
+
+
+def test_skew_t_draw_order_is_the_stream_contract():
+    # contract 2: n draws of |T| with standard_t, then n uniforms
+    assert STREAM_CONTRACT == 2
+    d = SkewT(5.0, 0.7, loc=0.2, scale=1.5)
+    gen = RngStream(2024, 4).generator()
+    a = np.abs(gen.standard_t(5.0, 500))
+    w = 0.7**2
+    up = gen.random(500) < w / (1.0 + w)
+    expect = 0.2 + 1.5 * np.where(up, 0.7 * a, -a / 0.7)
+    assert np.array_equal(d.sample(500, RngStream(2024, 4)), expect)
+
+
+def test_skew_t_quantile_draws_are_inverse_cdf_of_open_uniforms():
+    d = SkewT(5.0, 0.7)
+    x = d.sample_by_quantile(2000, RngStream(2024, 5))
+    u = RngStream(2024, 5).generator().integers(1, 1 << 53, size=2000) / float(1 << 53)
+    assert np.array_equal(x, d.quantile(u))
+    assert stats.kstest(x, d.cdf).pvalue > 0.001
 
 
 def test_skew_t_moment_formulas_against_quadrature():

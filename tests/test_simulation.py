@@ -8,11 +8,17 @@ from scipy import stats
 
 from esbacktest.dist import Normal, RngStream, SkewT, StudentT
 from esbacktest.simulation import (
+    GARCH_BURN_IN,
     FitError,
     GarchSpec,
     McConfig,
     NullDistribution,
+    _addons,
+    _block_rows,
     _conditional_variance,
+    _garch_paths,
+    _Innovation,
+    _tally,
     fit_and_simulate,
     fit_iid,
     garch_fit,
@@ -25,6 +31,45 @@ from esbacktest.simulation import (
 # ---------------------------------------------------------------------------
 # GARCH simulation
 # ---------------------------------------------------------------------------
+
+
+def _garch_loop_oracle(g, z):
+    """One path of the recursion as a scalar loop: returns and sigma."""
+    sigma = np.empty(z.size)
+    s2 = g.stationary_variance()
+    for t in range(z.size):
+        sd = math.sqrt(s2)
+        sigma[t] = sd
+        eps = sd * z[t]
+        s2 = g.omega + g.a1 * eps * eps + g.b1 * s2
+    return g.mu + sigma * z, sigma
+
+
+GARCH_ORACLE_SPECS = [
+    GarchSpec(mu=1e-4, omega=1e-5, a1=0.08, b1=0.90),
+    GarchSpec(mu=-2e-4, omega=3e-6, a1=0.12, b1=0.85, innovation="skew_t", nu=5.0, xi=0.8),
+]
+
+
+@pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
+def test_block_recursion_equals_scalar_loop_oracle(g):
+    z = _Innovation.of(g).sample(64 * 300, RngStream(81, 2)).reshape(64, 300)
+    returns, sigma = _garch_paths(g, z)
+    expect = [_garch_loop_oracle(g, row) for row in z]
+    assert np.array_equal(returns, np.array([r for r, _ in expect]))
+    assert np.array_equal(sigma, np.array([s for _, s in expect]))
+    one_r, one_s = _garch_paths(g, z[:1])
+    assert np.array_equal(one_r[0], expect[0][0])
+    assert np.array_equal(one_s[0], expect[0][1])
+
+
+@pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
+def test_garch_simulate_equals_scalar_loop_on_its_stream(g):
+    stream = RngStream(82, 4)
+    x, sigma = garch_simulate(g, 200, stream, burn_in=50)
+    r, s = _garch_loop_oracle(g, _Innovation.of(g).sample(250, stream))
+    assert np.array_equal(x, r[50:])
+    assert np.array_equal(sigma, s[50:])
 
 
 def test_garch_without_feedback_reduces_to_iid():
@@ -202,6 +247,83 @@ def test_fit_iid_input_validation():
 # ---------------------------------------------------------------------------
 
 
+def _tally_oracle(y_var, y_es):
+    """Per-run tallies as one sort and cumsum per row."""
+    n = y_var.shape[1]
+    counts_t = np.zeros(n + 1, dtype=np.int64)
+    counts_g = np.zeros(n + 1, dtype=np.int64)
+    for yv, ye in zip(y_var, y_es):
+        counts_t[int((yv < 0).sum())] += 1
+        counts_g[int((np.cumsum(np.sort(ye)) < 0).sum())] += 1
+    return counts_t, counts_g
+
+
+def test_block_tally_equals_per_run_oracle_with_ties():
+    rng = np.random.default_rng(83)
+    for m, n in ((1, 1), (7, 3), (300, 50), (512, 250)):
+        # small integers: many tied entries and exactly zero partial sums
+        y_var = rng.integers(-3, 4, size=(m, n)).astype(float)
+        y_es = rng.integers(-3, 4, size=(m, n)).astype(float)
+        for got, expect in zip(_tally(y_var, y_es), _tally_oracle(y_var, y_es)):
+            assert got.shape == (n + 1,)
+            assert np.array_equal(got, expect)
+
+
+def test_block_rows_follow_the_stream_contract():
+    assert _block_rows(McConfig(dist=Normal(), seed=1, n=250)) == 512
+    assert _block_rows(McConfig(dist=Normal(), seed=1, n=5000)) == 52
+    assert _block_rows(McConfig(dist=Normal(), seed=1, n=2**19)) == 1
+    g = GarchSpec(mu=0.0, omega=1e-5, a1=0.08, b1=0.90)
+    assert _block_rows(McConfig(dist=g, seed=1, n=250)) == 349
+
+
+def _mc_oracle(cfg):
+    """Counts rebuilt run by run from the block streams of stream contract 2."""
+    addons = _addons(cfg)
+    rows, steps = _block_rows(cfg), cfg.n
+    garch = isinstance(cfg.dist, GarchSpec)
+    if garch:
+        steps += GARCH_BURN_IN
+    y_var, y_es = [], []
+    for b in range(-(-cfg.runs // rows)):
+        m = min(rows, cfg.runs - b * rows)
+        if garch:
+            z = _Innovation.of(cfg.dist).sample(m * steps, RngStream(cfg.seed, b))
+            for row in z.reshape(m, steps):
+                x, sigma = (a[GARCH_BURN_IN:] for a in _garch_loop_oracle(cfg.dist, row))
+                eps = x - cfg.dist.mu
+                y_var.append(eps + sigma * addons[0])
+                y_es.append(eps + sigma * addons[1])
+        else:
+            x = cfg.dist.sample(m * steps, RngStream(cfg.seed, b)).reshape(m, steps)
+            y_var.extend(x + addons[0])
+            y_es.extend(x + addons[1])
+    return _tally_oracle(np.array(y_var), np.array(y_es))
+
+
+@pytest.mark.parametrize(
+    "dist, runs",
+    [(StudentT(4.0), 1100), (GarchSpec(mu=1e-4, omega=1e-5, a1=0.08, b1=0.90), 500)],
+    ids=["t4", "garch"],
+)
+def test_mc_null_equals_per_run_oracle_on_block_streams(dist, runs):
+    cfg = McConfig(dist=dist, seed=84, n=50, runs=runs)
+    nd_var, nd_es = mc_null(cfg)
+    expect_t, expect_g = _mc_oracle(cfg)
+    assert np.array_equal(nd_var.counts, expect_t)
+    assert np.array_equal(nd_es.counts, expect_g)
+
+
+def test_mc_null_worker_independent_with_a_partial_last_block():
+    # 1300 runs at n = 250: blocks of 512, 512 and 276 runs
+    cfg = McConfig(dist=SkewT(5.0, 0.8), seed=85, n=250, runs=1300)
+    nd_var, nd_es = mc_null(cfg, workers=1)
+    for workers in (2, 3, 8):
+        other_var, other_es = mc_null(cfg, workers=workers)
+        assert np.array_equal(nd_var.counts, other_var.counts)
+        assert np.array_equal(nd_es.counts, other_es.counts)
+
+
 def test_mc_null_reproducible_and_worker_independent():
     cfg = McConfig(dist=Normal(), seed=90, n=250, runs=3000)
     nd_var_1, nd_es_1 = mc_null(cfg, workers=1)
@@ -301,6 +423,10 @@ def test_fit_and_simulate_garch_emits_paths():
     params, sims = fit_and_simulate(x, "garch_normal", picks=2, seed=8, base_stream_id=10)
     assert params["model"] == "garch_normal"
     assert len(sims) == 2 and sims[0].size == 600
+    fitted = garch_from_json({k: v for k, v in params.items() if k != "model"})
+    for p, sim in enumerate(sims):
+        # the stacked picks equal one path per pick stream
+        assert np.array_equal(sim, garch_simulate(fitted, 600, RngStream(8, 10 + p))[0])
     with pytest.raises(ValueError, match="model"):
         fit_and_simulate(x, "arch", picks=1, seed=8, base_stream_id=0)
     with pytest.raises(ValueError, match="picks"):
