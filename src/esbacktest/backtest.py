@@ -32,6 +32,7 @@ __all__ = [
     "Z_THRESHOLDS",
     "StatResult",
     "BacktestResult",
+    "RESULT_FIELDS",
     "t_stat",
     "g_stat",
     "dual_t",
@@ -41,6 +42,20 @@ __all__ = [
 ]
 
 ZONES = ("green", "yellow", "red")
+
+# Keys of a result in reports, in order; each names a BacktestResult attribute.
+RESULT_FIELDS = (
+    "n",
+    "alpha",
+    "estimator",
+    "normalized",
+    "nominal_t",
+    "nominal_g",
+    "z",
+    "zone_var",
+    "zone_es",
+    "zone_z",
+)
 
 
 @dataclass(frozen=True)
@@ -191,6 +206,8 @@ class BacktestResult:
 
     ``alpha`` is the level used for reserve estimation; comparison runs that
     estimate several reserve series carry a dict of levels keyed by metric.
+    The zones are properties derived from the counts and ``z``, so a result
+    cannot disagree with itself.
     """
 
     n: int
@@ -199,25 +216,23 @@ class BacktestResult:
     normalized: bool
     nominal_t: int
     nominal_g: int
-    zone_var: str
-    zone_es: str
     z: Optional[float] = None
-    zone_z: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.nominal_t <= self.n or not 0 <= self.nominal_g <= self.n:
             raise ValueError("nominal counts must lie in [0, n]")
 
+    @property
+    def zone_var(self) -> str:
+        return classify(self.nominal_t, VAR_THRESHOLDS)
+
+    @property
+    def zone_es(self) -> str:
+        return classify(self.nominal_g, ES_THRESHOLDS)
+
+    @property
+    def zone_z(self) -> Optional[str]:
+        return None if self.z is None else classify(self.z, Z_THRESHOLDS)
+
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "estimator": self.estimator,
-            "normalized": self.normalized,
-            "nominal_t": self.nominal_t,
-            "nominal_g": self.nominal_g,
-            "z": self.z,
-            "zone_var": self.zone_var,
-            "zone_es": self.zone_es,
-            "zone_z": self.zone_z,
-        }
+        return {key: getattr(self, key) for key in RESULT_FIELDS}

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import harness, simulation
-from .backtest import ZONES
+from .backtest import RESULT_FIELDS, ZONES
 from .dist import dist_from_json, preset
 from .harness import DataError, RollingConfig
 from .parallel import parallel_map
@@ -35,6 +35,7 @@ from .simulation import McConfig, garch_from_json
 __all__ = ["main", "build_parser"]
 
 _ENV_WORKERS = "ESBACKTEST_WORKERS"
+_ESTIMATOR_CHOICES = tuple(e.replace("_", "-") for e in harness.ESTIMATORS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,11 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("backtest", help="rolling-window backtest of one estimator")
     _add_panel_args(p)
-    p.add_argument(
-        "--estimator",
-        required=True,
-        choices=("var-hist", "var-norm", "es-hist", "es-norm"),
-    )
+    p.add_argument("--estimator", required=True, choices=_ESTIMATOR_CHOICES)
     p.add_argument("--alpha", type=float, default=None, help="estimation level")
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--heatmap-out", default=None, help="heatmap CSV path")
@@ -103,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--estimator",
         required=True,
-        choices=("hist", "norm", "var-hist", "var-norm", "es-hist", "es-norm"),
+        choices=harness.FAMILIES + _ESTIMATOR_CHOICES,
         help="estimator family; single-metric choices are rejected",
     )
     p.add_argument("--alpha-var", type=float, default=0.01)
@@ -145,20 +142,6 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-_RESULT_KEYS = {
-    "n",
-    "alpha",
-    "estimator",
-    "normalized",
-    "nominal_t",
-    "nominal_g",
-    "z",
-    "zone_var",
-    "zone_es",
-    "zone_z",
-}
-
-
 class OutputCheckError(Exception):
     """Raised when a file the command wrote fails its self-check."""
 
@@ -168,33 +151,40 @@ def _check(cond: bool, message: str) -> None:
         raise OutputCheckError(message)
 
 
-def _validate_result_dict(r: dict) -> None:
-    _check(set(r) == _RESULT_KEYS, f"result fields {sorted(r)}")
-    _check(isinstance(r["n"], int) and r["n"] >= 1, "n")
-    _check(0 <= r["nominal_t"] <= r["n"], "nominal_t range")
-    _check(0 <= r["nominal_g"] <= r["n"], "nominal_g range")
-    _check(r["zone_var"] in ZONES and r["zone_es"] in ZONES, "zones")
-    _check(r["zone_z"] is None or r["zone_z"] in ZONES, "zone_z")
-
-
-def _validate_report(path, expect_z: bool) -> None:
-    with open(path) as fh:
-        report = json.load(fh)
-    _check(
-        len(report["samples"]) == len(report["results"]), "samples/results aligned"
-    )
-    for r in report["results"]:
-        _validate_result_dict(r)
-        if expect_z:
-            _check(isinstance(r["z"], float), "z present")
-
-
 def _validate_csv(path, header: str) -> None:
     with open(path) as fh:
         lines = fh.read().splitlines()
     _check(bool(lines) and lines[0] == header, f"csv header of {path}")
     for line in lines[1:]:
         _check(len(line.split(",")) == len(header.split(",")), f"csv row in {path}")
+
+
+def _write_report(args, config, samples, results, summary, expect_z: bool) -> None:
+    """Write a per-sample report, read it back and check every result."""
+    config.update(
+        learn=args.learn, test=args.test, normalize=args.normalize, format=args.format
+    )
+    report = {
+        "config": config,
+        "samples": [s.label for s in samples],
+        "results": [r.to_json_dict() for r in results],
+        "summary": summary,
+    }
+    _write_json(args.out, report)
+    with open(args.out) as fh:
+        report = json.load(fh)
+    _check(
+        len(report["samples"]) == len(report["results"]), "samples/results aligned"
+    )
+    for r in report["results"]:
+        _check(list(r) == list(RESULT_FIELDS), f"result fields {list(r)}")
+        _check(isinstance(r["n"], int) and r["n"] >= 1, "n")
+        _check(0 <= r["nominal_t"] <= r["n"], "nominal_t range")
+        _check(0 <= r["nominal_g"] <= r["n"], "nominal_g range")
+        _check(r["zone_var"] in ZONES and r["zone_es"] in ZONES, "zones")
+        _check(r["zone_z"] is None or r["zone_z"] in ZONES, "zone_z")
+        if expect_z:
+            _check(isinstance(r["z"], float), "z present")
 
 
 def cmd_backtest(args) -> int:
@@ -209,29 +199,16 @@ def cmd_backtest(args) -> int:
     samples = harness.split_samples(panel, cfg.window)
     results = harness.run_batch(samples, cfg, workers=args.workers)
     cm = harness.confusion([r.zone_var for r in results], [r.zone_es for r in results])
-    heatmap = harness.heatmap_table(results)
     heatmap_path = args.heatmap_out or f"{args.out}.heatmap.csv"
 
-    report = {
-        "config": {
-            "estimator": cfg.estimator,
-            "alpha": cfg.resolved_alpha,
-            "learn": cfg.learn,
-            "test": cfg.test,
-            "normalize": cfg.normalize,
-            "format": args.format,
-        },
-        "samples": [s.label for s in samples],
-        "results": [r.to_json_dict() for r in results],
-        "summary": {
-            "confusion": cm.to_json_dict(),
-            "trace_ratio": cm.trace_ratio,
-            "dropped_rows": panel.dropped_rows,
-        },
+    config = {"estimator": cfg.estimator, "alpha": cfg.resolved_alpha}
+    summary = {
+        "confusion": cm.to_json_dict(),
+        "trace_ratio": cm.trace_ratio,
+        "dropped_rows": panel.dropped_rows,
     }
-    _write_json(args.out, report)
-    harness.write_heatmap_csv(heatmap, heatmap_path)
-    _validate_report(args.out, expect_z=False)
+    _write_report(args, config, samples, results, summary, expect_z=False)
+    harness.write_heatmap_csv(harness.heatmap_table(results), heatmap_path)
     _validate_csv(heatmap_path, "nt_capped,ng_capped,count")
     print(f"backtested {len(results)} samples with {cfg.estimator}")
     return 0
@@ -260,26 +237,17 @@ def cmd_compare(args) -> int:
     cm_es = harness.confusion(zones_var, [r.zone_es for r in results])
     cm_z = harness.confusion(zones_var, [r.zone_z for r in results])
 
-    report = {
-        "config": {
-            "family": args.estimator,
-            "alpha_var": args.alpha_var,
-            "alpha_es": args.alpha_es,
-            "alpha_z": args.alpha_z if args.alpha_z is not None else args.alpha_es,
-            "learn": args.learn,
-            "test": args.test,
-            "normalize": args.normalize,
-            "format": args.format,
-        },
-        "samples": [s.label for s in samples],
-        "results": [r.to_json_dict() for r in results],
-        "summary": {
-            "confusion_var_es": cm_es.to_json_dict(),
-            "confusion_var_z": cm_z.to_json_dict(),
-        },
+    config = {
+        "family": args.estimator,
+        "alpha_var": args.alpha_var,
+        "alpha_es": args.alpha_es,
+        "alpha_z": args.alpha_z if args.alpha_z is not None else args.alpha_es,
     }
-    _write_json(args.out, report)
-    _validate_report(args.out, expect_z=True)
+    summary = {
+        "confusion_var_es": cm_es.to_json_dict(),
+        "confusion_var_z": cm_z.to_json_dict(),
+    }
+    _write_report(args, config, samples, results, summary, expect_z=True)
     print(
         f"compared {len(results)} samples: "
         f"VAR-vs-ES trace {cm_es.trace_ratio:.3f}, "

@@ -15,6 +15,10 @@ evaluate ``norm.ppf``/``norm.pdf`` once per series, the historical kernels
 take each row's order statistic with one 2-D ``np.partition``, and the ES
 tail is then averaged row by row in time order. A sample with a non-finite
 value is rejected before any kernel runs.
+
+Both backtests grade through ``_graded``: ``rolling_backtest`` with one
+estimator in both roles, ``compare_backtest`` with the VAR and ES estimators
+of one family plus the z test. ``BacktestResult`` derives the zones.
 """
 
 from __future__ import annotations
@@ -23,26 +27,18 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backtest import (
-    ES_THRESHOLDS,
-    VAR_THRESHOLDS,
-    Z_THRESHOLDS,
-    ZONES,
-    BacktestResult,
-    classify,
-    g_stat,
-    t_stat,
-    z_stat,
-)
+from .backtest import ZONES, BacktestResult, g_stat, t_stat, z_stat
 from .estimators import SampleMoments, _as_sample, _tail_index, es_normal, var_normal
 
-# bench/spans.py wraps these scalar estimators by their names in this module
-# to attribute traced time to layers; the rolling kernels no longer call them.
+# bench/spans.py wraps these names in this module to attribute traced time to
+# layers; the rolling kernels and BacktestResult's zones no longer call them.
+from .backtest import classify  # noqa: F401
 from .estimators import es_empirical, moments, var_empirical  # noqa: F401
 from .parallel import parallel_map
 from .secured import build_normalized, build_secured
@@ -357,8 +353,14 @@ def _reserve_series(
     return _KERNELS[estimator](windows, alpha)
 
 
-def _window_sample(x, learn: int, test: int) -> np.ndarray:
-    """The finite sample of length learn + test that one backtest consumes."""
+def _graded(
+    x, learn, test, normalize, var_est, alpha_var, es_est, alpha_es, alpha_z=None
+) -> tuple[int, int, Optional[float]]:
+    """(nominal_t, nominal_g, z) of one sample, graded as ``compare_backtest`` says.
+
+    Each (estimator, level) reserve series is estimated once; z is None
+    without ``alpha_z``.
+    """
     if learn < 2 or test < 1:
         raise ValueError("need learn >= 2 and test >= 1")
     arr = _as_sample(x)
@@ -366,37 +368,41 @@ def _window_sample(x, learn: int, test: int) -> np.ndarray:
         raise ValueError(
             f"sample has {arr.size} observations, config needs {learn + test}"
         )
-    return arr
+    realized = arr[learn:]
+    secure = build_normalized if normalize else build_secured
+    pairs = [(var_est, alpha_var), (es_est, alpha_es)]
+    if alpha_z is not None:
+        pairs += [(var_est, alpha_z), (es_est, alpha_z)]
+    series = {p: _reserve_series(arr, learn, test, *p) for p in dict.fromkeys(pairs)}
 
-
-def _secure(realized, reserve, normalize: bool):
-    if normalize:
-        return build_normalized(realized, reserve)
-    return build_secured(realized, reserve)
+    y = secure(realized, series[var_est, alpha_var])
+    nt = t_stat(y).nominal
+    if (es_est, alpha_es) != (var_est, alpha_var):
+        y = secure(realized, series[es_est, alpha_es])
+    ng = g_stat(y).nominal
+    if alpha_z is None:
+        return nt, ng, None
+    z = z_stat(realized, series[var_est, alpha_z], series[es_est, alpha_z], alpha_z)
+    return nt, ng, z
 
 
 def rolling_backtest(x, cfg: RollingConfig) -> BacktestResult:
     """Backtest one sample of length learn + test with a single estimator.
 
     Day i of the test period is secured by the reserve estimated from the
-    ``learn`` observations ending the day before; both statistics and their
-    zones are computed on the resulting secured sample.
+    ``learn`` observations ending the day before; both statistics are
+    computed on the resulting secured sample.
     """
-    arr = _window_sample(x, cfg.learn, cfg.test)
     alpha = cfg.resolved_alpha
-    reserve = _reserve_series(arr, cfg.learn, cfg.test, cfg.estimator, alpha)
-    y = _secure(arr[cfg.learn :], reserve, cfg.normalize)
-    t = t_stat(y)
-    g = g_stat(y)
+    est = cfg.estimator
+    nt, ng, _ = _graded(x, cfg.learn, cfg.test, cfg.normalize, est, alpha, est, alpha)
     return BacktestResult(
         n=cfg.test,
         alpha=alpha,
         estimator=cfg.estimator,
         normalized=cfg.normalize,
-        nominal_t=t.nominal,
-        nominal_g=g.nominal,
-        zone_var=classify(t.nominal, VAR_THRESHOLDS),
-        zone_es=classify(g.nominal, ES_THRESHOLDS),
+        nominal_t=nt,
+        nominal_g=ng,
     )
 
 
@@ -421,57 +427,30 @@ def compare_backtest(
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    arr = _window_sample(x, learn, test)
     if alpha_z is None:
         alpha_z = alpha_es
-    realized = arr[learn:]
-
-    var_reserve = _reserve_series(arr, learn, test, f"var_{family}", alpha_var)
-    es_reserve = _reserve_series(arr, learn, test, f"es_{family}", alpha_es)
-    t = t_stat(_secure(realized, var_reserve, normalize))
-    g = g_stat(_secure(realized, es_reserve, normalize))
-
-    var_z = (
-        var_reserve
-        if alpha_z == alpha_var
-        else _reserve_series(arr, learn, test, f"var_{family}", alpha_z)
+    var_est, es_est = f"var_{family}", f"es_{family}"
+    nt, ng, z = _graded(
+        x, learn, test, normalize, var_est, alpha_var, es_est, alpha_es, alpha_z
     )
-    es_z = (
-        es_reserve
-        if alpha_z == alpha_es
-        else _reserve_series(arr, learn, test, f"es_{family}", alpha_z)
-    )
-    z = z_stat(realized, var_z, es_z, alpha_z)
-
     return BacktestResult(
         n=test,
         alpha={"var": alpha_var, "es": alpha_es, "z": alpha_z},
         estimator=family,
         normalized=normalize,
-        nominal_t=t.nominal,
-        nominal_g=g.nominal,
-        zone_var=classify(t.nominal, VAR_THRESHOLDS),
-        zone_es=classify(g.nominal, ES_THRESHOLDS),
+        nominal_t=nt,
+        nominal_g=ng,
         z=z,
-        zone_z=classify(z, Z_THRESHOLDS),
     )
-
-
-def _run_one(args) -> BacktestResult:
-    values, cfg = args
-    return rolling_backtest(values, cfg)
-
-
-def _run_one_compare(args) -> BacktestResult:
-    values, kwargs = args
-    return compare_backtest(values, **kwargs)
 
 
 def run_batch(
     samples: Sequence[Sample], cfg: RollingConfig, workers: int = 1
 ) -> list[BacktestResult]:
     """Map ``rolling_backtest`` over samples; ordering follows the input."""
-    return parallel_map(_run_one, [(s.values, cfg) for s in samples], workers)
+    return parallel_map(
+        partial(rolling_backtest, cfg=cfg), [s.values for s in samples], workers
+    )
 
 
 def run_compare_batch(
@@ -479,7 +458,7 @@ def run_compare_batch(
 ) -> list[BacktestResult]:
     """Map ``compare_backtest`` over samples; ordering follows the input."""
     return parallel_map(
-        _run_one_compare, [(s.values, kwargs) for s in samples], workers
+        partial(compare_backtest, **kwargs), [s.values for s in samples], workers
     )
 
 

@@ -233,7 +233,7 @@ def _garch_nll(theta: np.ndarray, x: np.ndarray, kind: str) -> float:
 
 
 class FitError(RuntimeError):
-    """Raised when an optimizer exhausts its budget without converging.
+    """Raised when a fit does not converge or converges onto a boundary.
 
     Carries the best parameter point seen (``best``) and the optimizer
     diagnostics (``diagnostics``) for post-mortems.
@@ -245,7 +245,8 @@ class FitError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def _multistart_minimize(fun, starts: Sequence[np.ndarray], args=()) -> np.ndarray:
+def _multistart_minimize(fun, starts: Sequence[np.ndarray], args=()):
+    """Best converged (theta, objective) of Nelder-Mead runs from ``starts``."""
     best = None
     best_converged = None
     for x0 in starts:
@@ -267,7 +268,7 @@ def _multistart_minimize(fun, starts: Sequence[np.ndarray], args=()) -> np.ndarr
             best={"theta": best.x.tolist(), "nll": float(best.fun)},
             diagnostics={"nfev": int(best.nfev), "message": str(best.message)},
         )
-    return best_converged.x
+    return best_converged.x, float(best_converged.fun)
 
 
 def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
@@ -300,29 +301,40 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
             theta += [math.log(6.0), 0.0]  # nu = 8, xi = 1
         starts.append(np.array(theta))
 
-    theta = _multistart_minimize(_garch_nll, starts, args=(x, innovation))
+    theta, nll = _multistart_minimize(_garch_nll, starts, args=(x, innovation))
     persistence = float(expit(theta[2]))
     frac = float(expit(theta[3]))
     kwargs = {}
     if innovation == "skew_t":
         kwargs = {"nu": 2.0 + math.exp(theta[4]), "xi": math.exp(theta[5])}
-    return GarchSpec(
-        mu=float(theta[0]),
-        omega=math.exp(theta[1]),
-        a1=persistence * frac,
-        b1=persistence * (1.0 - frac),
-        innovation=innovation,
-        **kwargs,
-    )
+    try:
+        return GarchSpec(
+            mu=float(theta[0]),
+            omega=math.exp(theta[1]),
+            a1=persistence * frac,
+            b1=persistence * (1.0 - frac),
+            innovation=innovation,
+            **kwargs,
+        )
+    except ValueError as exc:
+        # expit rounds persistence to 1, or exp underflows omega to 0
+        raise FitError(
+            f"fit reached a parameter boundary: {exc}",
+            best={"theta": theta.tolist(), "nll": nll},
+            diagnostics={"boundary": str(exc)},
+        ) from None
 
 
 def _skewt_nll(theta: np.ndarray, x: np.ndarray) -> float:
-    d = SkewT(
-        nu=2.0 + math.exp(theta[2]),
-        xi=math.exp(theta[3]),
-        loc=theta[0],
-        scale=math.exp(theta[1]),
-    )
+    try:
+        d = SkewT(
+            nu=2.0 + math.exp(theta[2]),
+            xi=math.exp(theta[3]),
+            loc=theta[0],
+            scale=math.exp(theta[1]),
+        )
+    except ValueError:  # nu rounds to 2, or xi or scale underflows to 0
+        return 1e12
     ll = float(np.sum(d.logpdf(x)))
     return -ll if np.isfinite(ll) else 1e12
 
@@ -343,7 +355,7 @@ def fit_iid(returns, kind: str) -> DistSpec:
             np.array([mean, math.log(sd * math.sqrt((n0 - 2.0) / n0)), math.log(n0 - 2.0), math.log(x0)])
             for n0, x0 in ((8.0, 1.0), (5.0, 0.8), (20.0, 1.25))
         ]
-        theta = _multistart_minimize(_skewt_nll, starts, args=(x,))
+        theta, _ = _multistart_minimize(_skewt_nll, starts, args=(x,))
         return SkewT(
             nu=2.0 + math.exp(theta[2]),
             xi=math.exp(theta[3]),

@@ -270,8 +270,6 @@ def test_backtest_result_json_fields_exact():
         normalized=False,
         nominal_t=3,
         nominal_g=7,
-        zone_var="green",
-        zone_es="green",
     )
     payload = r.to_json_dict()
     assert set(payload) == {
@@ -299,6 +297,34 @@ def test_backtest_result_validates_counts():
             normalized=False,
             nominal_t=11,
             nominal_g=11,
-            zone_var="red",
-            zone_es="red",
         )
+
+
+def _result(nt: int, ng: int, z=None) -> BacktestResult:
+    return BacktestResult(
+        n=250,
+        alpha=0.025,
+        estimator="es_hist",
+        normalized=False,
+        nominal_t=nt,
+        nominal_g=ng,
+        z=z,
+    )
+
+
+def test_backtest_result_derives_its_zones():
+    r = _result(22, 40)
+    assert (r.zone_var, r.zone_es, r.zone_z) == ("red", "red", None)
+    r = _result(4, 12, z=2.0)
+    assert (r.zone_var, r.zone_es, r.zone_z) == ("green", "yellow", "red")
+    r = _result(9, 11, z=-1.0)
+    assert (r.zone_var, r.zone_es, r.zone_z) == ("yellow", "green", "green")
+    payload = _result(10, 25, z=1.0).to_json_dict()
+    assert list(payload)[-3:] == ["zone_var", "zone_es", "zone_z"]
+    assert (payload["zone_var"], payload["zone_es"], payload["zone_z"]) == (
+        "red",
+        "red",
+        "yellow",
+    )
+    with pytest.raises(TypeError):
+        BacktestResult(250, 0.025, "es_hist", False, 22, 40, zone_var="green")

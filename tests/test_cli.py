@@ -123,6 +123,20 @@ def test_failed_output_self_check_exits_3(tmp_path, panel_csv, capsys, monkeypat
     assert "Traceback" not in err
 
 
+def test_report_self_check_rejects_reordered_result_fields(
+    tmp_path, panel_csv, capsys, monkeypatch
+):
+    original = cli.harness.BacktestResult.to_json_dict
+
+    def reordered(self):
+        return dict(reversed(list(original(self).items())))
+
+    monkeypatch.setattr(cli.harness.BacktestResult, "to_json_dict", reordered)
+    argv = ["compare", "--input", str(panel_csv), "--estimator", "hist"]
+    assert main(argv + ["--out", str(tmp_path / "c.json")]) == 3
+    assert "output check failed: result fields" in capsys.readouterr().err
+
+
 def test_unknown_flags_exit_3(capsys):
     assert main(["backtest", "--bogus"]) == 3
     assert main(["mc", "--dist", "normal", "--out-prefix", "x"]) == 3  # seed missing

@@ -26,6 +26,7 @@ from esbacktest.harness import (
     load_returns,
     rolling_backtest,
     run_batch,
+    run_compare_batch,
     split_samples,
     write_heatmap_csv,
     _reserve_series,
@@ -322,13 +323,27 @@ def test_rolling_default_levels_follow_the_estimator_family():
     assert RollingConfig(estimator="es_norm", alpha=0.05).resolved_alpha == 0.05
 
 
-def test_run_batch_is_order_preserving_and_worker_independent():
+@pytest.mark.parametrize(
+    "batch",
+    [
+        lambda samples, workers: run_batch(
+            samples, RollingConfig(estimator="var_hist"), workers=workers
+        ),
+        lambda samples, workers: run_compare_batch(
+            samples, workers=workers, family="norm", alpha_z=0.05, normalize=True
+        ),
+    ],
+    ids=["rolling", "compare"],
+)
+def test_run_batch_is_order_preserving_and_worker_independent(batch):
     panel = _panel(1000, 2)
     samples = split_samples(panel, 500)
-    cfg = RollingConfig(estimator="var_hist")
-    serial = run_batch(samples, cfg, workers=1)
-    parallel = run_batch(samples, cfg, workers=2)
+    serial = batch(samples, 1)
+    parallel = batch(samples, 2)
     assert serial == parallel
+    assert [r.nominal_g for r in serial] == [
+        batch([s], 1)[0].nominal_g for s in samples
+    ]
 
 
 def test_compare_backtest_produces_all_three_verdicts():
@@ -355,6 +370,46 @@ def test_compare_backtest_z_reserves_can_use_their_own_level():
 # ---------------------------------------------------------------------------
 # confusion and heatmap summaries
 # ---------------------------------------------------------------------------
+
+
+def _compare_loop(x, family, learn, test, alpha_var, alpha_es, alpha_z, normalize):
+    """Per-window reference for compare_backtest: (nominal_t, nominal_g, z)."""
+    realized = [float(v) for v in x[learn:]]
+
+    def reserves(kind, alpha):
+        return _reserve_loop(x, learn, test, f"{kind}_{family}", alpha).tolist()
+
+    def secured(reserve):
+        if normalize:
+            return [r / c + 1.0 for r, c in zip(realized, reserve)]
+        return [r + c for r, c in zip(realized, reserve)]
+
+    nt = sum(1 for v in secured(reserves("var", alpha_var)) if v < 0)
+    ng = int((np.cumsum(sorted(secured(reserves("es", alpha_es)))) < 0).sum())
+    var_z, es_z = reserves("var", alpha_z), reserves("es", alpha_z)
+    tail = [r / (alpha_z * e) for r, v, e in zip(realized, var_z, es_z) if r + v < 0]
+    return nt, ng, -(sum(tail) / test + 1.0)
+
+
+@pytest.mark.parametrize("family", ["hist", "norm"])
+@pytest.mark.parametrize("alpha_z", [None, 0.05])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("learn,test", [(250, 250), (100, 37)])
+def test_compare_backtest_matches_per_window_loop(
+    family, alpha_z, normalize, learn, test
+):
+    rng = np.random.default_rng(61)
+    x = rng.standard_t(4, learn + test) * 0.01
+    x[learn + 5 : learn + 8] = -0.08  # planted crash in the test window
+    result = compare_backtest(
+        x, family, learn=learn, test=test, alpha_z=alpha_z, normalize=normalize
+    )
+    level_z = 0.025 if alpha_z is None else alpha_z
+    nt, ng, z = _compare_loop(x, family, learn, test, 0.01, 0.025, level_z, normalize)
+    assert (result.nominal_t, result.nominal_g) == (nt, ng)
+    assert nt >= 1 and ng >= nt  # the planted crash is breached
+    assert result.z == pytest.approx(z, rel=1e-12)
+    assert result.alpha == {"var": 0.01, "es": 0.025, "z": level_z}
 
 
 def test_confusion_orientation_and_trace():
@@ -387,8 +442,6 @@ def _result(nt: int, ng: int) -> BacktestResult:
         normalized=False,
         nominal_t=nt,
         nominal_g=ng,
-        zone_var="green",
-        zone_es="green",
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from esbacktest import simulation
 from esbacktest.dist import Normal, RngStream, SkewT, StudentT
 from esbacktest.simulation import (
     GARCH_BURN_IN,
@@ -205,6 +206,28 @@ def test_garch_fit_with_skew_t_innovations_smoke():
     assert fit.nu > 3.0
 
 
+@pytest.mark.parametrize(
+    "innovation,theta,boundary",
+    [
+        ("normal", [0.0, -11.5, 40.0, 0.0], r"a1 \+ b1 < 1"),
+        ("skew_t", [0.0, -800.0, 2.0, 0.0, 1.0, 0.0], "omega"),
+    ],
+)
+def test_garch_fit_on_a_parameter_boundary_raises_fit_error(
+    monkeypatch, innovation, theta, boundary
+):
+    # expit(40) rounds persistence to exactly 1 and exp(-800) omega to 0
+    def optimum(fun, starts, args=()):
+        return np.array(theta), -123.5
+
+    monkeypatch.setattr(simulation, "_multistart_minimize", optimum)
+    x = np.random.default_rng(81).standard_normal(200) * 0.01
+    with pytest.raises(FitError, match=f"parameter boundary: .*{boundary}") as info:
+        garch_fit(x, innovation)
+    assert info.value.best == {"theta": theta, "nll": -123.5}
+    assert info.value.diagnostics["boundary"] in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # i.i.d. fitting
 # ---------------------------------------------------------------------------
@@ -231,6 +254,15 @@ def test_fit_iid_skew_t_recovers_skewness_direction():
     x = SkewT(6.0, 1.5).sample(5000, RngStream(80))
     fit = fit_iid(x, "skew_t")
     assert fit.xi > 1.2
+
+
+def test_fit_iid_skew_t_on_tails_beyond_nu_2_does_not_crash():
+    # Cauchy tails drive nu toward 2; a simplex vertex where 2 + exp(theta)
+    # rounds to 2 is scored as infeasible instead of raising mid-optimization
+    x = np.random.default_rng(0).standard_cauchy(500) * 0.01
+    fit = fit_iid(x, "skew_t")
+    assert isinstance(fit, SkewT)
+    assert fit.nu > 2.0
 
 
 def test_fit_iid_input_validation():
