@@ -124,6 +124,16 @@ def g_stat(y) -> StatResult:
     return StatResult(nominal / arr.size, nominal, arr.size)
 
 
+def _dual(y, estimator) -> float:
+    """The midpoint-grid scan of ``dual_t`` and ``dual_g`` with ``estimator``."""
+    arr = _values(y)
+    n = arr.size
+    for k in range(n):
+        if estimator(arr, (k + 0.5) / n) <= 0:
+            return k / n
+    return 1.0
+
+
 def dual_t(y) -> float:
     """Smallest level at which the historical VAR of y is nonpositive.
 
@@ -131,12 +141,7 @@ def dual_t(y) -> float:
     of the order-statistic index and reports the infimum on the k/n grid;
     returns 1.0 when no level qualifies. Equals ``t_stat(y).value`` exactly.
     """
-    arr = _values(y)
-    n = arr.size
-    for k in range(n):
-        if var_empirical(arr, (k + 0.5) / n) <= 0:
-            return k / n
-    return 1.0
+    return _dual(y, var_empirical)
 
 
 def dual_g(y) -> float:
@@ -146,12 +151,7 @@ def dual_g(y) -> float:
     when no level qualifies. Equals ``g_stat(y).value`` exactly whenever the
     sample values are distinct.
     """
-    arr = _values(y)
-    n = arr.size
-    for k in range(n):
-        if es_empirical(arr, (k + 0.5) / n) <= 0:
-            return k / n
-    return 1.0
+    return _dual(y, es_empirical)
 
 
 def z_stat(realized, var_reserve, es_reserve, alpha: float) -> float:

@@ -6,14 +6,15 @@ independent of worker scheduling.
 
 ``STREAM_CONTRACT`` versions the map from (seed, stream) to draws. Version 2
 samples ``SkewT`` by the two-piece construction and keys Monte Carlo streams
-by block of runs (see ``simulation.mc_null``); the README's "Random streams"
-section states the whole contract.
+by block of runs (see ``simulation.mc_null``); version 3 draws skew-t GARCH
+innovations from the unit-variance ``SkewT`` itself. The README's "Random
+streams" section states the whole contract.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
     "PRESETS",
 ]
 
-STREAM_CONTRACT = 2
+STREAM_CONTRACT = 3
 
 _UINT64 = (1 << 64) - 1
 _OPEN_UNIT = float(1 << 53)
@@ -278,21 +279,14 @@ def preset(name: str) -> DistSpec:
         ) from None
 
 
+_KINDS = {cls.kind: cls for cls in (Normal, StudentT, SkewT)}
+
+
 def dist_to_json(d: DistSpec) -> dict:
     """Serialize a distribution to a plain JSON-ready dict."""
-    if isinstance(d, Normal):
-        return {"kind": "normal", "mu": d.mu, "sigma": d.sigma}
-    if isinstance(d, StudentT):
-        return {"kind": "student_t", "nu": d.nu, "loc": d.loc, "scale": d.scale}
-    if isinstance(d, SkewT):
-        return {
-            "kind": "skew_t",
-            "nu": d.nu,
-            "xi": d.xi,
-            "loc": d.loc,
-            "scale": d.scale,
-        }
-    raise ValueError(f"unsupported distribution {d!r}")
+    if not isinstance(d, tuple(_KINDS.values())):
+        raise ValueError(f"unsupported distribution {d!r}")
+    return {"kind": d.kind, **asdict(d)}
 
 
 def dist_from_json(obj: dict) -> DistSpec:
@@ -301,16 +295,13 @@ def dist_from_json(obj: dict) -> DistSpec:
         raise ValueError("distribution JSON must be an object with a 'kind' field")
     kind = obj["kind"]
     params = {k: v for k, v in obj.items() if k != "kind"}
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown distribution kind {kind!r}")
     try:
-        if kind == "normal":
-            return Normal(**params)
-        if kind == "student_t":
-            return StudentT(**params)
-        if kind == "skew_t":
-            return SkewT(**params)
+        return cls(**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for {kind!r}: {exc}") from None
-    raise ValueError(f"unknown distribution kind {kind!r}")
 
 
 def _check_prob(p) -> None:

@@ -7,7 +7,7 @@ cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
 innovations from stream (seed, b) and tallies its rows with one (rows, n)
 sort and cumsum. Workers receive contiguous block ranges and integer counts
 add exactly, so the aggregate is reproducible and identical under any
-worker count (stream contract 2, ``dist.STREAM_CONTRACT``).
+worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
 
 The GARCH recursion ``_garch_paths`` steps once per day across all rows it
 is given: a Monte Carlo block, the picks of one fit, or one path.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +25,7 @@ from scipy import optimize
 from scipy.signal import lfilter
 from scipy.special import expit
 
-from .dist import DistSpec, Normal, RngStream, SkewT, StudentT, dist_to_json
+from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json
 from .estimators import true_risk
 from .parallel import parallel_map
 
@@ -94,24 +94,14 @@ class GarchSpec:
 
 
 def garch_to_json(g: GarchSpec) -> dict:
-    out = {
-        "mu": g.mu,
-        "omega": g.omega,
-        "a1": g.a1,
-        "b1": g.b1,
-        "innovation": g.innovation,
-    }
-    if g.innovation == "skew_t":
-        out["nu"] = g.nu
-        out["xi"] = g.xi
-    return out
+    values = ((f.name, getattr(g, f.name)) for f in fields(GarchSpec))
+    return {name: v for name, v in values if v is not None}
 
 
 def garch_from_json(obj: dict) -> GarchSpec:
     if not isinstance(obj, dict):
         raise ValueError("GARCH JSON must be an object")
-    allowed = {"mu", "omega", "a1", "b1", "innovation", "nu", "xi"}
-    extra = set(obj) - allowed
+    extra = set(obj) - {f.name for f in fields(GarchSpec)}
     if extra:
         raise ValueError(f"unknown GARCH fields {sorted(extra)}")
     try:
@@ -120,42 +110,30 @@ def garch_from_json(obj: dict) -> GarchSpec:
         raise ValueError(f"bad GARCH parameters: {exc}") from None
 
 
-class _Innovation:
-    """Unit-variance innovation law with its tail risk values."""
+def _skewt_shape(theta) -> tuple[float, float]:
+    """Skew-t (nu, xi) of the fit parameters (log(nu - 2), log(xi))."""
+    return 2.0 + math.exp(theta[0]), math.exp(theta[1])
 
-    def __init__(self, kind: str, nu: Optional[float] = None, xi: Optional[float] = None):
-        self.kind = kind
-        if kind == "normal":
-            self.base = Normal()
-            self.shift = 0.0
-            self.spread = 1.0
-        else:
-            self.base = SkewT(nu, xi)
-            self.shift = self.base.mean()
-            self.spread = math.sqrt(self.base.variance())
 
-    @classmethod
-    def of(cls, g: GarchSpec) -> "_Innovation":
-        return cls(g.innovation, g.nu, g.xi)
+def _unit_law(
+    kind: str, nu: Optional[float] = None, xi: Optional[float] = None
+) -> Union[Normal, SkewT]:
+    """Zero-mean, unit-variance innovation law: Normal() or a rescaled SkewT."""
+    if kind == "normal":
+        return Normal()
+    base = SkewT(nu, xi)
+    s = math.sqrt(base.variance())
+    return SkewT(nu, xi, loc=-base.mean() / s, scale=1.0 / s)
 
-    def sample(self, n: int, stream: RngStream) -> np.ndarray:
-        # skew-t innovations stay inverse-cdf draws, so a GARCH path, and
-        # any panel drawn from one, keeps its values for a given stream
-        if self.kind == "normal":
-            raw = self.base.sample(n, stream)
-        else:
-            raw = self.base.sample_by_quantile(n, stream)
-        return (raw - self.shift) / self.spread
 
-    def quantile(self, p: float) -> float:
-        return (float(self.base.quantile(p)) - self.shift) / self.spread
-
-    def expected_shortfall(self, alpha: float) -> float:
-        return (true_risk(self.base, alpha, "ES") + self.shift) / self.spread
-
-    def logpdf(self, z: np.ndarray) -> np.ndarray:
-        # density of (base - shift) / spread
-        return self.base.logpdf(self.shift + self.spread * z) + math.log(self.spread)
+def _innovations(g: GarchSpec, n: int, stream: RngStream) -> np.ndarray:
+    """n unit-variance innovations of g from the start of ``stream``."""
+    law = _unit_law(g.innovation, g.nu, g.xi)
+    # skew-t innovations stay inverse-cdf draws, so a GARCH path, and
+    # any panel drawn from one, keeps its values for a given stream
+    if g.innovation == "normal":
+        return law.sample(n, stream)
+    return law.sample_by_quantile(n, stream)
 
 
 def _garch_paths(g: GarchSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +172,7 @@ def garch_simulate(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    z = _Innovation.of(g).sample(burn_in + n, stream)
+    z = _innovations(g, burn_in + n, stream)
     returns, sigma = _garch_paths(g, z[np.newaxis])
     return returns[0, burn_in:], sigma[0, burn_in:]
 
@@ -224,9 +202,12 @@ def _garch_nll(theta: np.ndarray, x: np.ndarray, kind: str) -> float:
     if kind == "normal":
         ll = -0.5 * np.sum(np.log(2.0 * math.pi * s2) + e * e / s2)
     else:
-        innov = _Innovation("skew_t", nu=2.0 + math.exp(theta[4]), xi=math.exp(theta[5]))
+        try:
+            law = _unit_law("skew_t", *_skewt_shape(theta[4:]))
+        except (ValueError, OverflowError):  # nu rounds to 2, or xi under- or overflows
+            return 1e12
         sd = np.sqrt(s2)
-        ll = np.sum(innov.logpdf(e / sd) - np.log(sd))
+        ll = np.sum(law.logpdf(e / sd) - np.log(sd))
     if not np.isfinite(ll):
         return 1e12
     return -float(ll)
@@ -304,9 +285,7 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
     theta, nll = _multistart_minimize(_garch_nll, starts, args=(x, innovation))
     persistence = float(expit(theta[2]))
     frac = float(expit(theta[3]))
-    kwargs = {}
-    if innovation == "skew_t":
-        kwargs = {"nu": 2.0 + math.exp(theta[4]), "xi": math.exp(theta[5])}
+    nu, xi = _skewt_shape(theta[4:]) if innovation == "skew_t" else (None, None)
     try:
         return GarchSpec(
             mu=float(theta[0]),
@@ -314,7 +293,8 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
             a1=persistence * frac,
             b1=persistence * (1.0 - frac),
             innovation=innovation,
-            **kwargs,
+            nu=nu,
+            xi=xi,
         )
     except ValueError as exc:
         # expit rounds persistence to 1, or exp underflows omega to 0
@@ -327,13 +307,9 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
 
 def _skewt_nll(theta: np.ndarray, x: np.ndarray) -> float:
     try:
-        d = SkewT(
-            nu=2.0 + math.exp(theta[2]),
-            xi=math.exp(theta[3]),
-            loc=theta[0],
-            scale=math.exp(theta[1]),
-        )
-    except ValueError:  # nu rounds to 2, or xi or scale underflows to 0
+        nu, xi = _skewt_shape(theta[2:])
+        d = SkewT(nu, xi, loc=theta[0], scale=math.exp(theta[1]))
+    except (ValueError, OverflowError):  # nu rounds to 2, or an exp under- or overflows
         return 1e12
     ll = float(np.sum(d.logpdf(x)))
     return -ll if np.isfinite(ll) else 1e12
@@ -356,12 +332,8 @@ def fit_iid(returns, kind: str) -> DistSpec:
             for n0, x0 in ((8.0, 1.0), (5.0, 0.8), (20.0, 1.25))
         ]
         theta, _ = _multistart_minimize(_skewt_nll, starts, args=(x,))
-        return SkewT(
-            nu=2.0 + math.exp(theta[2]),
-            xi=math.exp(theta[3]),
-            loc=float(theta[0]),
-            scale=math.exp(theta[1]),
-        )
+        nu, xi = _skewt_shape(theta[2:])
+        return SkewT(nu, xi, loc=float(theta[0]), scale=math.exp(theta[1]))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -436,14 +408,11 @@ class NullDistribution:
 
 
 def _addons(cfg: McConfig) -> tuple[float, float]:
-    """The analytic VAR and ES reserves; unit-variance ones for GARCH."""
-    if isinstance(cfg.dist, GarchSpec):
-        innov = _Innovation.of(cfg.dist)
-        return -innov.quantile(cfg.alpha_var), innov.expected_shortfall(cfg.alpha_es)
-    return (
-        true_risk(cfg.dist, cfg.alpha_var, "VAR"),
-        true_risk(cfg.dist, cfg.alpha_es, "ES"),
-    )
+    """The analytic VAR and ES reserves; those of the unit law for GARCH."""
+    law = cfg.dist
+    if isinstance(law, GarchSpec):
+        law = _unit_law(law.innovation, law.nu, law.xi)
+    return true_risk(law, cfg.alpha_var, "VAR"), true_risk(law, cfg.alpha_es, "ES")
 
 
 def _steps(cfg: McConfig) -> int:
@@ -464,7 +433,7 @@ def _secured_block(
     var_add, es_add = addons
     if isinstance(cfg.dist, GarchSpec):
         # the per-day reserve is conditional: sigma_t scales the unit risk
-        z = _Innovation.of(cfg.dist).sample(rows * steps, stream).reshape(rows, steps)
+        z = _innovations(cfg.dist, rows * steps, stream).reshape(rows, steps)
         x, sigma = _garch_paths(cfg.dist, z)
         x, sigma = x[:, GARCH_BURN_IN:], sigma[:, GARCH_BURN_IN:]
         eps = x - cfg.dist.mu
@@ -550,11 +519,8 @@ def fit_and_simulate(
         innovation = "normal" if model == "garch_normal" else "skew_t"
         fitted = garch_fit(x, innovation)
         params = {"model": model, **garch_to_json(fitted)}
-        innov = _Innovation.of(fitted)
-        z = np.stack([
-            innov.sample(GARCH_BURN_IN + length, RngStream(seed, base_stream_id + p))
-            for p in range(picks)
-        ])
+        streams = [RngStream(seed, base_stream_id + p) for p in range(picks)]
+        z = np.stack([_innovations(fitted, GARCH_BURN_IN + length, s) for s in streams])
         sims = list(_garch_paths(fitted, z)[0][:, GARCH_BURN_IN:])
     else:
         raise ValueError(f"unknown model {model!r}")

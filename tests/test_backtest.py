@@ -116,6 +116,25 @@ def test_property_dual_t_equals_t_stat(y):
     assert dual_t(y) == t_stat(y).value
 
 
+# distinct integers: every partial sum and tail mean is exact
+_distinct_integers = st.lists(
+    st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=64, unique=True
+).map(lambda v: np.array(v, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distinct_integers)
+def test_property_dual_g_equals_g_stat_on_distinct_values(y):
+    assert dual_g(y) == g_stat(y).value
+
+
+def test_dual_g_differs_from_g_stat_with_tied_values():
+    # the "distinct values" condition of dual_g is needed: ties break it
+    y = [-2, 4, 2, 4, -3, 2, 4, -4, -1, 1]
+    assert dual_g(y) == 0.7
+    assert g_stat(y).value == 0.8
+
+
 # ---------------------------------------------------------------------------
 # dual forms
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Distribution layer: quantile/pdf/cdf/sampling and stream reproducibility."""
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -210,8 +211,8 @@ def test_two_piece_skew_t_sampler_matches_the_cdf(nu, xi):
 
 
 def test_skew_t_draw_order_is_the_stream_contract():
-    # contract 2: n draws of |T| with standard_t, then n uniforms
-    assert STREAM_CONTRACT == 2
+    # contracts 2 and 3: n draws of |T| with standard_t, then n uniforms
+    assert STREAM_CONTRACT == 3
     d = SkewT(5.0, 0.7, loc=0.2, scale=1.5)
     gen = RngStream(2024, 4).generator()
     a = np.abs(gen.standard_t(5.0, 500))
@@ -276,6 +277,24 @@ def test_json_rejects_unknown_kind_and_bad_params():
         dist_from_json({"kind": "normal", "mu": 0.0, "bogus": 1.0})
     with pytest.raises(ValueError):
         dist_from_json([1, 2, 3])
+
+
+def test_json_keeps_field_order_and_messages():
+    assert json.dumps(dist_to_json(SkewT(4.0, 0.8, 0.0, 2.0))) == (
+        '{"kind": "skew_t", "nu": 4.0, "xi": 0.8, "loc": 0.0, "scale": 2.0}'
+    )
+    assert list(dist_to_json(Normal(0.1, 2.0))) == ["kind", "mu", "sigma"]
+    assert list(dist_to_json(StudentT(7.0))) == ["kind", "nu", "loc", "scale"]
+    with pytest.raises(ValueError, match="unsupported distribution"):
+        dist_to_json(object())
+    with pytest.raises(ValueError, match="unknown distribution kind 'cauchy'"):
+        dist_from_json({"kind": "cauchy"})
+    with pytest.raises(ValueError, match=r"unknown distribution kind \['normal'\]"):
+        dist_from_json({"kind": ["normal"]})
+    with pytest.raises(ValueError, match="bad parameters for 'normal'"):
+        dist_from_json({"kind": "normal", "bogus": 1.0})
+    with pytest.raises(ValueError, match="'kind' field"):
+        dist_from_json({"mu": 0.0})
 
 
 def test_presets():

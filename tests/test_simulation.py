@@ -1,5 +1,6 @@
 """Monte Carlo engine, GARCH simulation/fitting, and i.i.d. fitting."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 
 from esbacktest import simulation
 from esbacktest.dist import Normal, RngStream, SkewT, StudentT
+from esbacktest.estimators import true_risk
 from esbacktest.simulation import (
     GARCH_BURN_IN,
     FitError,
@@ -17,9 +19,12 @@ from esbacktest.simulation import (
     _addons,
     _block_rows,
     _conditional_variance,
+    _garch_nll,
     _garch_paths,
-    _Innovation,
+    _innovations,
+    _skewt_nll,
     _tally,
+    _unit_law,
     fit_and_simulate,
     fit_iid,
     garch_fit,
@@ -54,7 +59,7 @@ GARCH_ORACLE_SPECS = [
 
 @pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
 def test_block_recursion_equals_scalar_loop_oracle(g):
-    z = _Innovation.of(g).sample(64 * 300, RngStream(81, 2)).reshape(64, 300)
+    z = _innovations(g, 64 * 300, RngStream(81, 2)).reshape(64, 300)
     returns, sigma = _garch_paths(g, z)
     expect = [_garch_loop_oracle(g, row) for row in z]
     assert np.array_equal(returns, np.array([r for r, _ in expect]))
@@ -68,7 +73,7 @@ def test_block_recursion_equals_scalar_loop_oracle(g):
 def test_garch_simulate_equals_scalar_loop_on_its_stream(g):
     stream = RngStream(82, 4)
     x, sigma = garch_simulate(g, 200, stream, burn_in=50)
-    r, s = _garch_loop_oracle(g, _Innovation.of(g).sample(250, stream))
+    r, s = _garch_loop_oracle(g, _innovations(g, 250, stream))
     assert np.array_equal(x, r[50:])
     assert np.array_equal(sigma, s[50:])
 
@@ -112,6 +117,71 @@ def test_garch_skew_t_innovations_are_standardized():
     assert x.var(ddof=1) == pytest.approx(1e-4, rel=0.02)
 
 
+# ---------------------------------------------------------------------------
+# unit-variance innovation law
+# ---------------------------------------------------------------------------
+
+SKEWT_SHAPES = [(5.0, 0.85), (3.5, 1.3), (30.0, 0.6)]
+
+
+def _skewt_garch(nu, xi):
+    return GarchSpec(mu=0.0, omega=1e-5, a1=0.1, b1=0.8, innovation="skew_t", nu=nu, xi=xi)
+
+
+@pytest.mark.parametrize("nu, xi", SKEWT_SHAPES)
+def test_unit_law_has_mean_zero_and_variance_one(nu, xi):
+    law = _unit_law("skew_t", nu, xi)
+    assert abs(law.mean()) < 1e-12
+    assert abs(law.variance() - 1.0) < 1e-12
+    assert _unit_law("normal") == Normal()
+
+
+@pytest.mark.parametrize("nu, xi", SKEWT_SHAPES)
+def test_skew_t_innovations_match_standardised_quantile_draws(nu, xi):
+    # the standardisation the unit law replaced: (q - m) / sd of SkewT(nu, xi)
+    base = SkewT(nu, xi)
+    stream = RngStream(83, 1)
+    expect = (base.sample_by_quantile(10**5, stream) - base.mean()) / math.sqrt(base.variance())
+    got = _innovations(_skewt_garch(nu, xi), 10**5, stream)
+    assert np.allclose(got, expect, rtol=0, atol=1e-13)
+
+
+def test_normal_innovations_are_standard_normal_draws_bit_for_bit():
+    g = GarchSpec(mu=1e-4, omega=1e-5, a1=0.08, b1=0.90)
+    stream = RngStream(84, 2)
+    assert np.array_equal(_innovations(g, 5000, stream), Normal().sample(5000, stream))
+
+
+@pytest.mark.parametrize("nu, xi", SKEWT_SHAPES + [(5.0, 0.8)])
+def test_garch_addons_match_standardised_skew_t_risk(nu, xi):
+    base = SkewT(nu, xi)
+    m, sd = base.mean(), math.sqrt(base.variance())
+    cfg = McConfig(dist=_skewt_garch(nu, xi), seed=1)
+    var_add, es_add = _addons(cfg)
+    q = float(base.quantile(cfg.alpha_var))
+    assert var_add == pytest.approx(-(q - m) / sd, rel=0, abs=1e-12)
+    es = (true_risk(base, cfg.alpha_es, "ES") + m) / sd
+    assert es_add == pytest.approx(es, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "index, value", [(4, -40.0), (5, -800.0), (5, 800.0)], ids=["nu=2", "xi=0", "xi=inf"]
+)
+def test_garch_nll_scores_a_shape_without_a_law_as_1e12(index, value):
+    # nu = 2 + exp(-40) rounds to 2, exp(-800) underflows xi, exp(800) overflows
+    x, _ = garch_simulate(_skewt_garch(5.0, 0.85), 500, RngStream(85))
+    theta = np.array([0.0, math.log(1e-5), 2.0, -2.0, math.log(6.0), 0.0])
+    assert _garch_nll(theta, x, "skew_t") < 1e12
+    theta[index] = value
+    assert _garch_nll(theta, x, "skew_t") == 1e12
+
+
+def test_skewt_nll_scores_an_overflowing_shape_as_1e12():
+    x = np.random.default_rng(86).standard_t(5.0, 200)
+    assert _skewt_nll(np.array([0.0, 0.0, 1.0, 800.0]), x) == 1e12
+    assert _skewt_nll(np.array([0.0, 0.0, 800.0, 0.0]), x) == 1e12
+
+
 def test_garch_spec_validation():
     with pytest.raises(ValueError):
         GarchSpec(mu=0.0, omega=0.0, a1=0.1, b1=0.5)
@@ -135,6 +205,20 @@ def test_garch_json_round_trip():
         assert garch_from_json(garch_to_json(g)) == g
     with pytest.raises(ValueError):
         garch_from_json({"mu": 0.0, "omega": 1e-5, "a1": 0.1, "b1": 0.5, "gamma": 1.0})
+
+
+def test_garch_json_keeps_field_order_and_drops_unset_shape():
+    normal = GarchSpec(mu=1e-4, omega=2e-5, a1=0.07, b1=0.9)
+    assert list(garch_to_json(normal)) == ["mu", "omega", "a1", "b1", "innovation"]
+    skew = _skewt_garch(5.0, 0.9)
+    assert json.dumps(garch_to_json(skew)) == (
+        '{"mu": 0.0, "omega": 1e-05, "a1": 0.1, "b1": 0.8, '
+        '"innovation": "skew_t", "nu": 5.0, "xi": 0.9}'
+    )
+    with pytest.raises(ValueError, match="bad GARCH parameters"):
+        garch_from_json({"mu": 0.0, "omega": 1e-5, "a1": 0.1})
+    with pytest.raises(ValueError, match="must be an object"):
+        garch_from_json([0.0])
 
 
 def test_conditional_variance_filter_matches_loop_oracle():
@@ -320,7 +404,7 @@ def _mc_oracle(cfg):
     for b in range(-(-cfg.runs // rows)):
         m = min(rows, cfg.runs - b * rows)
         if garch:
-            z = _Innovation.of(cfg.dist).sample(m * steps, RngStream(cfg.seed, b))
+            z = _innovations(cfg.dist, m * steps, RngStream(cfg.seed, b))
             for row in z.reshape(m, steps):
                 x, sigma = (a[GARCH_BURN_IN:] for a in _garch_loop_oracle(cfg.dist, row))
                 eps = x - cfg.dist.mu
