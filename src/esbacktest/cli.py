@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 2 input-data error, 3 configuration error. Every
 subcommand validates the files it wrote before it returns; a failed output
 self-check exits with code 3 and names the check on stderr, since the run
-cannot vouch for what it wrote under this configuration. Every stochastic
+cannot vouch for what it wrote under this configuration. An output path
+that cannot be written exits with code 3 too. Every stochastic
 subcommand requires an explicit seed and is byte-reproducible for any
 worker count.
 """
@@ -381,6 +382,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except (ValueError, simulation.FitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # inputs fail as DataError, so this is an output file
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 3
 
 

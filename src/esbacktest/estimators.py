@@ -2,6 +2,7 @@
 
 Empirical (historical) and normal VAR/ES at arbitrary confidence levels,
 sample moments, and analytic risk values for the supported distributions.
+Normal and Student-t values come from the ``dist`` laws on ``scipy.special``.
 
 Sign convention: estimators return the capital reserve, a positive number
 for a position carrying loss risk. Levels are lower-tail probabilities, so
@@ -14,7 +15,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, stats
 
 from .dist import DistSpec, Normal, SkewT, StudentT
 from .secured import _require_finite
@@ -104,7 +104,7 @@ def var_normal(m: SampleMoments, alpha: float) -> float:
     """Normal VAR from fitted moments: -(mean + sd * z_alpha)."""
     _check_level(alpha)
     _check_sd(m.sd)
-    return -(m.mean + m.sd * float(stats.norm.ppf(alpha)))
+    return -(m.mean + m.sd * float(Normal().quantile(alpha)))
 
 
 def es_normal(m: SampleMoments, alpha: float) -> float:
@@ -117,20 +117,18 @@ def es_normal(m: SampleMoments, alpha: float) -> float:
     """
     _check_level(alpha)
     _check_sd(m.sd)
-    z = float(stats.norm.ppf(alpha))
-    return -m.mean + m.sd * float(stats.norm.pdf(z)) / alpha
+    return -m.mean + m.sd * float(Normal().pdf(Normal().quantile(alpha))) / alpha
 
 
 def _es_true(d: DistSpec, alpha: float) -> float:
     q = float(d.quantile(alpha))
     if isinstance(d, Normal):
-        z = stats.norm.ppf(alpha)
-        return -d.mu + d.sigma * float(stats.norm.pdf(z)) / alpha
+        return -d.mu + d.sigma * float(Normal().pdf(Normal().quantile(alpha))) / alpha
     if isinstance(d, StudentT):
-        t = stats.t.ppf(alpha, d.nu)
-        core = float(stats.t.pdf(t, d.nu)) * (d.nu + t * t) / ((d.nu - 1.0) * alpha)
+        t = StudentT(d.nu).quantile(alpha)
+        core = float(StudentT(d.nu).pdf(t)) * (d.nu + t * t) / ((d.nu - 1.0) * alpha)
         return -d.loc + d.scale * core
-    # no closed form: adaptive quadrature of the lower-tail expectation
+    from scipy import integrate  # no closed form: quadrature of the lower tail
     val, _err = integrate.quad(
         lambda x: x * d.pdf(x), -np.inf, q, epsabs=1e-10, limit=200
     )

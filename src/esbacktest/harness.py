@@ -34,7 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .backtest import ZONES, BacktestResult, g_stat, t_stat, z_stat
-from .estimators import SampleMoments, _as_sample, _tail_index, es_normal, var_normal
+from .estimators import SampleMoments, _as_sample, _check_level, _tail_index
+from .estimators import es_normal, var_normal
 
 # bench/spans.py wraps these names in this module to attribute traced time to
 # layers; the rolling kernels and BacktestResult's zones no longer call them.
@@ -429,6 +430,8 @@ def compare_backtest(
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if alpha_z is None:
         alpha_z = alpha_es
+    for alpha in (alpha_var, alpha_es, alpha_z):
+        _check_level(alpha)
     var_est, es_est = f"var_{family}", f"es_{family}"
     nt, ng, z = _graded(
         x, learn, test, normalize, var_est, alpha_var, es_est, alpha_es, alpha_z

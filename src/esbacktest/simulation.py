@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
-from scipy.signal import lfilter
 from scipy.special import expit
 
 from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json
@@ -178,25 +176,25 @@ def garch_simulate(
 
 
 def _conditional_variance(
-    x: np.ndarray, mu: float, omega: float, a1: float, b1: float
+    x: np.ndarray, s0: float, mu: float, omega: float, a1: float, b1: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Variance path implied by observed returns, seeded at the sample variance."""
+    """Variance path implied by observed returns, seeded at the sample variance s0."""
+    from scipy.signal import lfilter
     e = x - mu
-    s0 = float(np.var(x, ddof=1))
     drive = omega + a1 * e[:-1] ** 2
     rest, _state = lfilter([1.0], [1.0, -b1], drive, zi=np.array([b1 * s0]))
     s2 = np.concatenate(([s0], rest))
     return s2, e
 
 
-def _garch_nll(theta: np.ndarray, x: np.ndarray, kind: str) -> float:
+def _garch_nll(theta: np.ndarray, x: np.ndarray, s0: float, kind: str) -> float:
     mu = theta[0]
     omega = math.exp(theta[1])
     persistence = expit(theta[2])
     frac = expit(theta[3])
     a1 = persistence * frac
     b1 = persistence * (1.0 - frac)
-    s2, e = _conditional_variance(x, mu, omega, a1, b1)
+    s2, e = _conditional_variance(x, s0, mu, omega, a1, b1)
     if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
         return 1e12
     if kind == "normal":
@@ -228,6 +226,7 @@ class FitError(RuntimeError):
 
 def _multistart_minimize(fun, starts: Sequence[np.ndarray], args=()):
     """Best converged (theta, objective) of Nelder-Mead runs from ``starts``."""
+    from scipy import optimize
     best = None
     best_converged = None
     for x0 in starts:
@@ -282,7 +281,7 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
             theta += [math.log(6.0), 0.0]  # nu = 8, xi = 1
         starts.append(np.array(theta))
 
-    theta, nll = _multistart_minimize(_garch_nll, starts, args=(x, innovation))
+    theta, nll = _multistart_minimize(_garch_nll, starts, args=(x, v, innovation))
     persistence = float(expit(theta[2]))
     frac = float(expit(theta[3]))
     nu, xi = _skewt_shape(theta[4:]) if innovation == "skew_t" else (None, None)
@@ -356,6 +355,7 @@ class McConfig:
         for a in (self.alpha_var, self.alpha_es):
             if not 0.0 < a < 1.0:
                 raise ValueError(f"levels must lie inside (0, 1), got {a}")
+        RngStream(self.seed)  # reuse seed validation
 
 
 @dataclass(frozen=True)
@@ -508,18 +508,15 @@ def fit_and_simulate(
     length = x.size if length is None else length
     if length < 1:
         raise ValueError(f"need length >= 1, got {length}")
+    streams = [RngStream(seed, base_stream_id + p) for p in range(picks)]
     if model in ("normal", "skew_t"):
         fitted = fit_iid(x, model)
         params = {"model": model, **dist_to_json(fitted)}
-        sims = [
-            np.asarray(fitted.sample(length, RngStream(seed, base_stream_id + p)))
-            for p in range(picks)
-        ]
+        sims = [np.asarray(fitted.sample(length, s)) for s in streams]
     elif model in ("garch_normal", "garch_skew_t"):
         innovation = "normal" if model == "garch_normal" else "skew_t"
         fitted = garch_fit(x, innovation)
         params = {"model": model, **garch_to_json(fitted)}
-        streams = [RngStream(seed, base_stream_id + p) for p in range(picks)]
         z = np.stack([_innovations(fitted, GARCH_BURN_IN + length, s) for s in streams])
         sims = list(_garch_paths(fitted, z)[0][:, GARCH_BURN_IN:])
     else:

@@ -426,3 +426,60 @@ def test_simulate_garch_model_smoke(tmp_path, capsys):
     assert code == 0
     assert len(out.read_text().splitlines()) == 301
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--alpha-var", "--alpha-es", "--alpha-z"])
+def test_compare_rejects_each_level_outside_the_unit_interval(
+    tmp_path, panel_csv, capsys, flag
+):
+    out = tmp_path / "cmp.json"
+    argv = ["compare", "--input", str(panel_csv), "--estimator", "hist"]
+    assert main(argv + [flag, "1.5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: level must lie strictly inside (0, 1), got 1.5"]
+    assert not out.exists()
+
+
+def _writing_argv(command, panel_csv, ok):
+    if command == "backtest":
+        return ["backtest", "--input", str(panel_csv), "--estimator", "var-hist",
+                "--out", str(ok / "r.json"), "--heatmap-out", str(ok / "h.csv")]
+    if command == "mc":
+        return ["mc", "--dist", "normal", "--runs", "50", "--seed", "1",
+                "--out-prefix", str(ok / "m")]
+    return ["simulate", "--input", str(panel_csv), "--model", "normal", "--picks", "1",
+            "--seed", "1", "--out", str(ok / "s.csv"), "--fits-out", str(ok / "f.json")]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("backtest", "--out"),
+        ("backtest", "--heatmap-out"),
+        ("mc", "--out-prefix"),
+        ("simulate", "--out"),
+        ("simulate", "--fits-out"),
+    ],
+)
+def test_unwritable_output_path_exits_3(tmp_path, panel_csv, capsys, command, flag):
+    argv = _writing_argv(command, panel_csv, tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "out"
+    argv[argv.index(flag) + 1] = str(missing)
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: cannot write {missing}")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+def test_seeds_outside_64_bits_exit_3(tmp_path, panel_csv, capsys, command, seed):
+    # both used to run: -1 drew the stream of 2**64 - 1, and 2**64 that of 0
+    argv = _writing_argv(command, panel_csv, tmp_path)
+    argv[argv.index("--seed") + 1] = seed
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: seed must lie in [0, 2**64), got {seed}"]
+    assert list(tmp_path.iterdir()) == [panel_csv]

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import integrate, stats
 
+import esbacktest
 from esbacktest.dist import (
     STREAM_CONTRACT,
     Normal,
@@ -145,6 +151,125 @@ def test_skew_t_logpdf_matches_log_of_pdf():
 
 
 # ---------------------------------------------------------------------------
+# scipy.special kernels against scipy.stats, bit for bit
+# ---------------------------------------------------------------------------
+
+_RNG = np.random.default_rng(41)
+_XS = np.concatenate(
+    [
+        _RNG.standard_t(3.0, 2000) * 3.0,
+        [0.0, -0.0, 1e150, -1e150, np.inf, -np.inf, np.nan],
+    ]
+)
+_PS = np.concatenate([_RNG.random(2000), [5e-324, 1e-300, 1e-16, 0.5, 1.0 - 2**-53]])
+_LOC_SCALE = [(0.0, 1.0), (0.3, 2.5), (-1e-3, 0.01), (5.0, 1e-7)]
+
+
+def _assert_same_bits(got, expect):
+    # same type and shape, every non-NaN value bit for bit (so signed zeros
+    # differ), NaN exactly where the oracle has NaN
+    assert type(got) is type(expect)
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), expect[~nan].view(np.uint64))
+
+
+def _assert_matches_oracle(method, oracle, points):
+    _assert_same_bits(method(points), oracle(points))
+    block = points[-12:].reshape(3, 4)
+    _assert_same_bits(method(block), oracle(block))
+    for v in (float(points[0]), float(points[-1]), points[1], [float(points[2]), 0.5]):
+        _assert_same_bits(method(v), oracle(v))
+
+
+@pytest.mark.parametrize("loc, scale", _LOC_SCALE)
+def test_normal_kernels_match_scipy_stats_bit_for_bit(loc, scale):
+    d, ref = Normal(loc, scale), stats.norm(loc=loc, scale=scale)
+    with np.errstate(over="ignore"):
+        for name in ("pdf", "logpdf", "cdf"):
+            _assert_matches_oracle(getattr(d, name), getattr(ref, name), _XS)
+    _assert_matches_oracle(d.quantile, ref.ppf, _PS)
+
+
+@pytest.mark.parametrize("loc, scale", _LOC_SCALE)
+@pytest.mark.parametrize("nu", [2.05, 2.5, 3.0, 4.1, 5.0, 8.0, 30.0, 123.0])
+def test_student_t_kernels_match_scipy_stats_bit_for_bit(nu, loc, scale):
+    d, ref = StudentT(nu, loc, scale), stats.t(nu, loc=loc, scale=scale)
+    with np.errstate(over="ignore"):
+        for name in ("pdf", "logpdf", "cdf"):
+            _assert_matches_oracle(getattr(d, name), getattr(ref, name), _XS)
+    _assert_matches_oracle(d.quantile, ref.ppf, _PS)
+
+
+def _skew_t_two_calls(d, name):
+    # the two-branch scipy.stats form the one-kernel SkewT replaced
+    xi, nu, w = d.xi, d.nu, d.xi**2
+
+    def at(x):
+        z = (np.asarray(x, dtype=float) - d.loc) / d.scale
+        if name == "pdf":
+            core = np.where(z >= 0, stats.t.pdf(z / xi, nu), stats.t.pdf(z * xi, nu))
+            out = 2.0 / (xi + 1.0 / xi) * core / d.scale
+        elif name == "logpdf":
+            core = np.where(
+                z >= 0, stats.t.logpdf(z / xi, nu), stats.t.logpdf(z * xi, nu)
+            )
+            out = math.log(2.0 / (xi + 1.0 / xi)) - math.log(d.scale) + core
+        else:
+            lower = 2.0 / (1.0 + w) * stats.t.cdf(z * xi, nu)
+            upper = 1.0 / (1.0 + w) + 2.0 * w / (1.0 + w) * (
+                stats.t.cdf(z / xi, nu) - 0.5
+            )
+            out = np.where(z < 0, lower, upper)
+        return out if out.ndim else float(out)
+
+    def quantile(p):
+        p = np.asarray(p, dtype=float)
+        lower = stats.t.ppf(p * (1.0 + w) / 2.0, nu) / xi
+        p0 = 1.0 / (1.0 + w)
+        upper = xi * stats.t.ppf((p - p0) * (1.0 + w) / (2.0 * w) + 0.5, nu)
+        out = d.loc + d.scale * np.where(p < p0, lower, upper)
+        return out if out.ndim else float(out)
+
+    return quantile if name == "quantile" else at
+
+
+@pytest.mark.parametrize("loc, scale", _LOC_SCALE[:3])
+@pytest.mark.parametrize(
+    "nu, xi", [(2.05, 0.3), (3.0, 0.8), (5.0, 1.0), (8.3, 1.3), (123.0, 2.5)]
+)
+def test_skew_t_one_kernel_matches_two_scipy_stats_calls_bit_for_bit(
+    nu, xi, loc, scale
+):
+    d = SkewT(nu, xi, loc, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in ("pdf", "logpdf", "cdf"):
+            _assert_matches_oracle(getattr(d, name), _skew_t_two_calls(d, name), _XS)
+        _assert_matches_oracle(d.quantile, _skew_t_two_calls(d, "quantile"), _PS)
+
+
+def test_package_import_loads_scipy_special_alone():
+    # the fits import scipy.optimize and scipy.signal, the skew-t ES
+    # quadrature scipy.integrate, each only when it runs
+    src = str(Path(esbacktest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, esbacktest; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = set(proc.stdout.split())
+    assert "scipy.special" in loaded
+    for heavy in ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize"):
+        assert heavy not in loaded
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -167,6 +292,23 @@ def test_streams_are_order_and_thread_independent():
     for a, b, c in zip(sequential, threaded, reversed_order):
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)]
+)
+def test_stream_rejects_seeds_and_ids_outside_64_bits(seed, stream_id):
+    # they used to be masked, so seed -1 aliased seed 2**64 - 1
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+        RngStream(seed, stream_id)
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id", [(0, 0), (7, 3), ((1 << 64) - 1, (1 << 64) - 1)]
+)
+def test_stream_key_is_seed_then_stream_id(seed, stream_id):
+    expect = Generator(Philox(key=seed | stream_id << 64)).random(5)
+    assert np.array_equal(RngStream(seed, stream_id).generator().random(5), expect)
 
 
 def test_distinct_stream_ids_give_distinct_draws():
@@ -254,8 +396,10 @@ def test_sample_rejects_nonpositive_size():
         lambda: Normal(0.0, 0.0),
         lambda: Normal(0.0, -1.0),
         lambda: StudentT(2.0),
+        lambda: StudentT(math.inf),
         lambda: StudentT(5.0, 0.0, 0.0),
         lambda: SkewT(1.5, 1.0),
+        lambda: SkewT(math.inf, 1.0),
         lambda: SkewT(5.0, 0.0),
         lambda: SkewT(5.0, -2.0),
     ],

@@ -194,6 +194,18 @@ def test_es_normal_cash_additivity_in_the_mean():
     assert shifted == pytest.approx(base - 0.7, rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.025, 0.05, 0.3])
+def test_normal_estimators_match_scipy_stats_formulas_bit_for_bit(alpha):
+    z = float(stats.norm.ppf(alpha))
+    for m in (
+        SampleMoments(0.1, 2.0, 3),
+        SampleMoments(np.array([0.0, 0.1, -2e-3]), np.array([1.0, 0.02, 3.5]), 250),
+    ):
+        assert np.array_equal(var_normal(m, alpha), -(m.mean + m.sd * z))
+        es = -m.mean + m.sd * float(stats.norm.pdf(z)) / alpha
+        assert np.array_equal(es_normal(m, alpha), es)
+
+
 # ---------------------------------------------------------------------------
 # analytic risk
 # ---------------------------------------------------------------------------
@@ -238,6 +250,20 @@ def test_true_es_agrees_with_quantile_integral_oracle(d, alpha):
     assert true_risk(d, alpha, "ES") == pytest.approx(
         _es_quantile_integral(d, alpha), abs=1e-8
     )
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.025, 0.3])
+def test_closed_form_true_risk_matches_scipy_stats_formulas_bit_for_bit(alpha):
+    z = stats.norm.ppf(alpha)
+    d = Normal(0.1, 3.0)
+    assert true_risk(d, alpha, "VAR") == -float(stats.norm.ppf(alpha, 0.1, 3.0))
+    assert true_risk(d, alpha, "ES") == -0.1 + 3.0 * float(stats.norm.pdf(z)) / alpha
+    for nu in (2.5, 3.0, 5.0, 30.0):
+        d = StudentT(nu, 0.1, 2.0)
+        t = stats.t.ppf(alpha, nu)
+        core = float(stats.t.pdf(t, nu)) * (nu + t * t) / ((nu - 1.0) * alpha)
+        assert true_risk(d, alpha, "VAR") == -float(stats.t.ppf(alpha, nu, 0.1, 2.0))
+        assert true_risk(d, alpha, "ES") == -0.1 + 2.0 * core
 
 
 def test_true_es_exceeds_true_var():

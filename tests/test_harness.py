@@ -358,6 +358,15 @@ def test_compare_backtest_produces_all_three_verdicts():
         compare_backtest(x, "var_hist")
 
 
+@pytest.mark.parametrize("level", ["alpha_var", "alpha_es", "alpha_z"])
+@pytest.mark.parametrize("value", [1.5, 0.0, -0.1, math.nan])
+def test_compare_backtest_rejects_each_level_outside_the_unit_interval(level, value):
+    # alpha_var and alpha_z used to reach np.partition: "kth(=375) out of bounds"
+    x = np.random.default_rng(59).standard_normal(500) * 0.01
+    with pytest.raises(ValueError, match=r"level must lie strictly inside \(0, 1\)"):
+        compare_backtest(x, "hist", **{level: value})
+
+
 def test_compare_backtest_z_reserves_can_use_their_own_level():
     rng = np.random.default_rng(58)
     x = rng.standard_normal(500) * 0.01

@@ -171,15 +171,28 @@ def test_garch_nll_scores_a_shape_without_a_law_as_1e12(index, value):
     # nu = 2 + exp(-40) rounds to 2, exp(-800) underflows xi, exp(800) overflows
     x, _ = garch_simulate(_skewt_garch(5.0, 0.85), 500, RngStream(85))
     theta = np.array([0.0, math.log(1e-5), 2.0, -2.0, math.log(6.0), 0.0])
-    assert _garch_nll(theta, x, "skew_t") < 1e12
+    s0 = float(np.var(x, ddof=1))
+    assert _garch_nll(theta, x, s0, "skew_t") < 1e12
     theta[index] = value
-    assert _garch_nll(theta, x, "skew_t") == 1e12
+    assert _garch_nll(theta, x, s0, "skew_t") == 1e12
 
 
 def test_skewt_nll_scores_an_overflowing_shape_as_1e12():
     x = np.random.default_rng(86).standard_t(5.0, 200)
     assert _skewt_nll(np.array([0.0, 0.0, 1.0, 800.0]), x) == 1e12
     assert _skewt_nll(np.array([0.0, 0.0, 800.0, 0.0]), x) == 1e12
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_outside_64_bits_are_rejected_before_any_work(seed):
+    with pytest.raises(ValueError, match="seed must lie in"):
+        McConfig(dist=Normal(), seed=seed, runs=10)
+    x = np.random.default_rng(87).standard_normal(100)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        fit_and_simulate(x, "skew_t", 1, seed, 0)
+    # the last pick's stream id would pass 2**64 - 1
+    with pytest.raises(ValueError, match="stream id must lie in"):
+        fit_and_simulate(x, "normal", 2, 1, (1 << 64) - 1)
 
 
 def test_garch_spec_validation():
@@ -225,7 +238,7 @@ def test_conditional_variance_filter_matches_loop_oracle():
     rng = np.random.default_rng(74)
     x = rng.standard_normal(300) * 0.01
     mu, omega, a1, b1 = 2e-4, 3e-6, 0.09, 0.88
-    s2, e = _conditional_variance(x, mu, omega, a1, b1)
+    s2, e = _conditional_variance(x, float(np.var(x, ddof=1)), mu, omega, a1, b1)
     expect = np.empty_like(s2)
     expect[0] = np.var(x, ddof=1)
     for t in range(1, x.size):
