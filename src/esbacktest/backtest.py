@@ -117,10 +117,14 @@ def g_stat(y) -> StatResult:
     Sorting ascending and cumulating, the count equals the largest k whose k
     smallest entries sum below zero (a zero partial sum does not count).
     Always at least the exception count, since a prefix of negative entries
-    has a negative sum.
+    has a negative sum. Partial sums that overflow raise ``ValueError``.
     """
     arr = _values(y)
-    nominal = int((np.cumsum(np.sort(arr)) < 0).sum())
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(np.sort(arr))
+    if not np.isfinite(sums).all():
+        raise ValueError("partial sums of the sorted sample overflow")
+    nominal = int((sums < 0).sum())
     return StatResult(nominal / arr.size, nominal, arr.size)
 
 
@@ -182,7 +186,10 @@ def z_stat(realized, var_reserve, es_reserve, alpha: float) -> float:
         raise ValueError(
             f"breach day {idx} has nonpositive es_reserve {e[idx]}"
         )
-    core = float((r[breach] / (alpha * e[breach])).sum()) / r.size + 1.0
+    with np.errstate(all="ignore"):
+        core = float((r[breach] / (alpha * e[breach])).sum()) / r.size + 1.0
+    if not math.isfinite(core):
+        raise ValueError("z statistic overflows")
     return -core
 
 

@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 input-data error, 3 configuration error. Every
 subcommand validates the files it wrote before it returns; a failed output
 self-check exits with code 3 and names the check on stderr, since the run
 cannot vouch for what it wrote under this configuration. An output path
-that cannot be written exits with code 3 too. Every stochastic
+that cannot be written exits with code 3 too, and a missing output
+directory does so before any work is done. Every stochastic
 subcommand requires an explicit seed and is byte-reproducible for any
 worker count.
 """
@@ -19,6 +20,7 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -137,6 +139,13 @@ def _load_panel(args) -> harness.ReturnPanel:
     return panel
 
 
+def _require_output_dirs(*paths) -> None:
+    """Fail before any work when the directory of an output path is missing."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
@@ -189,6 +198,8 @@ def _write_report(args, config, samples, results, summary, expect_z: bool) -> No
 
 
 def cmd_backtest(args) -> int:
+    heatmap_path = args.heatmap_out or f"{args.out}.heatmap.csv"
+    _require_output_dirs(args.out, heatmap_path)
     cfg = RollingConfig(
         estimator=args.estimator.replace("-", "_"),
         learn=args.learn,
@@ -200,7 +211,6 @@ def cmd_backtest(args) -> int:
     samples = harness.split_samples(panel, cfg.window)
     results = harness.run_batch(samples, cfg, workers=args.workers)
     cm = harness.confusion([r.zone_var for r in results], [r.zone_es for r in results])
-    heatmap_path = args.heatmap_out or f"{args.out}.heatmap.csv"
 
     config = {"estimator": cfg.estimator, "alpha": cfg.resolved_alpha}
     summary = {
@@ -221,6 +231,7 @@ def cmd_compare(args) -> int:
             "the z test needs reserves for both VAR and ES; "
             "pass --estimator hist or --estimator norm"
         )
+    _require_output_dirs(args.out)
     panel = _load_panel(args)
     samples = harness.split_samples(panel, args.learn + args.test)
     results = harness.run_compare_batch(
@@ -277,6 +288,10 @@ _ES_POINTS = (11, 12, 24, 25)
 
 
 def cmd_mc(args) -> int:
+    var_csv, es_csv, summary_path = (
+        f"{args.out_prefix}{s}" for s in ("_var.csv", "_es.csv", "_summary.json")
+    )
+    _require_output_dirs(var_csv, es_csv, summary_path)
     cfg = McConfig(
         dist=_mc_dist(args),
         seed=args.seed,
@@ -287,8 +302,6 @@ def cmd_mc(args) -> int:
     )
     nd_var, nd_es = simulation.mc_null(cfg, workers=args.workers)
 
-    var_csv = f"{args.out_prefix}_var.csv"
-    es_csv = f"{args.out_prefix}_es.csv"
     nd_var.to_csv(var_csv)
     nd_es.to_csv(es_csv)
 
@@ -307,7 +320,6 @@ def cmd_mc(args) -> int:
         "var": {str(k): entry(nd_var, k) for k in _VAR_POINTS},
         "es": {str(k): entry(nd_es, k) for k in _ES_POINTS},
     }
-    summary_path = f"{args.out_prefix}_summary.json"
     _write_json(summary_path, summary)
     _validate_csv(var_csv, "nominal_value,pmf,cdf")
     _validate_csv(es_csv, "nominal_value,pmf,cdf")
@@ -325,6 +337,7 @@ def cmd_mc(args) -> int:
 def cmd_simulate(args) -> int:
     if args.picks < 1:
         raise ValueError(f"need picks >= 1, got {args.picks}")
+    _require_output_dirs(args.out, args.fits_out)
     panel = _load_panel(args)
     samples = harness.split_samples(panel, args.window)
     model = args.model.replace("-", "_")

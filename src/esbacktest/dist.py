@@ -199,8 +199,8 @@ class SkewT:
     def __post_init__(self) -> None:
         if not 2 < self.nu < math.inf:
             raise ValueError(f"nu must be finite and exceed 2, got {self.nu}")
-        if not self.xi > 0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
+        if not (self.xi > 0 and 0 < self.xi * self.xi < math.inf):
+            raise ValueError(f"xi must be positive with xi**2 in (0, inf), got {self.xi}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 

@@ -1,8 +1,8 @@
 """Risk estimators.
 
 Empirical (historical) and normal VAR/ES at arbitrary confidence levels,
-sample moments, and analytic risk values for the supported distributions.
-Normal and Student-t values come from the ``dist`` laws on ``scipy.special``.
+sample moments, and analytic risk values for the supported distributions,
+each a closed form on the ``dist`` laws (``scipy.special``).
 
 Sign convention: estimators return the capital reserve, a positive number
 for a position carrying loss risk. Levels are lower-tail probabilities, so
@@ -12,6 +12,7 @@ infinity is rejected rather than estimated around.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -121,30 +122,34 @@ def es_normal(m: SampleMoments, alpha: float) -> float:
 
 
 def _es_true(d: DistSpec, alpha: float) -> float:
-    q = float(d.quantile(alpha))
     if isinstance(d, Normal):
         return -d.mu + d.sigma * float(Normal().pdf(Normal().quantile(alpha))) / alpha
-    if isinstance(d, StudentT):
-        t = StudentT(d.nu).quantile(alpha)
-        core = float(StudentT(d.nu).pdf(t)) * (d.nu + t * t) / ((d.nu - 1.0) * alpha)
-        return -d.loc + d.scale * core
-    from scipy import integrate  # no closed form: quadrature of the lower tail
-    val, _err = integrate.quad(
-        lambda x: x * d.pdf(x), -np.inf, q, epsabs=1e-10, limit=200
-    )
-    return -val / alpha
+    # two-piece t, StudentT being xi = 1: with M(a) = -t(a)(nu + a^2)/(nu - 1),
+    # E[Z; Z <= q] = (c / xi^2) M(q xi) if q < 0, else E[Z] + c xi^2 M(q / xi)
+    xi = getattr(d, "xi", 1.0)
+    z = SkewT(d.nu, xi)
+    q = z.quantile(alpha)
+    c = 2.0 / (xi + 1.0 / xi)
+    a, k, shift = (q * xi, c / xi**2, 0.0) if q < 0 else (q / xi, c * xi**2, z.mean())
+    pdf = float(StudentT(d.nu).pdf(a))
+    core = k * pdf * (d.nu + a * a) / ((d.nu - 1.0) * alpha) - shift / alpha
+    return -d.loc + d.scale * core
 
 
 def true_risk(d: DistSpec, alpha: float, metric: str) -> float:
     """Analytic risk of a known distribution.
 
-    VAR is the negated alpha-quantile; ES the negated mean below it. Closed
-    forms cover the normal and Student-t, the skewed t falls back to
-    adaptive quadrature with absolute tolerance 1e-10.
+    VAR is the negated alpha-quantile; ES the negated mean below it, a closed
+    form for every law. A level too extreme for a finite quantile raises
+    ``ValueError`` rather than returning an infinite or NaN reserve.
     """
     _check_level(alpha)
     if metric == "VAR":
-        return -float(d.quantile(alpha))
-    if metric == "ES":
-        return _es_true(d, alpha)
-    raise ValueError(f"metric must be 'VAR' or 'ES', got {metric!r}")
+        value = -float(d.quantile(alpha))
+    elif metric == "ES":
+        value = _es_true(d, alpha)
+    else:
+        raise ValueError(f"metric must be 'VAR' or 'ES', got {metric!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"true {metric} at level {alpha} is not finite: {value}")
+    return value

@@ -351,7 +351,13 @@ def _reserve_series(
 ) -> np.ndarray:
     """Reserve for each test day from the ``learn`` observations before it."""
     windows = sliding_window_view(x[: learn + test - 1], learn)
-    return _KERNELS[estimator](windows, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reserves = _KERNELS[estimator](windows, alpha)
+    finite = np.isfinite(reserves)  # the sample is finite, so only overflow fails
+    if not finite.all():
+        day = int(np.argmin(finite))
+        raise ValueError(f"{estimator} reserve at level {alpha} overflows on day {day}")
+    return reserves
 
 
 def _graded(
@@ -360,10 +366,17 @@ def _graded(
     """(nominal_t, nominal_g, z) of one sample, graded as ``compare_backtest`` says.
 
     Each (estimator, level) reserve series is estimated once; z is None
-    without ``alpha_z``.
+    without ``alpha_z``. ``x`` holds the sample's values, or is a ``Sample``
+    whose label then prefixes any error that its values raise.
     """
     if learn < 2 or test < 1:
         raise ValueError("need learn >= 2 and test >= 1")
+    if isinstance(x, Sample):
+        levels = (var_est, alpha_var, es_est, alpha_es, alpha_z)
+        try:
+            return _graded(x.values, learn, test, normalize, *levels)
+        except ValueError as exc:
+            raise ValueError(f"{x.label}: {exc}") from None
     arr = _as_sample(x)
     if arr.size != learn + test:
         raise ValueError(
@@ -392,7 +405,8 @@ def rolling_backtest(x, cfg: RollingConfig) -> BacktestResult:
 
     Day i of the test period is secured by the reserve estimated from the
     ``learn`` observations ending the day before; both statistics are
-    computed on the resulting secured sample.
+    computed on the resulting secured sample. ``x`` may be a ``Sample``,
+    whose label then names it in any error that its values raise.
     """
     alpha = cfg.resolved_alpha
     est = cfg.estimator
@@ -424,7 +438,7 @@ def compare_backtest(
     secured by its ES estimator at ``alpha_es``. The z statistic compares
     raw realized values against reserves of both kinds estimated at
     ``alpha_z`` (defaulting to ``alpha_es``); normalization never applies
-    to it.
+    to it. ``x`` may be a ``Sample``, as in ``rolling_backtest``.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -451,18 +465,14 @@ def run_batch(
     samples: Sequence[Sample], cfg: RollingConfig, workers: int = 1
 ) -> list[BacktestResult]:
     """Map ``rolling_backtest`` over samples; ordering follows the input."""
-    return parallel_map(
-        partial(rolling_backtest, cfg=cfg), [s.values for s in samples], workers
-    )
+    return parallel_map(partial(rolling_backtest, cfg=cfg), samples, workers)
 
 
 def run_compare_batch(
     samples: Sequence[Sample], workers: int = 1, **kwargs
 ) -> list[BacktestResult]:
     """Map ``compare_backtest`` over samples; ordering follows the input."""
-    return parallel_map(
-        partial(compare_backtest, **kwargs), [s.values for s in samples], workers
-    )
+    return parallel_map(partial(compare_backtest, **kwargs), samples, workers)
 
 
 @dataclass(frozen=True)

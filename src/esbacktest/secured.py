@@ -8,7 +8,6 @@ non-finite pnl or reserve is rejected, never scored as a covered day.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +36,10 @@ class SecuredSample:
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
-    # any NaN or infinity makes the sum non-finite, and one sum costs less
-    # than a per-entry test; an overflowing sum falls through to that test
-    if math.isfinite(arr.sum()):
-        return
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{name} has non-finite value {arr[bad[0]]} at index {bad[0]}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name} has non-finite value {arr[i]} at index {i}")
 
 
 def _pair(pnl, reserve) -> tuple[np.ndarray, np.ndarray]:
@@ -59,7 +55,8 @@ def _pair(pnl, reserve) -> tuple[np.ndarray, np.ndarray]:
 def build_secured(pnl, reserve) -> SecuredSample:
     """Componentwise sum y_i = pnl_i + reserve_i."""
     p, r = _pair(pnl, reserve)
-    return SecuredSample(p + r, normalized=False)
+    with np.errstate(over="ignore"):  # an overflowing sum fails the finite check
+        return SecuredSample(p + r, normalized=False)
 
 
 def build_normalized(pnl, reserve) -> SecuredSample:
@@ -78,4 +75,5 @@ def build_normalized(pnl, reserve) -> SecuredSample:
             f"reserve must be strictly positive to normalize; "
             f"found {r[bad[0]]} at index {bad[0]}"
         )
-    return SecuredSample(p / r + 1.0, normalized=True)
+    with np.errstate(over="ignore"):  # as in build_secured
+        return SecuredSample(p / r + 1.0, normalized=True)

@@ -262,9 +262,10 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
     x = np.asarray(returns, dtype=float).ravel()
     if x.size < 100:
         raise ValueError(f"need at least 100 observations, got {x.size}")
-    v = float(np.var(x, ddof=1))
-    if not v > 0:
-        raise ValueError("degenerate series: variance is zero")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
+        v = float(np.var(x, ddof=1))
+    if not 0 < v < math.inf:
+        raise ValueError(f"degenerate series: variance is {v}")
     if innovation not in ("normal", "skew_t"):
         raise ValueError(f"unknown innovation kind {innovation!r}")
 
@@ -319,9 +320,10 @@ def fit_iid(returns, kind: str) -> DistSpec:
     x = np.asarray(returns, dtype=float).ravel()
     if x.size < 30:
         raise ValueError(f"need at least 30 observations, got {x.size}")
-    sd = float(np.std(x, ddof=1))
-    if not sd > 0:
-        raise ValueError("degenerate series: variance is zero")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in garch_fit
+        sd = float(np.std(x, ddof=1))
+    if not 0 < sd < math.inf:
+        raise ValueError(f"degenerate series: variance is {sd * sd}")
     mean = float(np.mean(x))
     if kind == "normal":
         return Normal(mean, sd)

@@ -1,6 +1,7 @@
 """Backtest statistics: counting forms, dual forms, z test, classification."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,15 @@ def test_z_stat_rejects_non_finite_reserves():
         z_stat([-5.0], [np.nan], [1.0], 0.5)
     with pytest.raises(ValueError, match="realized has non-finite value inf"):
         z_stat([np.inf], [1.0], [1.0], 0.5)
+
+
+def test_overflowing_statistics_are_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="z statistic overflows"):
+            z_stat([-1e300, 1.0], [1.0, 1.0], [1e-300, 1.0], 0.5)
+        with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
+            g_stat([-1e308, -1e308, 1e308])
 
 
 def test_z_stat_rejects_bad_inputs():

@@ -1,9 +1,16 @@
 """Command-line behaviour: exit codes, file outputs, reproducibility."""
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esbacktest import cli
 from esbacktest.cli import main
@@ -483,3 +490,189 @@ def test_seeds_outside_64_bits_exit_3(tmp_path, panel_csv, capsys, command, seed
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config error: seed must lie in [0, 2**64), got {seed}"]
     assert list(tmp_path.iterdir()) == [panel_csv]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("backtest", "--heatmap-out"),
+        ("mc", "--out-prefix"),
+        ("simulate", "--fits-out"),
+    ],
+)
+def test_missing_output_directory_fails_before_any_file_is_written(
+    tmp_path, panel_csv, capsys, command, flag
+):
+    # the report, the first two mc tables or the simulated panel used to be
+    # written before the missing directory was found
+    argv = _writing_argv(command, panel_csv, tmp_path)
+    missing = tmp_path / "missing" / "out"
+    argv[argv.index(flag) + 1] = str(missing)
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: cannot write {missing}")
+    assert list(tmp_path.iterdir()) == [panel_csv]
+
+
+def test_compare_missing_output_directory_exits_3(tmp_path, panel_csv, capsys):
+    out = tmp_path / "missing" / "cmp.json"
+    argv = ["compare", "--input", str(panel_csv), "--estimator", "hist", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: cannot write {out}: No such file or directory"]
+
+
+def test_mc_level_without_a_finite_reserve_exits_3(tmp_path, capsys):
+    # stdtrit returns +inf this far out; every run used to count 250 exceptions
+    argv = ["mc", "--dist", "t3", "--alpha-var", "1e-300", "--runs", "100",
+            "--seed", "1", "--out-prefix", str(tmp_path / "m")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: true VAR at level 1e-300 is not finite: -inf"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, estimator, culprit",
+    [
+        ("backtest", "es-norm", "es_norm reserve at level 0.025"),
+        ("backtest", "var-norm", "var_norm reserve at level 0.01"),
+        ("compare", "norm", "var_norm reserve at level 0.01"),
+    ],
+)
+def test_overflowing_reserve_exits_3_naming_sample_and_estimator(
+    tmp_path, capsys, command, estimator, culprit
+):
+    x = np.random.default_rng(63).standard_normal((500, 2)) * 1e298
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b\n" + "".join(f"{u!r},{v!r}\n" for u, v in x.tolist()))
+    out = tmp_path / "r.json"
+    argv = [command, "--input", str(path), "--estimator", estimator, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: a[0:500]: {culprit} overflows on day 0"]
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under generated input
+# ---------------------------------------------------------------------------
+
+_GOOD_CELLS = ("0.01", "-0.02", "0.003", "-0.0004", "0")
+_BAD_CELLS = ("nan", "NaN", "inf", "-Infinity", "1e400", "abc", "", "0x1p3")
+
+
+def _mostly(good, bad):
+    """Draw from ``good`` about four times in five, else from ``bad``."""
+    return st.sampled_from([*good, *good, *good, *good, *bad])
+
+
+@st.composite
+def _panel_text(draw):
+    """A small simple_csv panel: normal, constant or huge columns, maybe broken."""
+    n_rows = draw(_mostly([40, 16], [0, 1, 3]))
+    n_cols = draw(st.integers(1, 2))
+    columns = []
+    for _ in range(n_cols):
+        kind = draw(_mostly(["returns"], ["constant", "huge", "huger"]))
+        if kind == "constant":
+            columns.append(["0.01"] * n_rows)
+        elif kind == "returns":
+            cells = st.sampled_from(_GOOD_CELLS)
+            columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+        else:
+            scale = "e298" if kind == "huge" else "e307"
+            signs = st.sampled_from(["", "-"])
+            signs = draw(st.lists(signs, min_size=n_rows, max_size=n_rows))
+            columns.append([f"{s}{1 + i % 7}{scale}" for i, s in enumerate(signs)])
+    rows = [",".join(cells) for cells in zip(*columns)]
+    broken = draw(_mostly(["none"], ["cell", "short", "long"])) if rows else "none"
+    if broken != "none":
+        i = draw(st.integers(0, len(rows) - 1))
+        if broken == "cell":
+            rows[i] = ",".join([draw(st.sampled_from(_BAD_CELLS))] * n_cols)
+        elif broken == "short":
+            rows[i] = rows[i].rsplit(",", 1)[0] if n_cols > 1 else ""
+        else:
+            rows[i] += ",0.1"
+    header = draw(_mostly([",".join("ab"[:n_cols])], ["", "date"]))
+    return "\n".join([header] + rows) + "\n"
+
+
+_DIST_JSON = _mostly(
+    ['{"kind": "normal"}', '{"kind": "student_t", "nu": 3}',
+     '{"kind": "skew_t", "nu": 5, "xi": 0.8}'],
+    ['{"kind": "skew_t", "nu": "5", "xi": 0.8}', '{"kind": "skew_t", "nu": 5}',
+     '{"kind": 3}', "[1, 2]", '"normal"', "null", "{"],
+)
+_GARCH_JSON = _mostly(
+    ['{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8}',
+     '{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8, '
+     '"innovation": "skew_t", "nu": 5, "xi": 0.9}'],
+    ['{"mu": 0, "omega": "x", "a1": 0.1, "b1": 0.8}',
+     '{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8, "extra": 1}', "[]", "3.5"],
+)
+_LEVEL = _mostly(["0.01", "0.025", "0.2"], ["1e-300", "0", "1.5", "-0.1", "nan"])
+_LENGTH = _mostly(["2", "3", "5", "8"], ["0", "1"])
+_OUT = _mostly(["out"], ["missing"])
+
+
+@st.composite
+def _argv(draw):
+    """argv of one subcommand over the input file 'in.csv' and outputs in 'out/'."""
+    command = draw(st.sampled_from(["backtest", "compare", "mc", "simulate"]))
+    out = draw(_OUT)
+    if command == "mc":
+        source = draw(st.sampled_from(["--dist", "--dist-json", "--garch-json"]))
+        value = {
+            "--dist": st.sampled_from(["normal", "t3"]),
+            "--dist-json": _DIST_JSON,
+            "--garch-json": _GARCH_JSON,
+        }[source]
+        return ["mc", source, draw(value), "--runs", draw(st.sampled_from(["1", "40"])),
+                "--n", draw(_LENGTH), "--seed", "1", "--alpha-var", draw(_LEVEL),
+                "--alpha-es", draw(_LEVEL), "--out-prefix", f"{out}/m"]
+    argv = [command, "--input", "in.csv"]
+    if command == "simulate":
+        model = draw(_mostly(["normal"], ["skew-t", "garch-normal"]))
+        return argv + ["--model", model, "--picks", draw(_mostly(["1", "2"], ["0"])),
+                       "--window", draw(_mostly(["32", "40"], ["0", "5"])),
+                       "--seed", "1", "--out", f"{out}/s.csv",
+                       "--fits-out", f"{out}/f.json"]
+    argv += ["--learn", draw(_LENGTH), "--test", draw(_LENGTH)]
+    if draw(st.booleans()):
+        argv.append("--normalize")
+    if command == "backtest":
+        estimator = st.sampled_from(["var-hist", "es-hist", "var-norm", "es-norm"])
+        return argv + ["--estimator", draw(estimator), "--alpha", draw(_LEVEL),
+                       "--out", f"{out}/r.json", "--heatmap-out", f"{out}/h.csv"]
+    estimator = draw(_mostly(["hist", "norm"], ["es-hist"]))
+    return argv + ["--estimator", estimator, "--alpha-var", draw(_LEVEL),
+                   "--alpha-z", draw(_LEVEL), "--out", f"{out}/c.json"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_panel_text(), argv=_argv())
+def test_generated_runs_keep_the_exit_code_contract(text, argv):
+    # return code 0, 2 or 3; no exception, no warning, at most one stderr line
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "out").mkdir()
+        (root / "in.csv").write_text(text)
+        paths = [str(root / a) if a.startswith(("in.csv", "out/", "missing/")) else a
+                 for a in argv]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(paths + ["--workers", "1"])
+        assert code in (0, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        if any(a.startswith("missing/") for a in argv):
+            assert code == 3  # before any input is read

@@ -251,11 +251,15 @@ def test_skew_t_one_kernel_matches_two_scipy_stats_calls_bit_for_bit(
 
 
 def test_package_import_loads_scipy_special_alone():
-    # the fits import scipy.optimize and scipy.signal, the skew-t ES
-    # quadrature scipy.integrate, each only when it runs
+    # the fits import scipy.optimize and scipy.signal only when they run;
+    # every analytic ES, the skewed t's included, is a closed form
     src = str(Path(esbacktest.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, esbacktest; print(' '.join(sorted(sys.modules)))"
+    code = (
+        "import sys, esbacktest; print(' '.join(sorted(sys.modules)))\n"
+        "esbacktest.true_risk(esbacktest.SkewT(5, 0.8), 0.025, 'ES')\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -263,10 +267,11 @@ def test_package_import_loads_scipy_special_alone():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    loaded = set(proc.stdout.split())
-    assert "scipy.special" in loaded
+    on_import, after_es = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "scipy.special" in on_import
     for heavy in ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize"):
-        assert heavy not in loaded
+        assert heavy not in on_import
+    assert "scipy.integrate" not in after_es
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +407,9 @@ def test_sample_rejects_nonpositive_size():
         lambda: SkewT(math.inf, 1.0),
         lambda: SkewT(5.0, 0.0),
         lambda: SkewT(5.0, -2.0),
+        # xi**2 underflows to 0 or overflows: the cdf, quantile and ES divide by it
+        lambda: SkewT(5.0, 1e-200),
+        lambda: SkewT(5.0, 1e200),
     ],
 )
 def test_invalid_parameters_are_rejected(factory):

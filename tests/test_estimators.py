@@ -252,7 +252,7 @@ def test_true_es_agrees_with_quantile_integral_oracle(d, alpha):
     )
 
 
-@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.025, 0.3])
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.025, 0.3, 0.5, 0.75])
 def test_closed_form_true_risk_matches_scipy_stats_formulas_bit_for_bit(alpha):
     z = stats.norm.ppf(alpha)
     d = Normal(0.1, 3.0)
@@ -264,6 +264,76 @@ def test_closed_form_true_risk_matches_scipy_stats_formulas_bit_for_bit(alpha):
         core = float(stats.t.pdf(t, nu)) * (nu + t * t) / ((nu - 1.0) * alpha)
         assert true_risk(d, alpha, "VAR") == -float(stats.t.ppf(alpha, nu, 0.1, 2.0))
         assert true_risk(d, alpha, "ES") == -0.1 + 2.0 * core
+
+
+def _es_tail_quadrature(d, alpha):
+    """Independent ES oracle: adaptive quadrature of x * pdf(x) over the lower tail."""
+    q = float(d.quantile(alpha))
+    val, _err = integrate.quad(
+        lambda x: x * d.pdf(x), -np.inf, q, epsabs=1e-10, limit=200
+    )
+    return -val / alpha
+
+
+@pytest.mark.parametrize("nu", [2.2, 3.0, 5.0, 12.0, 40.0])
+def test_skew_t_closed_form_es_matches_tail_quadrature(nu):
+    for xi in (0.3, 0.8, 1.0, 1.3, 2.5):
+        for loc in (0.0, 0.1, -2.0):
+            for scale in (1.0, 0.01, 3.0):
+                d = SkewT(nu, xi, loc, scale)
+                for alpha in (0.001, 0.01, 0.025, 0.1, 0.6):
+                    es = true_risk(d, alpha, "ES")
+                    oracle = _es_tail_quadrature(d, alpha)
+                    assert abs(es - oracle) <= 1e-7 * max(1.0, abs(es)), (d, alpha)
+
+
+# -(1/alpha) E[Z; Z <= q] of the standard skewed t, to 40 digits: the quantile
+# solved and the tail integrated numerically in 50-digit mpmath arithmetic
+SKEW_T_ES_40_DIGITS = {
+    (2.2, 0.3, 0.001): "144.3865699867718053632600481018698282874",
+    (2.2, 0.3, 0.025): "33.09328725081810637338733544409373706681",
+    (2.2, 0.3, 0.6): "6.236587912491716443503028280559550173456",
+    (2.2, 1.0, 0.001): "32.85853288647334443253737696494009143419",
+    (2.2, 1.0, 0.025): "7.474625638485119502448246852087992599541",
+    (2.2, 1.0, 0.6): "1.06805219448911992034977397169833090234",
+    (2.2, 2.5, 0.001): "7.303483978941838420811288035776726385773",
+    (2.2, 2.5, 0.025): "1.593610380856986240146449585489655564618",
+    (2.2, 2.5, 0.6): "-0.6593639738295430217260081298895619171298",
+    (3.0, 0.3, 0.001): "63.00138699337139482725739738015663035602",
+    (3.0, 0.3, 0.025): "20.92405602416342194369317308998877520953",
+    (3.0, 0.3, 0.6): "5.194234371601729606512720704888536086338",
+    (3.0, 1.0, 0.001): "15.4093361151088864030266099431109531902",
+    (3.0, 1.0, 0.025): "5.039583061113471575328822348797133554402",
+    (3.0, 1.0, 0.6): "0.8960190713423414298352876678285668435456",
+    (3.0, 2.5, 0.001): "3.981335921201229883470648528338435587289",
+    (3.0, 2.5, 0.025): "1.215042357946894931747196258037028643533",
+    (3.0, 2.5, 0.6): "-0.6484924256342837211176969576579706090521",
+    (5.0, 0.3, 0.001): "28.51938378537127243664324274669562127444",
+    (5.0, 0.3, 0.025): "13.74661450752946671181231707627028201586",
+    (5.0, 0.3, 0.6): "4.426348643474275334731274308843403125851",
+    (5.0, 1.0, 0.001): "7.514357282729377837716223597868183000973",
+    (5.0, 1.0, 0.025): "3.52157733173942710586672839674324167067",
+    (5.0, 1.0, 0.6): "0.7687397884069667181505448355796859628145",
+    (5.0, 2.5, 0.001): "2.261041525859727819765540769775234467739",
+    (5.0, 2.5, 0.025): "0.9535257986947022753431022603327480099947",
+    (5.0, 2.5, 0.6): "-0.6310738834282742478716683569848910089809",
+}
+
+
+@pytest.mark.parametrize("point", sorted(SKEW_T_ES_40_DIGITS))
+def test_skew_t_es_matches_high_precision_reference(point):
+    nu, xi, alpha = point
+    reference = float(SKEW_T_ES_40_DIGITS[point])
+    assert abs(true_risk(SkewT(nu, xi), alpha, "ES") - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("metric", ["VAR", "ES"])
+@pytest.mark.parametrize("d", [StudentT(3.0), SkewT(3.0, 0.8)])
+def test_true_risk_rejects_a_non_finite_reserve(d, metric):
+    # stdtrit returns +inf for levels this far out, not a finite quantile
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=f"true {metric} at level 1e-300"):
+            true_risk(d, 1e-300, metric)
 
 
 def test_true_es_exceeds_true_var():

@@ -1,6 +1,7 @@
 """Ingestion, rolling-window backtests, confusion matrices, heatmap tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from esbacktest.harness import (
     DataError,
     ReturnPanel,
     RollingConfig,
+    Sample,
     compare_backtest,
     confusion,
     filter_dates,
@@ -251,6 +253,40 @@ def test_rolling_rejects_non_finite_samples():
         for family in ("hist", "norm"):
             with pytest.raises(ValueError, match="non-finite value .* at index 100"):
                 compare_backtest(x, family)
+
+
+def _huge_sample(scale):
+    x = np.random.default_rng(61).standard_normal(500) * scale
+    return Sample("a", 0, x)
+
+
+@pytest.mark.parametrize("estimator", ["var_norm", "es_norm"])
+def test_overflowing_reserve_names_the_sample_and_estimator(estimator):
+    # the squared deviations of a finite 1e298 sample overflow the normal sd
+    cfg = RollingConfig(estimator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            run_batch([_huge_sample(1e298)], cfg)
+        assert str(exc.value) == (
+            f"a[0:500]: {estimator} reserve at level {cfg.resolved_alpha} "
+            "overflows on day 0"
+        )
+        with pytest.raises(ValueError, match=r"^a\[0:500\]: var_norm reserve"):
+            run_compare_batch([_huge_sample(1e298)], family="norm")
+        # unlabelled values raise the same fault without the label
+        with pytest.raises(ValueError, match=f"^{estimator} reserve at level"):
+            rolling_backtest(_huge_sample(1e298).values, cfg)
+
+
+def test_overflowing_partial_sums_are_rejected_without_a_warning():
+    # historical reserves of a 1e307 sample stay finite, its sorted sums do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimator in ("var_hist", "es_hist"):
+            with pytest.raises(ValueError, match=r"^a\[0:500\]: partial sums"):
+                run_batch([_huge_sample(1e307)], RollingConfig(estimator))
+        assert run_batch([_huge_sample(1e298)], RollingConfig("es_hist"))
 
 
 def test_rolling_constant_series_is_fully_covered():

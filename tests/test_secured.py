@@ -1,5 +1,7 @@
 """Secured-position construction and the breach-invariance property."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ def test_non_finite_inputs_rejected_not_scored_as_covered():
         build_normalized([-np.inf], [1.0])
     with pytest.raises(ValueError, match="non-finite"):
         SecuredSample(np.array([0.5, np.nan]))
+
+
+def test_overflowing_secured_values_are_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="secured sample has non-finite value inf at index 1"):
+            build_secured([1.0, 1e308], [1.0, 1e308])
+        with pytest.raises(ValueError, match="secured sample has non-finite value -inf"):
+            build_normalized([-1e300], [1e-300])
 
 
 def test_normalization_preserves_breach_indicators():

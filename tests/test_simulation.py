@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,18 @@ def test_fit_iid_skew_t_on_tails_beyond_nu_2_does_not_crash():
     fit = fit_iid(x, "skew_t")
     assert isinstance(fit, SkewT)
     assert fit.nu > 2.0
+
+
+def test_fits_reject_an_overflowing_variance_without_a_warning():
+    # the normal fit used to return sigma = inf and simulate infinite paths
+    x = np.random.default_rng(1).standard_normal(200) * 1e298
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("normal", "skew_t"):
+            with pytest.raises(ValueError, match="degenerate series: variance is inf"):
+                fit_iid(x, kind)
+        with pytest.raises(ValueError, match="degenerate series: variance is inf"):
+            garch_fit(x, "normal")
 
 
 def test_fit_iid_input_validation():
