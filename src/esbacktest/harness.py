@@ -13,8 +13,8 @@ one reserve per test day, equal bit for bit to calling the scalar estimator
 on each window: the normal kernels reduce each row for its mean and sd and
 evaluate ``norm.ppf``/``norm.pdf`` once per series, the historical kernels
 take each row's order statistic with one 2-D ``np.partition``, and the ES
-tail is then averaged row by row in time order. A sample with a non-finite
-value is rejected before any kernel runs.
+tails are gathered in time order, one block per tail length, for row means.
+A sample with a non-finite value is rejected before any kernel runs.
 
 Both backtests grade through ``_graded``: ``rolling_backtest`` with one
 estimator in both roles, ``compare_backtest`` with the VAR and ES estimators
@@ -209,21 +209,34 @@ def _load_simple_csv(path) -> ReturnPanel:
     names = header[1:] if has_dates else header
     if not names:
         raise DataError(f"{path}: header defines no return columns")
+    try:
+        [float(c) for c in names]
+    except ValueError:
+        pass  # a name that is no number: line 1 is the header
+    else:
+        raise DataError("line 1: a header row is required, found only numbers")
 
     dates: list[int] = []
     rows: list[list[float]] = []
     for i, line in enumerate(lines[1:], start=2):
-        parts = [c.strip() for c in line.split(",")]
+        parts = line.split(",")
         if len(parts) != len(header):
             raise DataError(
                 f"line {i}: expected {len(header)} fields, found {len(parts)}"
             )
         if has_dates:
-            if not _DATE_RE.match(parts[0]):
-                raise DataError(f"line {i}: bad date {parts[0]!r}, expected YYYYMMDD")
-            dates.append(int(parts[0]))
+            date = parts[0].strip()
+            if not _DATE_RE.match(date):
+                raise DataError(f"line {i}: bad date {date!r}, expected YYYYMMDD")
+            dates.append(int(date))
             parts = parts[1:]
-        rows.append([_parse_float(c, i) for c in parts])
+        try:  # float() strips the cell itself; _parse_float only names a bad one
+            row = [float(c) for c in parts]
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            row = [_parse_float(c, i) for c in parts]
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return ReturnPanel(
@@ -294,10 +307,16 @@ def _hist_boundary(windows: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _es_hist(windows: np.ndarray, alpha: float) -> np.ndarray:
-    boundary = _hist_boundary(windows, alpha)
-    # the tail mean stays per row so it sums in time order like es_empirical;
-    # a masked 2-D sum reorders the additions and drifts by an ulp
-    return np.array([-w[w <= b].mean() for w, b in zip(windows, boundary)])
+    mask = windows <= _hist_boundary(windows, alpha)[:, None]
+    tails, size = windows[mask], mask.sum(axis=1)  # tails in time order, row by row
+    start = np.cumsum(size) - size
+    out = np.empty(len(windows))
+    # numpy means each row of a C-contiguous (rows, n) block with the pairwise
+    # loop of es_empirical's 1-D tail.mean(), so grouping by length is exact
+    for n in np.unique(size):
+        rows = np.flatnonzero(size == n)
+        out[rows] = -tails[start[rows, None] + np.arange(n)].mean(axis=1)
+    return out
 
 
 # Estimator name -> kernel mapping a (test, learn) array of rolling windows to

@@ -83,7 +83,7 @@ class GarchSpec:
         elif self.innovation == "skew_t":
             if self.nu is None or self.xi is None:
                 raise ValueError("skew_t innovations need nu and xi")
-            SkewT(self.nu, self.xi)  # reuse parameter validation
+            _unit_law("skew_t", self.nu, self.xi)  # validates nu, xi and the variance
         else:
             raise ValueError(f"unknown innovation kind {self.innovation!r}")
 
@@ -120,7 +120,13 @@ def _unit_law(
     if kind == "normal":
         return Normal()
     base = SkewT(nu, xi)
-    s = math.sqrt(base.variance())
+    try:
+        var = base.variance()
+    except OverflowError:  # xi**3 or xi**-3 leaves the float range
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValueError(f"skew_t variance is not finite at nu={nu}, xi={xi}")
+    s = math.sqrt(var)
     return SkewT(nu, xi, loc=-base.mean() / s, scale=1.0 / s)
 
 

@@ -535,6 +535,27 @@ def test_mc_level_without_a_finite_reserve_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mc_skew_t_garch_with_infinite_variance_exits_3(tmp_path, capsys):
+    spec = ('{"mu":0,"omega":1e-6,"a1":0.1,"b1":0.8,'
+            '"innovation":"skew_t","nu":5,"xi":1e110}')
+    argv = ["mc", "--garch-json", spec, "--runs", "10", "--seed", "1",
+            "--out-prefix", str(tmp_path / "P")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: skew_t variance is not finite at nu=5, xi=1e+110"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_headerless_panel_exits_2(tmp_path, capsys):
+    path = tmp_path / "headerless.csv"
+    path.write_text("1.5,2.5\n0.01,0.02\n0.03,0.01\n")
+    argv = ["backtest", "--input", str(path), "--estimator", "es-hist",
+            "--learn", "2", "--test", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: line 1: a header row is required, found only numbers"]
+
+
 @pytest.mark.parametrize(
     "command, estimator, culprit",
     [

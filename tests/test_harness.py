@@ -132,6 +132,50 @@ def test_simple_csv_error_reporting(tmp_path):
         load_returns(empty, "simple_csv")
 
 
+def test_simple_csv_requires_a_header_row(tmp_path):
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text("1.5,2.5\n0.01,0.02\n0.03,0.01\n")
+    with pytest.raises(DataError, match="^line 1: a header row is required"):
+        load_returns(headerless, "simple_csv")
+    dated = tmp_path / "dated.csv"
+    dated.write_text("20200101,0.01\n20200102,0.02\n")
+    with pytest.raises(DataError, match="^line 1: a header row is required"):
+        load_returns(dated, "simple_csv")
+    # one name that is no number makes line 1 a header
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("x,2\n0.01,0.02\n0.03,0.01\n")
+    assert load_returns(mixed, "simple_csv").names == ("x", "2")
+
+
+def test_simple_csv_values_are_the_float_of_each_cell(tmp_path):
+    cells = [[" 0.01", "-0.0 ", "1e-3"], ["+.5", "1_000", "\t-2.5e-7"],
+             ["1e308", "1e308", "-1e308"]]  # a row whose sum overflows loads
+    path = tmp_path / "cells.csv"
+    path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in cells))
+    values = load_returns(path, "simple_csv").values
+    expected = np.array([[float(c.strip()) for c in r] for r in cells])
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,y\n0.01,inf\n0.02\n", "line 2: cell 'inf' is not a finite number"),
+        ("x,y\n0.01,0.02\nnan,zzz\n", "line 3: cell 'nan' is not a finite number"),
+        ("x,y\n0.01,0.02\n0.1, zzz\n", "line 3: cannot parse 'zzz' as a number"),
+        ("x,y\n 1e400 ,0.02\n", "line 2: cell '1e400' is not a finite number"),
+        ("date,x\n20200101,-inf\n2020,0.1\n", "line 2: cell '-inf' is not"),
+        ("date,x\n20200101,0.1\n 2020 ,0.1\n", "line 3: bad date '2020', expected"),
+    ],
+)
+def test_simple_csv_names_the_first_bad_cell(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as exc:
+        load_returns(path, "simple_csv")
+    assert str(exc.value).startswith(message)
+
+
 def test_unknown_format_is_a_config_error(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("x\n0.01\n")
@@ -231,8 +275,12 @@ def _reserve_loop(x, learn, test, estimator, alpha):
 
 
 @pytest.mark.parametrize("estimator", ["var_hist", "var_norm", "es_hist", "es_norm"])
-@pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
-@pytest.mark.parametrize("learn,test", [(250, 250), (100, 37), (2, 50)])
+@pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.3, 0.6])
+# es_hist tails reach 91 (300 at 0.3) and 601 (1000 at 0.6) elements: past
+# the 8-accumulator and recursive-split thresholds of numpy's pairwise sum
+@pytest.mark.parametrize(
+    "learn,test", [(250, 250), (100, 37), (2, 50), (300, 40), (1000, 20)]
+)
 @pytest.mark.parametrize("tied", [False, True])
 def test_reserve_kernels_match_per_window_loop(estimator, alpha, learn, test, tied):
     rng = np.random.default_rng(59)
@@ -240,7 +288,22 @@ def test_reserve_kernels_match_per_window_loop(estimator, alpha, learn, test, ti
     if tied:
         x = np.round(x, 3)  # ties at the tail boundary widen the ES average
     expected = _reserve_loop(x, learn, test, estimator, alpha)
-    assert np.array_equal(_reserve_series(x, learn, test, estimator, alpha), expected)
+    got = _reserve_series(x, learn, test, estimator, alpha)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # -0.0 != 0.0
+
+
+def test_es_hist_kernel_keeps_the_sign_of_zero():
+    # windows of signed zeros, then of returns; numpy sums from +0.0, so a
+    # zero tail averages to +0.0 and its reserve is -0.0 in both forms
+    rng = np.random.default_rng(65)
+    x = np.concatenate([np.where(rng.random(30) < 0.5, 0.0, -0.0),
+                        rng.standard_normal(30) * 0.01])
+    for alpha in (0.025, 0.3, 0.6):
+        expected = _reserve_loop(x, 20, 40, "es_hist", alpha)
+        assert (expected == 0).sum() >= 10
+        got = _reserve_series(x, 20, 40, "es_hist", alpha)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_rolling_rejects_non_finite_samples():

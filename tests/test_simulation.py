@@ -211,6 +211,15 @@ def test_garch_spec_validation():
         GarchSpec(mu=0.0, omega=1e-5, a1=0.1, b1=0.5, innovation="levy")
 
 
+@pytest.mark.parametrize(
+    "nu, xi", [(5.0, 1e110), (5.0, 1e-110), (2.0000000000000004, 1e100)]
+)
+def test_skew_t_garch_rejects_an_infinite_innovation_variance(nu, xi):
+    # xi**3 or xi**-3 raises OverflowError, or nu/(nu - 2) * xi**3 is inf
+    with pytest.raises(ValueError, match="skew_t variance is not finite"):
+        GarchSpec(mu=0.0, omega=1e-6, a1=0.1, b1=0.8, innovation="skew_t", nu=nu, xi=xi)
+
+
 def test_garch_json_round_trip():
     for g in (
         GarchSpec(mu=1e-4, omega=2e-5, a1=0.07, b1=0.9),
