@@ -5,6 +5,8 @@ plus counter-based random streams so Monte Carlo draws are reproducible and
 independent of worker scheduling. Densities, cdfs and quantiles are scipy.stats'
 own formulas on ``scipy.special``, loc and scale applied in scipy.stats' order,
 so they equal scipy.stats bit for bit without its import or per-call cost.
+``scipy.special`` itself is imported on first use, through ``special``, so
+code that never evaluates a law (the historical estimators) never loads scipy.
 
 ``STREAM_CONTRACT`` versions the map from (seed, stream) to draws. Version 2
 samples ``SkewT`` by the two-piece construction and keys Monte Carlo streams
@@ -21,7 +23,6 @@ from typing import Union
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import special
 
 __all__ = [
     "STREAM_CONTRACT",
@@ -40,6 +41,19 @@ STREAM_CONTRACT = 3
 
 _UINT64 = (1 << 64) - 1
 _OPEN_UNIT = float(1 << 53)
+
+
+class _LazySpecial:
+    """``scipy.special``, imported on first use; a name looked up is cached here."""
+
+    def __getattr__(self, name):
+        from scipy import special as module
+        value = getattr(module, name)
+        setattr(self, name, value)
+        return value
+
+
+special = _LazySpecial()
 
 
 def _std(x, loc, scale):

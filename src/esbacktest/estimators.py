@@ -2,7 +2,8 @@
 
 Empirical (historical) and normal VAR/ES at arbitrary confidence levels,
 sample moments, and analytic risk values for the supported distributions,
-each a closed form on the ``dist`` laws (``scipy.special``).
+each a closed form on the ``dist`` laws (``scipy.special``, imported on first
+use, so the empirical estimators never load scipy).
 
 Sign convention: estimators return the capital reserve, a positive number
 for a position carrying loss risk. Levels are lower-tail probabilities, so

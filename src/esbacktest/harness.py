@@ -201,10 +201,10 @@ def _load_ff_daily(path) -> ReturnPanel:
 
 def _load_simple_csv(path) -> ReturnPanel:
     """Parse a headed CSV of decimal returns; a leading 'date' column is optional."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    head, header = lines[0][0], [c.strip() for c in lines[0][1].split(",")]
     has_dates = bool(header) and header[0].lower() == "date"
     names = header[1:] if has_dates else header
     if not names:
@@ -212,13 +212,13 @@ def _load_simple_csv(path) -> ReturnPanel:
     try:
         [float(c) for c in names]
     except ValueError:
-        pass  # a name that is no number: line 1 is the header
+        pass  # a name that is no number: the first line is the header
     else:
-        raise DataError("line 1: a header row is required, found only numbers")
+        raise DataError(f"line {head}: a header row is required, found only numbers")
 
     dates: list[int] = []
     rows: list[list[float]] = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:  # i is the physical line number, blank lines counted
         parts = line.split(",")
         if len(parts) != len(header):
             raise DataError(

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def parallel_map(fn, items, workers: int) -> list:
     """``[fn(item) for item in items]`` over up to ``workers`` processes.
 
     The result follows the order of ``items`` whatever the scheduling. One
-    worker, or at most one item, runs in this process with no pool; ``fn``
-    and the items must pickle otherwise.
+    worker, or at most one item, runs in this process with no pool, and
+    ``concurrent.futures`` is imported only when a pool starts; ``fn`` and
+    the items must pickle otherwise.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))

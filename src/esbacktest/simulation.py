@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import expit
 
-from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json
+from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json, special
 from .estimators import true_risk
 from .parallel import parallel_map
 
@@ -196,8 +195,8 @@ def _conditional_variance(
 def _garch_nll(theta: np.ndarray, x: np.ndarray, s0: float, kind: str) -> float:
     mu = theta[0]
     omega = math.exp(theta[1])
-    persistence = expit(theta[2])
-    frac = expit(theta[3])
+    persistence = special.expit(theta[2])
+    frac = special.expit(theta[3])
     a1 = persistence * frac
     b1 = persistence * (1.0 - frac)
     s2, e = _conditional_variance(x, s0, mu, omega, a1, b1)
@@ -289,8 +288,8 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
         starts.append(np.array(theta))
 
     theta, nll = _multistart_minimize(_garch_nll, starts, args=(x, v, innovation))
-    persistence = float(expit(theta[2]))
-    frac = float(expit(theta[3]))
+    persistence = float(special.expit(theta[2]))
+    frac = float(special.expit(theta[3]))
     nu, xi = _skewt_shape(theta[4:]) if innovation == "skew_t" else (None, None)
     try:
         return GarchSpec(

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -554,6 +557,65 @@ def test_headerless_panel_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["data error: line 1: a header row is required, found only numbers"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x\n\n0.01\n\n0.02\nzzz\n", "line 6: cannot parse 'zzz' as a number"),
+        ("date,a\n\n20200101,0.01\n\n2020-01-02,0.02\n",
+         "line 5: bad date '2020-01-02', expected YYYYMMDD"),
+        ("\n\n1.5,2.5\n0.01,0.02\n",
+         "line 3: a header row is required, found only numbers"),
+    ],
+    ids=["cell", "date", "header"],
+)
+def test_data_errors_name_the_physical_line(tmp_path, capsys, text, message):
+    path = tmp_path / "gappy.csv"
+    path.write_text(text)
+    argv = ["backtest", "--input", str(path), "--estimator", "es-hist",
+            "--learn", "2", "--test", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+
+
+def test_hist_commands_run_with_scipy_blocked(tmp_path, panel_csv):
+    # the historical estimators are numpy alone: with every scipy import made to
+    # fail, they still run and write the bytes of an ordinary run
+    def argvs(out):
+        out.mkdir()
+        common = ["--input", str(panel_csv), "--learn", "250", "--test", "50"]
+        return [
+            ["backtest", *common, "--estimator", "es-hist",
+             "--out", str(out / "es.json"), "--heatmap-out", str(out / "es.csv")],
+            ["backtest", *common, "--estimator", "var-hist",
+             "--out", str(out / "var.json"), "--heatmap-out", str(out / "var.csv")],
+            ["compare", *common, "--estimator", "hist", "--out", str(out / "cmp.json")],
+        ]
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+        "from esbacktest.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs(tmp_path / "blocked"))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
+    assert [main(argv) for argv in argvs(tmp_path / "plain")] == [0, 0, 0]
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "blocked").iterdir())
+    assert len(names) == 5
+    for name in names:
+        blocked = (tmp_path / "blocked" / name).read_bytes()
+        assert blocked == (tmp_path / "plain" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

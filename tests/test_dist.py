@@ -250,15 +250,20 @@ def test_skew_t_one_kernel_matches_two_scipy_stats_calls_bit_for_bit(
         _assert_matches_oracle(d.quantile, _skew_t_two_calls(d, "quantile"), _PS)
 
 
-def test_package_import_loads_scipy_special_alone():
-    # the fits import scipy.optimize and scipy.signal only when they run;
-    # every analytic ES, the skewed t's included, is a closed form
+def test_package_import_loads_no_scipy_until_a_law_is_evaluated():
+    # the historical path is numpy alone; scipy.special loads when a law is
+    # first evaluated, the fits import scipy.optimize and scipy.signal only when
+    # they run, a process pool imports concurrent.futures only when it starts,
+    # and every analytic ES, the skewed t's included, is a closed form
     src = str(Path(esbacktest.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, esbacktest; print(' '.join(sorted(sys.modules)))\n"
-        "esbacktest.true_risk(esbacktest.SkewT(5, 0.8), 0.025, 'ES')\n"
-        "print(' '.join(sorted(sys.modules)))"
+        "import sys\n"
+        "def show(): print(' '.join(sorted(sys.modules)))\n"
+        "import esbacktest; show()\n"
+        "import esbacktest.cli; show()\n"
+        "esbacktest.Normal().quantile(0.01); show()\n"
+        "esbacktest.true_risk(esbacktest.SkewT(5, 0.8), 0.025, 'ES'); show()\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -267,11 +272,29 @@ def test_package_import_loads_scipy_special_alone():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    on_import, after_es = (set(line.split()) for line in proc.stdout.splitlines())
-    assert "scipy.special" in on_import
+    on_import, on_cli, after_law, after_es = (
+        set(line.split()) for line in proc.stdout.splitlines()
+    )
+    for loaded in (on_import, on_cli):
+        assert {m for m in loaded if m == "scipy" or m.startswith("scipy.")} == set()
+        assert "concurrent.futures" not in loaded
+    assert "scipy.special" in after_law
     for heavy in ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize"):
-        assert heavy not in on_import
+        assert heavy not in after_law
     assert "scipy.integrate" not in after_es
+
+
+def test_lazy_special_hands_out_the_scipy_special_objects():
+    from scipy import special as scipy_special
+
+    from esbacktest.dist import special
+
+    for name in ("poch", "gammaln", "ndtr", "ndtri", "stdtr", "stdtrit", "expit"):
+        assert getattr(special, name) is getattr(scipy_special, name)
+        assert vars(special)[name] is getattr(scipy_special, name)  # cached
+    with pytest.raises(AttributeError):
+        special.no_such_function
+    assert "no_such_function" not in vars(special)
 
 
 # ---------------------------------------------------------------------------

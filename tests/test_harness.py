@@ -176,6 +176,27 @@ def test_simple_csv_names_the_first_bad_cell(tmp_path, text, message):
     assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x\n\n0.01\n\n0.02\nzzz\n", "line 6: cannot parse 'zzz' as a number"),
+        ("date,a\n\n20200101,0.01\n\n2020-01-02,0.02\n",
+         "line 5: bad date '2020-01-02', expected YYYYMMDD"),
+        ("\n \n1.5,2.5\n0.01,0.02\n", "line 3: a header row is required"),
+        ("x,y\n \n0.01,0.02\n\n0.03\n", "line 5: expected 2 fields, found 1"),
+        ("x,y\r\n\r\n0.01,inf\r\n", "line 3: cell 'inf' is not a finite number"),
+    ],
+    ids=["cell", "date", "header", "ragged", "crlf"],
+)
+def test_simple_csv_numbers_physical_lines(tmp_path, text, message):
+    # blank lines are skipped, but still counted
+    path = tmp_path / "gappy.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError) as exc:
+        load_returns(path, "simple_csv")
+    assert str(exc.value).startswith(message)
+
+
 def test_unknown_format_is_a_config_error(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("x\n0.01\n")
