@@ -21,8 +21,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .estimators import es_empirical, var_empirical
-from .secured import SecuredSample, _require_finite
+from .estimators import _check_level, es_empirical, var_empirical
+from .secured import SecuredSample, _finite_vector, _same_length
 
 __all__ = [
     "ZONES",
@@ -91,13 +91,7 @@ class StatResult(NamedTuple):
 
 
 def _values(y) -> np.ndarray:
-    if isinstance(y, SecuredSample):
-        return y.values
-    arr = np.asarray(y, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("sample must not be empty")
-    _require_finite(arr, "sample")
-    return arr
+    return y.values if isinstance(y, SecuredSample) else _finite_vector(y, "sample")
 
 
 def t_stat(y) -> StatResult:
@@ -166,26 +160,15 @@ def z_stat(realized, var_reserve, es_reserve, alpha: float) -> float:
     sample scores -1, a correctly sized model scores near 0, and positive
     values signal underestimated risk.
     """
-    r = np.asarray(realized, dtype=float).ravel()
-    v = np.asarray(var_reserve, dtype=float).ravel()
-    e = np.asarray(es_reserve, dtype=float).ravel()
-    if not (r.size == v.size == e.size):
-        raise ValueError(
-            f"length mismatch: realized {r.size}, var {v.size}, es {e.size}"
-        )
-    if r.size == 0:
-        raise ValueError("inputs must not be empty")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"level must lie strictly inside (0, 1), got {alpha}")
-    _require_finite(r, "realized")
-    _require_finite(v, "var_reserve")
-    _require_finite(e, "es_reserve")
+    r = _finite_vector(realized, "realized")
+    v = _finite_vector(var_reserve, "var_reserve")
+    e = _finite_vector(es_reserve, "es_reserve")
+    _same_length(realized=r, var_reserve=v, es_reserve=e)
+    _check_level(alpha)
     breach = r + v < 0
     if np.any(e[breach] <= 0):
         idx = int(np.flatnonzero(breach & (e <= 0))[0])
-        raise ValueError(
-            f"breach day {idx} has nonpositive es_reserve {e[idx]}"
-        )
+        raise ValueError(f"breach day {idx} has nonpositive es_reserve {e[idx]}")
     with np.errstate(all="ignore"):
         core = float((r[breach] / (alpha * e[breach])).sum()) / r.size + 1.0
     if not math.isfinite(core):

@@ -332,7 +332,7 @@ def dist_from_json(obj: dict) -> DistSpec:
 
 def _check_prob(p) -> None:
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
         raise ValueError("probability level must lie strictly inside (0, 1)")
 
 

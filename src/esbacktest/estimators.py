@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import DistSpec, Normal, SkewT, StudentT
-from .secured import _require_finite
+from .secured import _finite_vector
 
 __all__ = [
     "SampleMoments",
@@ -45,17 +45,9 @@ class SampleMoments(NamedTuple):
     n: int
 
 
-def _as_sample(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("sample must not be empty")
-    _require_finite(arr, "sample")
-    return arr
-
-
-def _check_level(alpha: float) -> None:
+def _check_level(alpha: float, name: str = "level") -> None:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"level must lie strictly inside (0, 1), got {alpha}")
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {alpha}")
 
 
 def _tail_index(n: int, alpha: float) -> int:
@@ -69,7 +61,7 @@ def var_empirical(x, alpha: float) -> float:
     Positively homogeneous and cash additive: scaling the sample scales the
     estimate, adding cash lowers it one for one.
     """
-    arr = _as_sample(x)
+    arr = _finite_vector(x, "sample")
     _check_level(alpha)
     k = _tail_index(arr.size, alpha)
     return -float(np.partition(arr, k)[k])
@@ -81,7 +73,7 @@ def es_empirical(x, alpha: float) -> float:
     The averaging set is every observation x_i with x_i + VAR <= 0, so ties
     at the tail boundary widen the denominator beyond floor(n*alpha)+1.
     """
-    arr = _as_sample(x)
+    arr = _finite_vector(x, "sample")
     _check_level(alpha)
     k = _tail_index(arr.size, alpha)
     boundary = float(np.partition(arr, k)[k])
@@ -91,7 +83,7 @@ def es_empirical(x, alpha: float) -> float:
 
 def moments(x) -> SampleMoments:
     """Sample mean and standard deviation with the n-1 denominator."""
-    arr = _as_sample(x)
+    arr = _finite_vector(x, "sample")
     if arr.size < 2:
         raise ValueError(f"need at least 2 observations, got {arr.size}")
     return SampleMoments(float(arr.mean()), float(arr.std(ddof=1)), arr.size)

@@ -11,9 +11,10 @@ Rolling reserves come from one table, ``_KERNELS``, that maps each name in
 all learning windows at once (``sliding_window_view``, no copy) and returns
 one reserve per test day, equal bit for bit to calling the scalar estimator
 on each window: the normal kernels reduce each row for its mean and sd and
-evaluate ``norm.ppf``/``norm.pdf`` once per series, the historical kernels
-take each row's order statistic with one 2-D ``np.partition``, and the ES
-tails are gathered in time order, one block per tail length, for row means.
+call ``Normal().quantile``/``pdf`` (``scipy.special``) once per series, the
+historical kernels take each row's order statistic with one 2-D
+``np.partition``, and the ES tails are gathered in time order, one block per
+tail length, for row means.
 A sample with a non-finite value is rejected before any kernel runs.
 
 Both backtests grade through ``_graded``: ``rolling_backtest`` with one
@@ -28,13 +29,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import takewhile
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .backtest import ZONES, BacktestResult, g_stat, t_stat, z_stat
-from .estimators import SampleMoments, _as_sample, _check_level, _tail_index
+from .estimators import SampleMoments, _check_level, _tail_index
 from .estimators import es_normal, var_normal
 
 # bench/spans.py wraps these names in this module to attribute traced time to
@@ -42,7 +44,7 @@ from .estimators import es_normal, var_normal
 from .backtest import classify  # noqa: F401
 from .estimators import es_empirical, moments, var_empirical  # noqa: F401
 from .parallel import parallel_map
-from .secured import build_normalized, build_secured
+from .secured import _finite_vector, build_normalized, build_secured
 
 __all__ = [
     "DataError",
@@ -125,8 +127,8 @@ class Sample(NamedTuple):
 
 
 def _read_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    try:  # utf-8-sig drops a leading byte-order mark
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -144,6 +146,41 @@ def _parse_float(cell: str, lineno: int) -> float:
     return value
 
 
+def _is_dated(line: str) -> bool:
+    return bool(_DATE_RE.match(line.split(",")[0].strip()))
+
+
+def _unique(names, lineno: int) -> tuple[str, ...]:
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise DataError(f"line {lineno}: column name {repeated[0]!r} is repeated")
+    return tuple(names)
+
+
+def _parse_rows(numbered_lines, width: int, dated: bool):
+    """(rows, dates) from (physical line number, line) pairs of ``width`` fields,
+    the first a YYYYMMDD date if ``dated``; errors name the physical line."""
+    dates, rows = [], []
+    for i, line in numbered_lines:
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DataError(f"line {i}: expected {width} fields, found {len(parts)}")
+        if dated:
+            date = parts[0].strip()
+            if not _DATE_RE.match(date):
+                raise DataError(f"line {i}: bad date {date!r}, expected YYYYMMDD")
+            dates.append(int(date))
+            parts = parts[1:]
+        try:  # float() strips the cell itself; _parse_float only names a bad one
+            row = [float(c) for c in parts]
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            row = [_parse_float(c, i) for c in parts]
+        rows.append(row)
+    return rows, dates
+
+
 def _load_ff_daily(path) -> ReturnPanel:
     """Parse a daily panel whose rows start with a YYYYMMDD date.
 
@@ -153,35 +190,19 @@ def _load_ff_daily(path) -> ReturnPanel:
     contiguous block of dated rows is read.
     """
     lines = _read_lines(path)
-    start = None
-    for i, line in enumerate(lines):
-        first = line.split(",")[0].strip()
-        if _DATE_RE.match(first):
-            start = i
-            break
+    start = next((i for i, line in enumerate(lines) if _is_dated(line)), None)
     if start is None:
         raise DataError(f"{path}: no rows starting with a YYYYMMDD date")
-
     width = len(lines[start].split(","))
     names = [f"col{j}" for j in range(1, width)]
     if start > 0:
         header = [c.strip() for c in lines[start - 1].split(",")]
         if len(header) == width:
             names = [h or f"col{j}" for j, h in enumerate(header[1:], start=1)]
-
-    dates: list[int] = []
-    rows: list[list[float]] = []
-    for i in range(start, len(lines)):
-        parts = lines[i].split(",")
-        first = parts[0].strip()
-        if not _DATE_RE.match(first):
-            break  # end of the daily block
-        if len(parts) != width:
-            raise DataError(
-                f"line {i + 1}: expected {width} fields, found {len(parts)}"
-            )
-        dates.append(int(first))
-        rows.append([_parse_float(c, i + 1) for c in parts[1:]])
+    names = _unique(names, start)
+    # the daily block ends at the first undated line
+    block = takewhile(lambda n: _is_dated(n[1]), enumerate(lines[start:], start + 1))
+    rows, dates = _parse_rows(block, width, dated=True)
 
     raw = np.asarray(rows, dtype=float)
     missing = np.isin(raw, _FF_SENTINELS)
@@ -190,12 +211,11 @@ def _load_ff_daily(path) -> ReturnPanel:
         bad = names[int(np.flatnonzero(all_missing)[0])]
         raise DataError(f"{path}: column {bad!r} has no usable observations")
     keep = ~missing.any(axis=1)
-    dropped = int((~keep).sum())
     return ReturnPanel(
-        names=tuple(names),
+        names=names,
         values=raw[keep] / 100.0,
         dates=np.asarray(dates, dtype=np.int64)[keep],
-        dropped_rows=dropped,
+        dropped_rows=int((~keep).sum()),
     )
 
 
@@ -215,32 +235,12 @@ def _load_simple_csv(path) -> ReturnPanel:
         pass  # a name that is no number: the first line is the header
     else:
         raise DataError(f"line {head}: a header row is required, found only numbers")
-
-    dates: list[int] = []
-    rows: list[list[float]] = []
-    for i, line in lines[1:]:  # i is the physical line number, blank lines counted
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise DataError(
-                f"line {i}: expected {len(header)} fields, found {len(parts)}"
-            )
-        if has_dates:
-            date = parts[0].strip()
-            if not _DATE_RE.match(date):
-                raise DataError(f"line {i}: bad date {date!r}, expected YYYYMMDD")
-            dates.append(int(date))
-            parts = parts[1:]
-        try:  # float() strips the cell itself; _parse_float only names a bad one
-            row = [float(c) for c in parts]
-        except ValueError:
-            row = None
-        if row is None or not math.isfinite(sum(row)):
-            row = [_parse_float(c, i) for c in parts]
-        rows.append(row)
+    names = _unique(names, head)
+    rows, dates = _parse_rows(lines[1:], len(header), has_dates)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return ReturnPanel(
-        names=tuple(names),
+        names=names,
         values=np.asarray(rows, dtype=float),
         dates=np.asarray(dates, dtype=np.int64) if has_dates else None,
     )
@@ -351,8 +351,8 @@ class RollingConfig:
             )
         if self.learn < 2 or self.test < 1:
             raise ValueError("need learn >= 2 and test >= 1")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie inside (0, 1), got {self.alpha}")
+        if self.alpha is not None:
+            _check_level(self.alpha, name="alpha")
 
     @property
     def window(self) -> int:
@@ -396,7 +396,7 @@ def _graded(
             return _graded(x.values, learn, test, normalize, *levels)
         except ValueError as exc:
             raise ValueError(f"{x.label}: {exc}") from None
-    arr = _as_sample(x)
+    arr = _finite_vector(x, "sample")
     if arr.size != learn + test:
         raise ValueError(
             f"sample has {arr.size} observations, config needs {learn + test}"

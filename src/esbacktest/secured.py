@@ -23,10 +23,7 @@ class SecuredSample:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float).ravel()
-        if arr.size == 0:
-            raise ValueError("secured sample must not be empty")
-        _require_finite(arr, "secured sample")
+        arr = _finite_vector(self.values, "secured sample")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -42,19 +39,27 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has non-finite value {arr[i]} at index {i}")
 
 
-def _pair(pnl, reserve) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(pnl, dtype=float).ravel()
-    r = np.asarray(reserve, dtype=float).ravel()
-    if p.size != r.size:
-        raise ValueError(f"length mismatch: pnl has {p.size}, reserve has {r.size}")
-    if p.size == 0:
-        raise ValueError("inputs must not be empty")
-    return p, r
+def _finite_vector(x, name: str) -> np.ndarray:
+    """``x`` as a flat float array that is neither empty nor non-finite."""
+    arr = np.asarray(x, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    _require_finite(arr, name)
+    return arr
+
+
+def _same_length(**named) -> list[np.ndarray]:
+    """Each named input as a flat float array; their lengths must agree."""
+    arrays = [np.asarray(x, dtype=float).ravel() for x in named.values()]
+    if len({arr.size for arr in arrays}) > 1:
+        sizes = ", ".join(f"{k} has {arr.size}" for k, arr in zip(named, arrays))
+        raise ValueError(f"length mismatch: {sizes}")
+    return arrays
 
 
 def build_secured(pnl, reserve) -> SecuredSample:
     """Componentwise sum y_i = pnl_i + reserve_i."""
-    p, r = _pair(pnl, reserve)
+    p, r = _same_length(pnl=pnl, reserve=reserve)
     with np.errstate(over="ignore"):  # an overflowing sum fails the finite check
         return SecuredSample(p + r, normalized=False)
 
@@ -66,7 +71,7 @@ def build_normalized(pnl, reserve) -> SecuredSample:
     meaningful scale, and silently dropping such days would bias the sample
     length, so the offending index is reported instead.
     """
-    p, r = _pair(pnl, reserve)
+    p, r = _same_length(pnl=pnl, reserve=reserve)
     # an infinite reserve would map its day to exactly 1 and hide the fault
     _require_finite(r, "reserve")
     bad = np.flatnonzero(r <= 0)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json, special
-from .estimators import true_risk
+from .estimators import _check_level, true_risk
 from .parallel import parallel_map
 
 __all__ = [
@@ -360,8 +360,7 @@ class McConfig:
         if self.runs < 1:
             raise ValueError(f"need runs >= 1, got {self.runs}")
         for a in (self.alpha_var, self.alpha_es):
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"levels must lie inside (0, 1), got {a}")
+            _check_level(a)
         RngStream(self.seed)  # reuse seed validation
 
 

@@ -232,8 +232,15 @@ def test_z_stat_rejects_bad_inputs():
         z_stat([1.0, 2.0], [1.0], [1.0], 0.5)
     with pytest.raises(ValueError):
         z_stat([1.0], [1.0], [1.0], 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^realized must not be empty$"):
         z_stat([], [], [], 0.5)
+    # each message names the inputs it is about
+    mismatch = "^length mismatch: realized has 2, var_reserve has 1, es_reserve has 2$"
+    with pytest.raises(ValueError, match=mismatch):
+        z_stat([1.0, 2.0], [1.0], [1.0, 1.0], 0.5)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ValueError, match=r"^level must lie strictly inside \(0, 1\)"):
+            z_stat([1.0], [1.0], [1.0], alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,23 @@ def test_backtest_non_finite_cell_exits_2(tmp_path, capsys, cell):
     assert f"data error: line 125: cell {cell!r} is not a finite number" in err
 
 
+@pytest.mark.parametrize(
+    "fmt, header, line", [("simple_csv", "a,b,a", 1), ("ff_daily", "Returns\n,a,b,a", 2)]
+)
+def test_backtest_repeated_column_name_exits_2(tmp_path, capsys, fmt, header, line):
+    rng = np.random.default_rng(63)
+    rows = [",".join(f"{v:.6f}" for v in r) for r in rng.standard_normal((500, 3))]
+    if fmt == "ff_daily":
+        rows = [f"{20000101 + k}," + r for k, r in enumerate(rows)]
+    path = tmp_path / "repeated.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    argv = ["backtest", "--input", str(path), "--format", fmt, "--estimator", "var-hist"]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: line {line}: column name 'a' is repeated" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_backtest_short_panel_exits_3(tmp_path, capsys):
     path = tmp_path / "short.csv"
     rng = np.random.default_rng(61)

@@ -82,10 +82,15 @@ def test_quantile_strictly_increasing():
         assert np.all(np.diff(q) > 0)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, math.nan])
 def test_quantile_rejects_levels_outside_open_unit_interval(p):
     with pytest.raises(ValueError):
         Normal().quantile(p)
+    for d in (StudentT(3.0), SkewT(5.0, 0.8)):
+        with pytest.raises(ValueError):
+            d.quantile(p)
+        with pytest.raises(ValueError):
+            d.quantile([0.1, p])
 
 
 # ---------------------------------------------------------------------------

@@ -147,13 +147,20 @@ def test_simple_csv_requires_a_header_row(tmp_path):
     assert load_returns(mixed, "simple_csv").names == ("x", "2")
 
 
-def test_simple_csv_values_are_the_float_of_each_cell(tmp_path):
+@pytest.mark.parametrize("fmt", ["simple_csv", "ff_daily"])
+def test_simple_csv_values_are_the_float_of_each_cell(tmp_path, fmt):
     cells = [[" 0.01", "-0.0 ", "1e-3"], ["+.5", "1_000", "\t-2.5e-7"],
              ["1e308", "1e308", "-1e308"]]  # a row whose sum overflows loads
+    if fmt == "ff_daily":  # a date leads each row, and the cells are percent
+        lines = [",a,b,c"] + [f"2020010{k}," + ",".join(r) for k, r in enumerate(cells, 1)]
+        scale = 100.0
+    else:
+        lines = ["a,b,c"] + [",".join(r) for r in cells]
+        scale = 1.0
     path = tmp_path / "cells.csv"
-    path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in cells))
-    values = load_returns(path, "simple_csv").values
-    expected = np.array([[float(c.strip()) for c in r] for r in cells])
+    path.write_text("\n".join(lines) + "\n")
+    values = load_returns(path, fmt).values
+    expected = np.array([[float(c.strip()) / scale for c in r] for r in cells])
     assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
 
@@ -177,23 +184,65 @@ def test_simple_csv_names_the_first_bad_cell(tmp_path, text, message):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "fmt, text, message",
     [
-        ("x\n\n0.01\n\n0.02\nzzz\n", "line 6: cannot parse 'zzz' as a number"),
-        ("date,a\n\n20200101,0.01\n\n2020-01-02,0.02\n",
+        ("simple_csv", "x\n\n0.01\n\n0.02\nzzz\n", "line 6: cannot parse 'zzz' as a number"),
+        ("simple_csv", "date,a\n\n20200101,0.01\n\n2020-01-02,0.02\n",
          "line 5: bad date '2020-01-02', expected YYYYMMDD"),
-        ("\n \n1.5,2.5\n0.01,0.02\n", "line 3: a header row is required"),
-        ("x,y\n \n0.01,0.02\n\n0.03\n", "line 5: expected 2 fields, found 1"),
-        ("x,y\r\n\r\n0.01,inf\r\n", "line 3: cell 'inf' is not a finite number"),
+        ("simple_csv", "\n \n1.5,2.5\n0.01,0.02\n", "line 3: a header row is required"),
+        ("simple_csv", "x,y\n \n0.01,0.02\n\n0.03\n", "line 5: expected 2 fields, found 1"),
+        ("simple_csv", "x,y\r\n\r\n0.01,inf\r\n", "line 3: cell 'inf' is not a finite number"),
+        ("ff_daily", "Returns\n\n,A,B\n20200101,1.0,2.0\n20200102,1.0, zzz\n",
+         "line 5: cannot parse 'zzz' as a number"),
+        ("ff_daily", "Returns\n\n,A,B\n20200101,1.0,2.0\n20200102,1.0\n",
+         "line 5: expected 3 fields, found 2"),
+        ("ff_daily", "Returns\r\n\r\n,A\r\n20200101,-inf\r\n",
+         "line 4: cell '-inf' is not a finite number"),
     ],
-    ids=["cell", "date", "header", "ragged", "crlf"],
+    ids=["cell", "date", "header", "ragged", "crlf", "ff-cell", "ff-ragged", "ff-crlf"],
 )
-def test_simple_csv_numbers_physical_lines(tmp_path, text, message):
+def test_simple_csv_numbers_physical_lines(tmp_path, fmt, text, message):
     # blank lines are skipped, but still counted
     path = tmp_path / "gappy.csv"
     path.write_bytes(text.encode())
     with pytest.raises(DataError) as exc:
-        load_returns(path, "simple_csv")
+        load_returns(path, fmt)
+    assert str(exc.value).startswith(message)
+
+
+def test_simple_csv_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffdate,a\n20200101,0.01\n20200102,0.02\n".encode())
+    panel = load_returns(path, "simple_csv")
+    assert panel.names == ("a",)
+    assert np.array_equal(panel.dates, [20200101, 20200102])
+    assert np.array_equal(panel.values, [[0.01], [0.02]])
+
+
+def test_ff_daily_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    text = "\ufeff20200101,1.0,2.0\n20200102,0.5,0.5\n20200103,-1.0,0.0\n"
+    path.write_bytes(text.encode())
+    panel = load_returns(path, "ff_daily")
+    assert panel.names == ("col1", "col2")
+    assert np.array_equal(panel.dates, [20200101, 20200102, 20200103])
+    assert np.array_equal(panel.values, [[0.01, 0.02], [0.005, 0.005], [-0.01, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("simple_csv", "a,a\n0.01,0.02\n", "line 1: column name 'a' is repeated"),
+        ("simple_csv", "\ndate,b,a,b\n20200101,1,2,3\n", "line 2: column name 'b'"),
+        ("ff_daily", "Returns\n,A,A\n20200101,1.0,2.0\n", "line 2: column name 'A'"),
+        ("ff_daily", ",col2,\n20200101,1.0,2.0\n", "line 1: column name 'col2'"),
+    ],
+)
+def test_repeated_column_name_is_a_data_error(tmp_path, fmt, text, message):
+    path = tmp_path / "repeated.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as exc:
+        load_returns(path, fmt)
     assert str(exc.value).startswith(message)
 
 
@@ -435,6 +484,9 @@ def test_rolling_rejects_wrong_length_and_bad_config():
         RollingConfig(estimator="var-hist")
     with pytest.raises(ValueError, match="alpha"):
         RollingConfig(estimator="var_hist", alpha=1.5)
+    for alpha in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^alpha must lie strictly inside \(0, 1\)"):
+            RollingConfig(estimator="var_hist", alpha=alpha)
 
 
 def test_rolling_default_levels_follow_the_estimator_family():

@@ -31,11 +31,14 @@ def test_build_normalized_hand_examples():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="length mismatch"):
         build_secured([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^length mismatch: pnl has 1, reserve has 2$"):
+        build_normalized([1.0], [1.0, 2.0])
 
 
 def test_empty_inputs_rejected():
-    with pytest.raises(ValueError):
-        build_secured([], [])
+    for build in (build_secured, build_normalized):
+        with pytest.raises(ValueError, match="^secured sample must not be empty$"):
+            build([], [])
 
 
 def test_nonpositive_reserve_names_offending_index():

@@ -523,6 +523,10 @@ def test_mc_config_validation():
         McConfig(dist=Normal(), seed=1, alpha_var=1.5)
     with pytest.raises(ValueError):
         mc_null(McConfig(dist=Normal(), seed=1, runs=10), workers=0)
+    for level in ("alpha_var", "alpha_es"):
+        for value in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"^level must lie strictly inside"):
+                McConfig(dist=Normal(), seed=1, **{level: value})
 
 
 def test_null_distribution_invariants_and_csv(tmp_path):
