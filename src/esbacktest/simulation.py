@@ -4,10 +4,10 @@
 statistics: each run draws an n-day sample, secures it with the analytic
 reserve for the requested level, and tallies the resulting counts. Runs are
 cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
-innovations from stream (seed, b) and tallies its rows with one (rows, n)
-sort and cumsum. Workers receive contiguous block ranges and integer counts
-add exactly, so the aggregate is reproducible and identical under any
-worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
+innovations from stream (seed, b), and ``_mc_block`` counts exceptions on the
+draws and worst-case sums on a partial sort of each row. Workers receive
+contiguous chunks of blocks and integer counts add exactly, so the aggregate
+is identical under any worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
 
 The GARCH recursion ``_garch_paths`` steps once per day across all rows it
 is given: a Monte Carlo block, the picks of one fit, or one path.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +48,8 @@ _MAXFEV = 2000
 # runs and this many draws per block
 _BLOCK_ROWS = 512
 _BLOCK_CELLS = 2**18
+# a worst-case-sum count above this falls back to a full sort of its row
+_G_PREFIX = 48
 
 
 @dataclass(frozen=True)
@@ -431,42 +434,47 @@ def _block_rows(cfg: McConfig) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // _steps(cfg)))
 
 
-def _secured_block(
-    cfg: McConfig, addons: tuple[float, float], rows: int, stream: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block's (rows, n) samples secured at the VAR and the ES reserve."""
-    steps = _steps(cfg)
+def _g_counts(y: np.ndarray, shift: float) -> np.ndarray:
+    """Per-row worst-case-sum counts of ``y + shift``, identical to a full sort.
+
+    sort(y) + shift equals sort(y + shift), as rounding is monotone, and the
+    negative partial sums of a sorted row form a prefix. So a row sorts only
+    its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
+    """
+    if y.shape[1] <= _G_PREFIX + 1:
+        return _negative_sums(y, shift)
+    counts = _negative_sums(np.partition(y, _G_PREFIX, 1)[:, : _G_PREFIX + 1], shift)
+    longer = counts > _G_PREFIX
+    if longer.any():
+        counts[longer] = _negative_sums(y[longer], shift)
+    return counts
+
+
+def _negative_sums(y: np.ndarray, shift: float) -> np.ndarray:
+    """Per-row count of negative partial sums of ``sort(y) + shift``."""
+    return (np.cumsum(np.sort(y, 1) + shift, 1) < 0).sum(1)
+
+
+def _mc_block(cfg: McConfig, addons: tuple[float, float], b: int):
+    """Counts over 0..n of the exception and worst-case-sum counts of block b."""
+    rows = _block_rows(cfg)
+    m, steps = min(rows, cfg.runs - b * rows), _steps(cfg)
+    stream = RngStream(cfg.seed, b)
     var_add, es_add = addons
+    # x + var_add < 0 exactly when x < -var_add: a rounded sum is negative
+    # exactly when the exact sum is, and negation is exact
     if isinstance(cfg.dist, GarchSpec):
         # the per-day reserve is conditional: sigma_t scales the unit risk
-        z = _innovations(cfg.dist, rows * steps, stream).reshape(rows, steps)
-        x, sigma = _garch_paths(cfg.dist, z)
-        x, sigma = x[:, GARCH_BURN_IN:], sigma[:, GARCH_BURN_IN:]
+        z = _innovations(cfg.dist, m * steps, stream).reshape(m, steps)
+        x, sigma = (a[:, GARCH_BURN_IN:] for a in _garch_paths(cfg.dist, z))
         eps = x - cfg.dist.mu
-        return eps + sigma * var_add, eps + sigma * es_add
-    x = cfg.dist.sample(rows * steps, stream).reshape(rows, steps)
-    return x + var_add, x + es_add
-
-
-def _tally(y_var: np.ndarray, y_es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counts over 0..n of the per-row exception and worst-case-sum counts."""
-    size = y_var.shape[1] + 1
-    counts_t = np.bincount((y_var < 0).sum(1), minlength=size)
-    counts_g = np.bincount((np.cumsum(np.sort(y_es, 1), 1) < 0).sum(1), minlength=size)
-    return counts_t, counts_g
-
-
-def _mc_blocks(task) -> tuple[np.ndarray, np.ndarray]:
-    cfg, addons, lo, hi = task
-    rows = _block_rows(cfg)
-    counts_t = np.zeros(cfg.n + 1, dtype=np.int64)
-    counts_g = np.zeros(cfg.n + 1, dtype=np.int64)
-    for b in range(lo, hi):
-        m = min(rows, cfg.runs - b * rows)
-        ct, cg = _tally(*_secured_block(cfg, addons, m, RngStream(cfg.seed, b)))
-        counts_t += ct
-        counts_g += cg
-    return counts_t, counts_g
+        t = (eps < -(sigma * var_add)).sum(1)
+        g = _g_counts(eps + sigma * es_add, 0.0)
+    else:
+        x = cfg.dist.sample(m * steps, stream).reshape(m, steps)
+        t = (x < -var_add).sum(1)
+        g = _g_counts(x, es_add)
+    return np.bincount(t, minlength=cfg.n + 1), np.bincount(g, minlength=cfg.n + 1)
 
 
 def mc_null(
@@ -484,11 +492,8 @@ def mc_null(
         raise ValueError(f"need workers >= 1, got {workers}")
     addons = _addons(cfg)
     blocks = -(-cfg.runs // _block_rows(cfg))
-    edges = np.linspace(0, blocks, min(workers, blocks) + 1, dtype=int)
-    tasks = [(cfg, addons, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-    parts = parallel_map(_mc_blocks, tasks, workers)
-    counts_t = sum(ct for ct, _ in parts)
-    counts_g = sum(cg for _, cg in parts)
+    parts = parallel_map(partial(_mc_block, cfg, addons), range(blocks), workers)
+    counts_t, counts_g = map(sum, zip(*parts))
     return (
         NullDistribution("VAR", counts_t, cfg.runs, cfg.seed),
         NullDistribution("ES", counts_g, cfg.runs, cfg.seed),
@@ -496,12 +501,7 @@ def mc_null(
 
 
 def fit_and_simulate(
-    x,
-    model: str,
-    picks: int,
-    seed: int,
-    base_stream_id: int,
-    length: Optional[int] = None,
+    x, model: str, picks: int, seed: int, base_stream_id: int
 ) -> tuple[dict, list[np.ndarray]]:
     """Fit one model to a sample and draw independent simulated picks.
 
@@ -511,19 +511,16 @@ def fit_and_simulate(
     x = np.asarray(x, dtype=float).ravel()
     if picks < 1:
         raise ValueError(f"need picks >= 1, got {picks}")
-    length = x.size if length is None else length
-    if length < 1:
-        raise ValueError(f"need length >= 1, got {length}")
     streams = [RngStream(seed, base_stream_id + p) for p in range(picks)]
     if model in ("normal", "skew_t"):
         fitted = fit_iid(x, model)
         params = {"model": model, **dist_to_json(fitted)}
-        sims = [np.asarray(fitted.sample(length, s)) for s in streams]
+        sims = [np.asarray(fitted.sample(x.size, s)) for s in streams]
     elif model in ("garch_normal", "garch_skew_t"):
         innovation = "normal" if model == "garch_normal" else "skew_t"
         fitted = garch_fit(x, innovation)
         params = {"model": model, **garch_to_json(fitted)}
-        z = np.stack([_innovations(fitted, GARCH_BURN_IN + length, s) for s in streams])
+        z = np.stack([_innovations(fitted, GARCH_BURN_IN + x.size, s) for s in streams])
         sims = list(_garch_paths(fitted, z)[0][:, GARCH_BURN_IN:])
     else:
         raise ValueError(f"unknown model {model!r}")

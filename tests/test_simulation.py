@@ -1,8 +1,10 @@
 """Monte Carlo engine, GARCH simulation/fitting, and i.i.d. fitting."""
 
+import itertools
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +25,9 @@ from esbacktest.simulation import (
     _garch_nll,
     _garch_paths,
     _innovations,
+    _mc_block,
     _skewt_nll,
-    _tally,
+    _steps,
     _unit_law,
     fit_and_simulate,
     fit_iid,
@@ -409,15 +412,78 @@ def _tally_oracle(y_var, y_es):
     return counts_t, counts_g
 
 
+def _secured_block(cfg, addons, rows, stream):
+    """One block's (rows, n) samples secured at the VAR and the ES reserve."""
+    steps = _steps(cfg)
+    var_add, es_add = addons
+    if isinstance(cfg.dist, GarchSpec):
+        # the per-day reserve is conditional: sigma_t scales the unit risk
+        z = _innovations(cfg.dist, rows * steps, stream).reshape(rows, steps)
+        x, sigma = _garch_paths(cfg.dist, z)
+        x, sigma = x[:, GARCH_BURN_IN:], sigma[:, GARCH_BURN_IN:]
+        eps = x - cfg.dist.mu
+        return eps + sigma * var_add, eps + sigma * es_add
+    x = cfg.dist.sample(rows * steps, stream).reshape(rows, steps)
+    return x + var_add, x + es_add
+
+
+def _tally(y_var, y_es):
+    """Counts over 0..n of the per-row exception and worst-case-sum counts."""
+    size = y_var.shape[1] + 1
+    counts_t = np.bincount((y_var < 0).sum(1), minlength=size)
+    counts_g = np.bincount((np.cumsum(np.sort(y_es, 1), 1) < 0).sum(1), minlength=size)
+    return counts_t, counts_g
+
+
+class _SmallIntegers:
+    """Draws uniform on -3..3: tied values and partial sums of exactly zero."""
+
+    def sample(self, n, stream):
+        return stream.generator().integers(-3, 4, size=n).astype(float)
+
+
 def test_block_tally_equals_per_run_oracle_with_ties():
-    rng = np.random.default_rng(83)
-    for m, n in ((1, 1), (7, 3), (300, 50), (512, 250)):
-        # small integers: many tied entries and exactly zero partial sums
-        y_var = rng.integers(-3, 4, size=(m, n)).astype(float)
-        y_es = rng.integers(-3, 4, size=(m, n)).astype(float)
-        for got, expect in zip(_tally(y_var, y_es), _tally_oracle(y_var, y_es)):
-            assert got.shape == (n + 1,)
-            assert np.array_equal(got, expect)
+    beyond_prefix = 0
+    for n, runs in ((1, 1), (3, 7), (50, 300), (250, 700)):
+        cfg = McConfig(dist=_SmallIntegers(), seed=83, n=n, runs=runs)
+        rows = _block_rows(cfg)
+        # reserves of 0 and 1 put draws exactly on x == -var_add
+        for reserve, b in itertools.product((0.0, 1.0, 0.5), range(-(-runs // rows))):
+            addons = (reserve, reserve)
+            m = min(rows, runs - b * rows)
+            got = _mc_block(cfg, addons, b)
+            expect = _tally_oracle(*_secured_block(cfg, addons, m, RngStream(cfg.seed, b)))
+            for counts, want in zip(got, expect):
+                assert counts.shape == (n + 1,)
+                assert np.array_equal(counts, want)
+            beyond_prefix += int(expect[1][simulation._G_PREFIX + 1 :].sum())
+    # rows whose worst-case-sum count passes the sorted prefix take the full sort
+    assert beyond_prefix > 0
+
+
+BLOCK_GRID_LAWS = [
+    Normal(),
+    StudentT(3.0),
+    SkewT(5.0, 0.8),
+    Normal(0.3, 2.0),
+    GarchSpec(mu=1e-4, omega=1e-5, a1=0.08, b1=0.90),
+    GarchSpec(mu=-2e-4, omega=3e-6, a1=0.12, b1=0.85, innovation="skew_t", nu=5.0, xi=0.8),
+]
+
+
+@pytest.mark.parametrize("levels", [(0.01, 0.025), (0.3, 0.6), (0.05, 0.9)])
+@pytest.mark.parametrize(
+    "dist", BLOCK_GRID_LAWS, ids=["normal", "t3", "skewt", "normal-loc-scale", "garch", "garch-skewt"]
+)
+def test_block_kernel_equals_secured_block_tally(dist, levels):
+    for n in (1, 2, 5, 50, 250):
+        cfg = McConfig(dist=dist, seed=86, n=n, runs=1, alpha_var=levels[0], alpha_es=levels[1])
+        # block 1 of rows + 37 runs: a partial block on its own stream
+        cfg = replace(cfg, runs=_block_rows(cfg) + 37)
+        addons = _addons(cfg)
+        expect = _tally(*_secured_block(cfg, addons, 37, RngStream(cfg.seed, 1)))
+        for counts, want in zip(_mc_block(cfg, addons, 1), expect):
+            assert np.array_equal(counts, want)
 
 
 def test_block_rows_follow_the_stream_contract():
