@@ -25,6 +25,8 @@ from .estimators import _check_level, es_empirical, var_empirical
 from .secured import SecuredSample, _finite_vector, _same_length
 
 __all__ = [
+    "CALIBRATION",
+    "CalibrationPoint",
     "ZONES",
     "ZoneThresholds",
     "VAR_THRESHOLDS",
@@ -74,6 +76,16 @@ class ZoneThresholds:
             )
 
 
+class CalibrationPoint(NamedTuple):
+    """Test window length and reserve levels at which zone thresholds hold."""
+
+    n: int
+    alpha_var: float
+    alpha_es: float
+
+
+# Where all three threshold pairs below are calibrated; every default reads it.
+CALIBRATION = CalibrationPoint(n=250, alpha_var=0.01, alpha_es=0.025)
 # Nominal exception count: 0-4 green, 5-9 yellow, 10+ red.
 VAR_THRESHOLDS = ZoneThresholds("VAR", 5, 10)
 # Nominal worst-case-sum count: 0-11 green, 12-24 yellow, 25+ red.
@@ -114,12 +126,18 @@ def g_stat(y) -> StatResult:
     has a negative sum. Partial sums that overflow raise ``ValueError``.
     """
     arr = _values(y)
-    with np.errstate(over="ignore"):
-        sums = np.cumsum(np.sort(arr))
+    nominal = int(_negative_sums(arr))
+    return StatResult(nominal / arr.size, nominal, arr.size)
+
+
+def _negative_sums(y: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Count of negative partial sums of ``sort(y) + shift`` along the last axis;
+    a partial sum it reads that is not finite raises ``ValueError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(np.sort(y, -1) + shift, -1)
     if not np.isfinite(sums).all():
         raise ValueError("partial sums of the sorted sample overflow")
-    nominal = int((sums < 0).sum())
-    return StatResult(nominal / arr.size, nominal, arr.size)
+    return (sums < 0).sum(-1)
 
 
 def _dual(y, estimator) -> float:

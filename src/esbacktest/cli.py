@@ -29,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from . import harness, simulation
-from .backtest import RESULT_FIELDS, ZONES
-from .dist import dist_from_json, preset
-from .harness import DataError, RollingConfig
+from .backtest import CALIBRATION, ES_THRESHOLDS, RESULT_FIELDS, VAR_THRESHOLDS, ZONES
+from .dist import PRESETS, dist_from_json, preset
+from .harness import LEARN, DataError, RollingConfig
 from .parallel import parallel_map
 from .simulation import McConfig, garch_from_json
 
@@ -39,6 +39,7 @@ __all__ = ["main", "build_parser"]
 
 _ENV_WORKERS = "ESBACKTEST_WORKERS"
 _ESTIMATOR_CHOICES = tuple(e.replace("_", "-") for e in harness.ESTIMATORS)
+_MODEL_CHOICES = tuple(m.replace("_", "-") for m in simulation.MODELS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,22 +49,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"argument error: {message}")
 
 
-def _default_workers() -> int:
-    return int(os.environ.get(_ENV_WORKERS, "1"))
-
-
-def _add_panel_args(p: argparse.ArgumentParser) -> None:
+def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="path to the return panel")
     p.add_argument(
         "--format",
-        choices=("ff_daily", "simple_csv"),
+        choices=harness.FORMATS,
         default="simple_csv",
         help="input layout (ff_daily converts percent rows with YYYYMMDD dates)",
     )
     p.add_argument("--start", type=int, default=None, help="first date, YYYYMMDD")
     p.add_argument("--end", type=int, default=None, help="last date, YYYYMMDD")
-    p.add_argument("--learn", type=int, default=250, help="estimation window length")
-    p.add_argument("--test", type=int, default=250, help="backtest window length")
+
+
+def _add_panel_args(p: argparse.ArgumentParser) -> None:
+    _add_input_args(p)
+    p.add_argument("--learn", type=int, default=LEARN, help="estimation window length")
+    p.add_argument("--test", type=int, default=CALIBRATION.n, help="backtest window length")
     p.add_argument(
         "--normalize",
         action="store_true",
@@ -81,22 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None, help="estimation level")
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--heatmap-out", default=None, help="heatmap CSV path")
-    p.add_argument("--workers", type=int, default=_default_workers())
 
     p = sub.add_parser("mc", help="Monte Carlo null distributions")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--dist", choices=("normal", "t3", "t5", "t10", "t15"), help="preset law"
-    )
+    group.add_argument("--dist", choices=tuple(PRESETS), help="preset law")
     group.add_argument("--dist-json", help="distribution as a JSON object")
     group.add_argument("--garch-json", help="GARCH(1,1) spec as a JSON object")
-    p.add_argument("--runs", type=int, default=50_000)
-    p.add_argument("--n", type=int, default=250, help="observations per run")
+    p.add_argument("--runs", type=int, default=McConfig.runs)
+    p.add_argument("--n", type=int, default=CALIBRATION.n, help="observations per run")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alpha-var", type=float, default=0.01)
-    p.add_argument("--alpha-es", type=float, default=0.025)
+    p.add_argument("--alpha-var", type=float, default=CALIBRATION.alpha_var)
+    p.add_argument("--alpha-es", type=float, default=CALIBRATION.alpha_es)
     p.add_argument("--out-prefix", required=True, help="prefix for output files")
-    p.add_argument("--workers", type=int, default=_default_workers())
 
     p = sub.add_parser("compare", help="VAR vs ES vs z-statistic comparison")
     _add_panel_args(p)
@@ -106,28 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
         choices=harness.FAMILIES + _ESTIMATOR_CHOICES,
         help="estimator family; single-metric choices are rejected",
     )
-    p.add_argument("--alpha-var", type=float, default=0.01)
-    p.add_argument("--alpha-es", type=float, default=0.025)
+    p.add_argument("--alpha-var", type=float, default=CALIBRATION.alpha_var)
+    p.add_argument("--alpha-es", type=float, default=CALIBRATION.alpha_es)
     p.add_argument(
         "--alpha-z", type=float, default=None, help="level for the z test reserves"
     )
     p.add_argument("--out", required=True, help="JSON report path")
-    p.add_argument("--workers", type=int, default=_default_workers())
 
     p = sub.add_parser("simulate", help="fit models per sample and simulate picks")
-    _add_panel_args(p)
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=("normal", "skew-t", "garch-normal", "garch-skew-t"),
-    )
+    _add_input_args(p)
+    p.add_argument("--model", required=True, choices=_MODEL_CHOICES)
     p.add_argument("--picks", type=int, default=8, help="simulated series per fit")
-    p.add_argument("--window", type=int, default=500, help="sample length")
+    p.add_argument("--window", type=int, default=LEARN + CALIBRATION.n, help="sample length")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="simulated panel CSV path")
     p.add_argument("--fits-out", default=None, help="fitted-parameter JSON path")
-    p.add_argument("--workers", type=int, default=_default_workers())
 
+    workers = int(os.environ.get(_ENV_WORKERS, "1"))
+    for p in sub.choices.values():
+        p.add_argument("--workers", type=int, default=workers)
     return parser
 
 
@@ -249,12 +243,9 @@ def cmd_compare(args) -> int:
     cm_es = harness.confusion(zones_var, [r.zone_es for r in results])
     cm_z = harness.confusion(zones_var, [r.zone_z for r in results])
 
-    config = {
-        "family": args.estimator,
-        "alpha_var": args.alpha_var,
-        "alpha_es": args.alpha_es,
-        "alpha_z": args.alpha_z if args.alpha_z is not None else args.alpha_es,
-    }
+    # the levels as compare_backtest resolved them: alpha_z defaults to alpha_es
+    levels = {f"alpha_{metric}": a for metric, a in results[0].alpha.items()}
+    config = {"family": args.estimator, **levels}
     summary = {
         "confusion_var_es": cm_es.to_json_dict(),
         "confusion_var_z": cm_z.to_json_dict(),
@@ -283,27 +274,18 @@ def _parse_json_arg(text: str) -> dict:
         raise ValueError(f"bad JSON argument: {exc}") from None
 
 
-_VAR_POINTS = (4, 5, 9, 10)
-_ES_POINTS = (11, 12, 24, 25)
-
-
 def cmd_mc(args) -> int:
     var_csv, es_csv, summary_path = (
         f"{args.out_prefix}{s}" for s in ("_var.csv", "_es.csv", "_summary.json")
     )
     _require_output_dirs(var_csv, es_csv, summary_path)
-    cfg = McConfig(
-        dist=_mc_dist(args),
-        seed=args.seed,
-        n=args.n,
-        runs=args.runs,
-        alpha_var=args.alpha_var,
-        alpha_es=args.alpha_es,
-    )
-    nd_var, nd_es = simulation.mc_null(cfg, workers=args.workers)
-
-    nd_var.to_csv(var_csv)
-    nd_es.to_csv(es_csv)
+    # the run parameters, in the order the summary lists them
+    params = {k: getattr(args, k) for k in ("runs", "n", "seed", "alpha_var", "alpha_es")}
+    cfg = McConfig(dist=_mc_dist(args), **params)
+    nulls = simulation.mc_null(cfg, workers=args.workers)
+    for nd, path in zip(nulls, (var_csv, es_csv)):
+        nd.to_csv(path)
+        _validate_csv(path, "nominal_value,pmf,cdf")
 
     def entry(nd, k):
         p_le = nd.prob_at_most(k)
@@ -311,26 +293,17 @@ def cmd_mc(args) -> int:
         se = float(np.sqrt(max(p_le * (1 - p_le), p_lt * (1 - p_lt)) / nd.runs))
         return {"p_at_most": p_le, "p_below": p_lt, "mc_se": se}
 
-    summary = {
-        "runs": cfg.runs,
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "alpha_var": cfg.alpha_var,
-        "alpha_es": cfg.alpha_es,
-        "var": {str(k): entry(nd_var, k) for k in _VAR_POINTS},
-        "es": {str(k): entry(nd_es, k) for k in _ES_POINTS},
-    }
+    summary = dict(params)
+    for nd, th in zip(nulls, (VAR_THRESHOLDS, ES_THRESHOLDS)):
+        # the counts on either side of each zone bound
+        points = [k for b in (th.green_upper, th.yellow_upper) for k in (b - 1, b)]
+        summary[nd.metric.lower()] = {str(k): entry(nd, k) for k in points}
     _write_json(summary_path, summary)
-    _validate_csv(var_csv, "nominal_value,pmf,cdf")
-    _validate_csv(es_csv, "nominal_value,pmf,cdf")
 
     # zone-boundary readings: counts at most k for VAR, strictly below k for ES
-    for k in _VAR_POINTS:
-        e = summary["var"][str(k)]
-        print(f"VAR cdf@{k} = {e['p_at_most']:.4f} ± {e['mc_se']:.4f}")
-    for k in _ES_POINTS:
-        e = summary["es"][str(k)]
-        print(f"ES cdf@{k} = {e['p_below']:.4f} ± {e['mc_se']:.4f}")
+    for nd, reading in zip(nulls, ("p_at_most", "p_below")):
+        for k, e in summary[nd.metric.lower()].items():
+            print(f"{nd.metric} cdf@{k} = {e[reading]:.4f} ± {e['mc_se']:.4f}")
     return 0
 
 

@@ -116,7 +116,7 @@ def es_normal(m: SampleMoments, alpha: float) -> float:
 
 def _es_true(d: DistSpec, alpha: float) -> float:
     if isinstance(d, Normal):
-        return -d.mu + d.sigma * float(Normal().pdf(Normal().quantile(alpha))) / alpha
+        return es_normal(SampleMoments(d.mu, d.sigma, 0), alpha)  # n is unused
     # two-piece t, StudentT being xi = 1: with M(a) = -t(a)(nu + a^2)/(nu - 1),
     # E[Z; Z <= q] = (c / xi^2) M(q xi) if q < 0, else E[Z] + c xi^2 M(q / xi)
     xi = getattr(d, "xi", 1.0)

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backtest import ZONES, BacktestResult, g_stat, t_stat, z_stat
+from .backtest import CALIBRATION, ZONES, BacktestResult, g_stat, t_stat, z_stat
 from .estimators import SampleMoments, _check_level, _tail_index
 from .estimators import es_normal, var_normal
 
@@ -54,6 +54,8 @@ __all__ = [
     "ConfusionMatrix",
     "ESTIMATORS",
     "FAMILIES",
+    "FORMATS",
+    "LEARN",
     "load_returns",
     "filter_dates",
     "split_samples",
@@ -67,8 +69,11 @@ __all__ = [
 ]
 
 FAMILIES = ("hist", "norm")
+# Default learning window; one sample is a learning and a test window.
+LEARN = 250
 
 _FF_SENTINELS = (-99.99, -999.0)
+_CAP_T, _CAP_G = 15, 35  # heatmap caps of the exception and worst-case-sum counts
 _DATE_RE = re.compile(r"^\d{8}$")
 
 
@@ -246,13 +251,16 @@ def _load_simple_csv(path) -> ReturnPanel:
     )
 
 
+# Input format -> loader of a panel file in that layout
+_LOADERS = {"ff_daily": _load_ff_daily, "simple_csv": _load_simple_csv}
+FORMATS = tuple(_LOADERS)
+
+
 def load_returns(path, fmt: str) -> ReturnPanel:
-    """Load a return panel from disk; ``fmt`` is 'ff_daily' or 'simple_csv'."""
-    if fmt == "ff_daily":
-        return _load_ff_daily(path)
-    if fmt == "simple_csv":
-        return _load_simple_csv(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    """Load a return panel from disk; ``fmt`` is one of ``FORMATS``."""
+    if fmt not in _LOADERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _LOADERS[fmt](path)
 
 
 def filter_dates(
@@ -278,7 +286,7 @@ def filter_dates(
     )
 
 
-def split_samples(panel: ReturnPanel, window: int = 500) -> list[Sample]:
+def split_samples(panel: ReturnPanel, window: int = LEARN + CALIBRATION.n) -> list[Sample]:
     """Disjoint consecutive windows per column, column-major, remainder dropped."""
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
@@ -334,13 +342,13 @@ ESTIMATORS = tuple(_KERNELS)
 class RollingConfig:
     """Rolling one-day-ahead backtest configuration.
 
-    ``alpha`` defaults to the conventional level of the estimator family:
-    0.01 for VAR estimators, 0.025 for ES estimators.
+    ``alpha`` defaults to the calibration level of the estimator family,
+    ``CALIBRATION.alpha_var`` or ``CALIBRATION.alpha_es``.
     """
 
     estimator: str
-    learn: int = 250
-    test: int = 250
+    learn: int = LEARN
+    test: int = CALIBRATION.n
     alpha: Optional[float] = None
     normalize: bool = False
 
@@ -362,7 +370,8 @@ class RollingConfig:
     def resolved_alpha(self) -> float:
         if self.alpha is not None:
             return self.alpha
-        return 0.01 if self.estimator.startswith("var") else 0.025
+        var = self.estimator.startswith("var")
+        return CALIBRATION.alpha_var if var else CALIBRATION.alpha_es
 
 
 def _reserve_series(
@@ -443,10 +452,10 @@ def rolling_backtest(x, cfg: RollingConfig) -> BacktestResult:
 def compare_backtest(
     x,
     family: str,
-    learn: int = 250,
-    test: int = 250,
-    alpha_var: float = 0.01,
-    alpha_es: float = 0.025,
+    learn: int = LEARN,
+    test: int = CALIBRATION.n,
+    alpha_var: float = CALIBRATION.alpha_var,
+    alpha_es: float = CALIBRATION.alpha_es,
     alpha_z: Optional[float] = None,
     normalize: bool = False,
 ) -> BacktestResult:
@@ -541,17 +550,15 @@ def confusion(results_var, results_es) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
-def heatmap_table(
-    results: Sequence[BacktestResult], cap_t: int = 15, cap_g: int = 35
-) -> list[tuple[int, int, int]]:
+def heatmap_table(results: Sequence[BacktestResult]) -> list[tuple[int, int, int]]:
     """Aggregate (capped exception count, capped worst-case count) cells.
 
-    Counts above the caps are clamped onto them (caps inclusive), so the
-    top cells read 'at least this bad'. Rows are sorted and only populated
-    cells are emitted.
+    Counts above ``_CAP_T`` and ``_CAP_G`` are clamped onto them (caps
+    inclusive), so the top cells read 'at least this bad'. Rows are sorted
+    and only populated cells are emitted.
     """
     cells = Counter(
-        (min(r.nominal_t, cap_t), min(r.nominal_g, cap_g)) for r in results
+        (min(r.nominal_t, _CAP_T), min(r.nominal_g, _CAP_G)) for r in results
     )
     return [(t, g, cells[(t, g)]) for (t, g) in sorted(cells)]
 

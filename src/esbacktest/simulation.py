@@ -23,12 +23,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .backtest import CALIBRATION, _negative_sums
 from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json, special
 from .estimators import _check_level, true_risk
 from .parallel import parallel_map
+from .secured import _finite_vector
 
 __all__ = [
     "GARCH_BURN_IN",
+    "MODELS",
     "McConfig",
     "NullDistribution",
     "GarchSpec",
@@ -78,6 +81,11 @@ class GarchSpec:
         if not self.a1 + self.b1 < 1:
             raise ValueError(
                 f"need a1 + b1 < 1 for stationarity, got {self.a1 + self.b1}"
+            )
+        if not math.isfinite(self.stationary_variance()):
+            raise ValueError(
+                "stationary variance omega / (1 - a1 - b1) is not finite at "
+                f"omega={self.omega}, a1={self.a1}, b1={self.b1}"
             )
         if self.innovation == "normal":
             if self.nu is not None or self.xi is not None:
@@ -163,6 +171,8 @@ def _garch_paths(g: GarchSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         path.append(sd)
         eps = sd * zt
         s2 = omega + a1 * eps * eps + b1 * s2
+    if not np.isfinite(path[-1]).all():  # an inf or nan variance persists
+        raise ValueError("GARCH conditional variance overflows")
     sigma = np.array(path).reshape(steps, m).T
     return g.mu + sigma * z, sigma
 
@@ -195,13 +205,15 @@ def _conditional_variance(
     return s2, e
 
 
+def _garch_params(theta) -> tuple[float, float, float, float]:
+    """(mu, omega, a1, b1) of a ``garch_fit`` parameter vector (see its docstring)."""
+    persistence, frac = float(special.expit(theta[2])), float(special.expit(theta[3]))
+    a1, b1 = persistence * frac, persistence * (1.0 - frac)
+    return float(theta[0]), math.exp(theta[1]), a1, b1
+
+
 def _garch_nll(theta: np.ndarray, x: np.ndarray, s0: float, kind: str) -> float:
-    mu = theta[0]
-    omega = math.exp(theta[1])
-    persistence = special.expit(theta[2])
-    frac = special.expit(theta[3])
-    a1 = persistence * frac
-    b1 = persistence * (1.0 - frac)
+    mu, omega, a1, b1 = _garch_params(theta)
     s2, e = _conditional_variance(x, s0, mu, omega, a1, b1)
     if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
         return 1e12
@@ -267,17 +279,10 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
     (persistence and its split both live in (0, 1) via a logistic map).
     Optimization is derivative-free simplex search from three starts.
     """
-    x = np.asarray(returns, dtype=float).ravel()
-    if x.size < 100:
-        raise ValueError(f"need at least 100 observations, got {x.size}")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
-        v = float(np.var(x, ddof=1))
-    if not 0 < v < math.inf:
-        raise ValueError(f"degenerate series: variance is {v}")
+    x, mu0, v = _fit_input(returns, 100)
     if innovation not in ("normal", "skew_t"):
         raise ValueError(f"unknown innovation kind {innovation!r}")
 
-    mu0 = float(np.mean(x))
     starts = []
     for s, f in ((0.95, 0.10), (0.90, 0.05), (0.70, 0.30)):
         theta = [
@@ -291,19 +296,9 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
         starts.append(np.array(theta))
 
     theta, nll = _multistart_minimize(_garch_nll, starts, args=(x, v, innovation))
-    persistence = float(special.expit(theta[2]))
-    frac = float(special.expit(theta[3]))
     nu, xi = _skewt_shape(theta[4:]) if innovation == "skew_t" else (None, None)
     try:
-        return GarchSpec(
-            mu=float(theta[0]),
-            omega=math.exp(theta[1]),
-            a1=persistence * frac,
-            b1=persistence * (1.0 - frac),
-            innovation=innovation,
-            nu=nu,
-            xi=xi,
-        )
+        return GarchSpec(*_garch_params(theta), innovation, nu, xi)
     except ValueError as exc:
         # expit rounds persistence to 1, or exp underflows omega to 0
         raise FitError(
@@ -311,6 +306,18 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
             best={"theta": theta.tolist(), "nll": nll},
             diagnostics={"boundary": str(exc)},
         ) from None
+
+
+def _fit_input(returns, minimum: int) -> tuple[np.ndarray, float, float]:
+    """Finite returns, at least ``minimum`` of them, their mean and sample variance."""
+    x = _finite_vector(returns, "returns")
+    if x.size < minimum:
+        raise ValueError(f"need at least {minimum} observations, got {x.size}")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
+        v = float(np.var(x, ddof=1))
+    if not 0 < v < math.inf:
+        raise ValueError(f"degenerate series: variance is {v}")
+    return x, float(np.mean(x)), v
 
 
 def _skewt_nll(theta: np.ndarray, x: np.ndarray) -> float:
@@ -325,14 +332,8 @@ def _skewt_nll(theta: np.ndarray, x: np.ndarray) -> float:
 
 def fit_iid(returns, kind: str) -> DistSpec:
     """Fit an i.i.d. model: normal by moments, skew-t by maximum likelihood."""
-    x = np.asarray(returns, dtype=float).ravel()
-    if x.size < 30:
-        raise ValueError(f"need at least 30 observations, got {x.size}")
-    with np.errstate(over="ignore", invalid="ignore"):  # as in garch_fit
-        sd = float(np.std(x, ddof=1))
-    if not 0 < sd < math.inf:
-        raise ValueError(f"degenerate series: variance is {sd * sd}")
-    mean = float(np.mean(x))
+    x, mean, v = _fit_input(returns, 30)
+    sd = math.sqrt(v)  # np.std's own square root of np.var, bit for bit
     if kind == "normal":
         return Normal(mean, sd)
     if kind == "skew_t":
@@ -352,10 +353,10 @@ class McConfig:
 
     dist: Union[DistSpec, GarchSpec]
     seed: int
-    n: int = 250
+    n: int = CALIBRATION.n
     runs: int = 50_000
-    alpha_var: float = 0.01
-    alpha_es: float = 0.025
+    alpha_var: float = CALIBRATION.alpha_var
+    alpha_es: float = CALIBRATION.alpha_es
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -440,6 +441,7 @@ def _g_counts(y: np.ndarray, shift: float) -> np.ndarray:
     sort(y) + shift equals sort(y + shift), as rounding is monotone, and the
     negative partial sums of a sorted row form a prefix. So a row sorts only
     its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
+    A partial sum it reads that overflows raises ``ValueError``, as in ``g_stat``.
     """
     if y.shape[1] <= _G_PREFIX + 1:
         return _negative_sums(y, shift)
@@ -450,11 +452,6 @@ def _g_counts(y: np.ndarray, shift: float) -> np.ndarray:
     return counts
 
 
-def _negative_sums(y: np.ndarray, shift: float) -> np.ndarray:
-    """Per-row count of negative partial sums of ``sort(y) + shift``."""
-    return (np.cumsum(np.sort(y, 1) + shift, 1) < 0).sum(1)
-
-
 def _mc_block(cfg: McConfig, addons: tuple[float, float], b: int):
     """Counts over 0..n of the exception and worst-case-sum counts of block b."""
     rows = _block_rows(cfg)
@@ -463,17 +460,18 @@ def _mc_block(cfg: McConfig, addons: tuple[float, float], b: int):
     var_add, es_add = addons
     # x + var_add < 0 exactly when x < -var_add: a rounded sum is negative
     # exactly when the exact sum is, and negation is exact
-    if isinstance(cfg.dist, GarchSpec):
-        # the per-day reserve is conditional: sigma_t scales the unit risk
-        z = _innovations(cfg.dist, m * steps, stream).reshape(m, steps)
-        x, sigma = (a[:, GARCH_BURN_IN:] for a in _garch_paths(cfg.dist, z))
-        eps = x - cfg.dist.mu
-        t = (eps < -(sigma * var_add)).sum(1)
-        g = _g_counts(eps + sigma * es_add, 0.0)
-    else:
-        x = cfg.dist.sample(m * steps, stream).reshape(m, steps)
-        t = (x < -var_add).sum(1)
-        g = _g_counts(x, es_add)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+        if isinstance(cfg.dist, GarchSpec):
+            # the per-day reserve is conditional: sigma_t scales the unit risk
+            z = _innovations(cfg.dist, m * steps, stream).reshape(m, steps)
+            x, sigma = (a[:, GARCH_BURN_IN:] for a in _garch_paths(cfg.dist, z))
+            eps = x - cfg.dist.mu
+            t = (eps < -(sigma * var_add)).sum(1)
+            g = _g_counts(eps + sigma * es_add, 0.0)
+        else:
+            x = cfg.dist.sample(m * steps, stream).reshape(m, steps)
+            t = (x < -var_add).sum(1)
+            g = _g_counts(x, es_add)
     return np.bincount(t, minlength=cfg.n + 1), np.bincount(g, minlength=cfg.n + 1)
 
 
@@ -488,8 +486,6 @@ def mc_null(
     one run per row. The result depends only on (cfg, seed), not on
     ``workers``.
     """
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
     addons = _addons(cfg)
     blocks = -(-cfg.runs // _block_rows(cfg))
     parts = parallel_map(partial(_mc_block, cfg, addons), range(blocks), workers)
@@ -498,6 +494,12 @@ def mc_null(
         NullDistribution("VAR", counts_t, cfg.runs, cfg.seed),
         NullDistribution("ES", counts_g, cfg.runs, cfg.seed),
     )
+
+
+# Model name -> (GARCH?, innovation kind): the models fit_and_simulate knows
+_MODELS = {"normal": (False, "normal"), "skew_t": (False, "skew_t"),
+           "garch_normal": (True, "normal"), "garch_skew_t": (True, "skew_t")}
+MODELS = tuple(_MODELS)
 
 
 def fit_and_simulate(
@@ -512,17 +514,17 @@ def fit_and_simulate(
     if picks < 1:
         raise ValueError(f"need picks >= 1, got {picks}")
     streams = [RngStream(seed, base_stream_id + p) for p in range(picks)]
-    if model in ("normal", "skew_t"):
-        fitted = fit_iid(x, model)
-        params = {"model": model, **dist_to_json(fitted)}
-        sims = [np.asarray(fitted.sample(x.size, s)) for s in streams]
-    elif model in ("garch_normal", "garch_skew_t"):
-        innovation = "normal" if model == "garch_normal" else "skew_t"
-        fitted = garch_fit(x, innovation)
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    garch, kind = _MODELS[model]
+    if garch:
+        fitted = garch_fit(x, kind)
         params = {"model": model, **garch_to_json(fitted)}
         z = np.stack([_innovations(fitted, GARCH_BURN_IN + x.size, s) for s in streams])
         sims = list(_garch_paths(fitted, z)[0][:, GARCH_BURN_IN:])
     else:
-        raise ValueError(f"unknown model {model!r}")
+        fitted = fit_iid(x, kind)
+        params = {"model": model, **dist_to_json(fitted)}
+        sims = [np.asarray(fitted.sample(x.size, s)) for s in streams]
     return params, sims
 

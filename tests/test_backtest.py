@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from esbacktest.backtest import (
+    CALIBRATION,
     ES_THRESHOLDS,
     VAR_THRESHOLDS,
     Z_THRESHOLDS,
@@ -21,6 +22,7 @@ from esbacktest.backtest import (
     g_stat,
     t_stat,
     z_stat,
+    _negative_sums,
 )
 from esbacktest.estimators import true_risk
 from esbacktest.dist import Normal
@@ -225,6 +227,26 @@ def test_overflowing_statistics_are_rejected_without_a_warning():
             z_stat([-1e300, 1.0], [1.0, 1.0], [1e-300, 1.0], 0.5)
         with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
             g_stat([-1e308, -1e308, 1e308])
+
+
+def test_negative_sums_counts_each_row_as_g_stat_does():
+    y = np.random.default_rng(5).standard_normal((20, 30))
+    assert _negative_sums(y, 0.5).tolist() == [g_stat(row + 0.5).nominal for row in y]
+    assert _negative_sums(y[0]) == g_stat(y[0]).nominal
+    y[3, 0] = -1e308
+    y[3, 1] = -1e308
+    with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
+        _negative_sums(y, 0.5)
+
+
+def test_calibration_point_is_where_the_var_thresholds_hold():
+    assert CALIBRATION == (250, 0.01, 0.025)
+    # the Basel rule: yellow from the first count whose binomial cdf reaches
+    # 95%, red from the first that reaches 99.99%
+    n, alpha = CALIBRATION.n, CALIBRATION.alpha_var
+    cdf = stats.binom.cdf(np.arange(n + 1), n, alpha)
+    assert int(np.argmax(cdf >= 0.95)) == VAR_THRESHOLDS.green_upper
+    assert int(np.argmax(cdf >= 0.9999)) == VAR_THRESHOLDS.yellow_upper
 
 
 def test_z_stat_rejects_bad_inputs():

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, file outputs, reproducibility."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esbacktest import cli
+from esbacktest import cli, harness, simulation
+from esbacktest.backtest import CALIBRATION, ES_THRESHOLDS, VAR_THRESHOLDS
 from esbacktest.cli import main
+from esbacktest.dist import PRESETS
 
 
 @pytest.fixture
@@ -197,8 +200,12 @@ def test_mc_command_outputs_and_determinism(tmp_path, capsys):
 
     summary = json.loads((tmp_path / "run1_summary.json").read_text())
     assert summary["runs"] == 400
-    assert set(summary["es"]) == {"11", "12", "24", "25"}
-    assert set(summary["var"]) == {"4", "5", "9", "10"}
+    assert list(summary["es"]) == ["11", "12", "24", "25"]
+    assert list(summary["var"]) == ["4", "5", "9", "10"]
+    # the points sit on either side of each zone bound
+    for key, th in (("var", VAR_THRESHOLDS), ("es", ES_THRESHOLDS)):
+        bounds = (th.green_upper, th.yellow_upper)
+        assert list(summary[key]) == [str(k) for b in bounds for k in (b - 1, b)]
 
 
 def test_mc_accepts_dist_json_and_rejects_bad_specs(tmp_path, capsys):
@@ -564,6 +571,99 @@ def test_mc_skew_t_garch_with_infinite_variance_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: skew_t variance is not finite at nu=5, xi=1e+110"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "source, runs, message",
+    [
+        # the negative partial sums overflow; ES cdf@24 used to read 0.9707
+        ('--dist-json={"kind":"normal","mu":0,"sigma":5e307}', "512",
+         "partial sums of the sorted sample overflow"),
+        # every VAR cdf used to read 1.0000
+        ('--garch-json={"mu":0,"omega":1e307,"a1":0.1,"b1":0.85}', "349",
+         "stationary variance omega / (1 - a1 - b1) is not finite at "
+         "omega=1e+307, a1=0.1, b1=0.85"),
+        # a finite stationary variance whose recursion overflows in the burn-in
+        ('--garch-json={"mu":0,"omega":5e306,"a1":0.1,"b1":0.85}', "349",
+         "GARCH conditional variance overflows"),
+        # and one whose recursion overflows inside the tested window of one run
+        ('--garch-json={"mu":0,"omega":1e305,"a1":0.1,"b1":0.85,'
+         '"innovation":"skew_t","nu":2.5,"xi":1}', "100",
+         "GARCH conditional variance overflows"),
+    ],
+    ids=["normal", "garch-spec", "garch-burn-in", "garch-window"],
+)
+def test_mc_overflow_exits_3_without_a_warning(tmp_path, capsys, source, runs, message):
+    argv = ["mc", source, "--runs", runs, "--seed", "4", "--out-prefix", str(tmp_path / "m")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_overflow_only_in_the_positive_tail_still_runs(tmp_path, capsys):
+    # the sums overflow past the negative prefix, which is all that G reads
+    argv = ["mc", '--dist-json={"kind":"normal","mu":0,"sigma":1e306}', "--runs", "512",
+            "--seed", "1", "--out-prefix", str(tmp_path / "m")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "VAR cdf@4 = 0.9023 ± 0.0181",
+        "VAR cdf@5 = 0.9648 ± 0.0131",
+        "VAR cdf@9 = 1.0000 ± 0.0000",
+        "VAR cdf@10 = 1.0000 ± 0.0000",
+        "ES cdf@11 = 0.9375 ± 0.0107",
+        "ES cdf@12 = 0.9668 ± 0.0079",
+        "ES cdf@24 = 1.0000 ± 0.0000",
+        "ES cdf@25 = 1.0000 ± 0.0000",
+    ]
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _action(command: str, flag: str) -> argparse.Action:
+    return next(a for a in _subparsers()[command]._actions if flag in a.option_strings)
+
+
+def test_cli_choices_and_defaults_are_read_from_the_library():
+    assert _action("mc", "--dist").choices == tuple(PRESETS)
+    for command in ("backtest", "compare", "simulate"):
+        assert _action(command, "--format").choices == harness.FORMATS
+    models = tuple(m.replace("_", "-") for m in simulation.MODELS)
+    assert _action("simulate", "--model").choices == models
+    assert models == ("normal", "skew-t", "garch-normal", "garch-skew-t")
+    for command in ("backtest", "compare"):
+        assert _action(command, "--learn").default == harness.LEARN
+        assert _action(command, "--test").default == CALIBRATION.n
+    assert _action("mc", "--n").default == CALIBRATION.n
+    assert _action("mc", "--runs").default == simulation.McConfig.runs == 50_000
+    for command in ("mc", "compare"):
+        assert _action(command, "--alpha-var").default == CALIBRATION.alpha_var
+        assert _action(command, "--alpha-es").default == CALIBRATION.alpha_es
+    assert _action("simulate", "--window").default == harness.LEARN + CALIBRATION.n
+
+
+def test_simulate_takes_only_the_input_flags_of_a_panel():
+    flags = [a.option_strings[0] for a in _subparsers()["simulate"]._actions
+             if a.option_strings and a.option_strings[0] != "-h"]
+    assert flags == ["--input", "--format", "--start", "--end", "--model", "--picks",
+                     "--window", "--seed", "--out", "--fits-out", "--workers"]
+
+
+@pytest.mark.parametrize("extra", [["--learn", "7"], ["--test", "3"], ["--normalize"]])
+def test_simulate_rejects_the_rolling_window_flags(tmp_path, panel_csv, capsys, extra):
+    # these were accepted and ignored: the output was byte-identical without them
+    argv = ["simulate", "--input", str(panel_csv), "--model", "normal", "--seed", "1",
+            "--out", str(tmp_path / "s.csv"), *extra]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: argument error: unrecognized arguments: {' '.join(extra)}"]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_headerless_panel_exits_2(tmp_path, capsys):

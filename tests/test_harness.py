@@ -1,12 +1,13 @@
 """Ingestion, rolling-window backtests, confusion matrices, heatmap tables."""
 
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from esbacktest.backtest import BacktestResult
+from esbacktest.backtest import CALIBRATION, BacktestResult
 from esbacktest.estimators import (
     es_empirical,
     es_normal,
@@ -16,6 +17,8 @@ from esbacktest.estimators import (
 )
 from esbacktest.harness import (
     ESTIMATORS,
+    FORMATS,
+    LEARN,
     ConfusionMatrix,
     DataError,
     ReturnPanel,
@@ -251,6 +254,16 @@ def test_unknown_format_is_a_config_error(tmp_path):
     path.write_text("x\n0.01\n")
     with pytest.raises(ValueError, match="unknown format"):
         load_returns(path, "parquet")
+
+
+def test_format_table_lists_every_format_load_returns_reads(tmp_path):
+    assert FORMATS == ("ff_daily", "simple_csv")
+    path = tmp_path / "x.csv"
+    path.write_text("date,a\n20200101,1.0\n20200102,-2.0\n")
+    # ff_daily reads percent, simple_csv decimals
+    assert [load_returns(path, f).values.ravel().tolist() for f in FORMATS] == [
+        [0.01, -0.02], [1.0, -2.0]
+    ]
 
 
 def test_filter_dates_inclusive(tmp_path):
@@ -489,6 +502,19 @@ def test_rolling_rejects_wrong_length_and_bad_config():
             RollingConfig(estimator="var_hist", alpha=alpha)
 
 
+def test_defaults_read_the_calibration_point_and_the_learning_window():
+    cfg = RollingConfig(estimator="var_hist")
+    assert (LEARN, cfg.learn, cfg.test, cfg.window) == (250, 250, 250, 500)
+    assert cfg.test == CALIBRATION.n
+    defaults = {
+        name: p.default for name, p in inspect.signature(compare_backtest).parameters.items()
+    }
+    assert (defaults["learn"], defaults["test"]) == (LEARN, CALIBRATION.n)
+    assert (defaults["alpha_var"], defaults["alpha_es"]) == CALIBRATION[1:]
+    window = inspect.signature(split_samples).parameters["window"].default
+    assert window == LEARN + CALIBRATION.n == 500
+
+
 def test_rolling_default_levels_follow_the_estimator_family():
     assert RollingConfig(estimator="var_hist").resolved_alpha == 0.01
     assert RollingConfig(estimator="es_norm").resolved_alpha == 0.025
@@ -630,6 +656,13 @@ def test_heatmap_caps_and_aggregation():
     rows = heatmap_table([_result(22, 40), _result(3, 35), _result(3, 35)])
     assert rows == [(3, 35, 2), (15, 35, 1)]
     assert heatmap_table([]) == []
+
+
+def test_heatmap_caps_are_module_constants():
+    # the caps were parameters that no caller set
+    assert list(inspect.signature(heatmap_table).parameters) == ["results"]
+    with pytest.raises(TypeError):
+        heatmap_table([_result(22, 40)], cap_t=20)
 
 
 def test_heatmap_csv_format(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from esbacktest import simulation
+from esbacktest import backtest, simulation
+from esbacktest.backtest import CALIBRATION
 from esbacktest.dist import Normal, RngStream, SkewT, StudentT
 from esbacktest.estimators import true_risk
 from esbacktest.simulation import (
@@ -212,6 +214,23 @@ def test_garch_spec_validation():
         GarchSpec(mu=0.0, omega=1e-5, a1=0.1, b1=0.5, nu=5.0)
     with pytest.raises(ValueError):
         GarchSpec(mu=0.0, omega=1e-5, a1=0.1, b1=0.5, innovation="levy")
+    # omega / (1 - a1 - b1) overflows: every path would start at sigma = inf
+    for omega in (1e307, math.inf):
+        message = f"is not finite at omega={omega}, a1=0.1, b1=0.85"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GarchSpec(mu=0.0, omega=omega, a1=0.1, b1=0.85)
+
+
+def test_garch_paths_reject_a_variance_that_overflows_without_a_warning():
+    # the stationary variance is finite, but one large draw overflows the recursion
+    g = GarchSpec(mu=0.0, omega=5e306, a1=0.1, b1=0.85)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="GARCH conditional variance overflows"):
+            garch_simulate(g, 10, RngStream(1))  # one path: Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="GARCH conditional variance overflows"):
+                _garch_paths(g, np.full((3, 20), 3.0))  # rows: numpy arrays
 
 
 @pytest.mark.parametrize(
@@ -387,6 +406,24 @@ def test_fits_reject_an_overflowing_variance_without_a_warning():
             garch_fit(x, "normal")
 
 
+def test_fits_name_the_index_of_a_nan_return():
+    # the shared input rule used to report "degenerate series: variance is nan"
+    x = np.random.default_rng(2).standard_normal(200)
+    x[17] = np.nan
+    for fit in (lambda: fit_iid(x, "normal"), lambda: fit_iid(x, "skew_t"),
+                lambda: garch_fit(x, "normal")):
+        with pytest.raises(ValueError, match="returns has non-finite value nan at index 17"):
+            fit()
+
+
+def test_fit_iid_sd_is_np_std_bit_for_bit():
+    # fit_iid takes its sd as the square root of the shared variance
+    rng = np.random.default_rng(3)
+    for k in range(200):
+        x = rng.standard_normal(30 + k) * 10.0 ** rng.uniform(-6, 6) + rng.uniform(-1, 1)
+        assert fit_iid(x, "normal").sigma == float(np.std(x, ddof=1))
+
+
 def test_fit_iid_input_validation():
     with pytest.raises(ValueError, match="at least 30"):
         fit_iid(np.arange(10, dtype=float), "normal")
@@ -484,6 +521,22 @@ def test_block_kernel_equals_secured_block_tally(dist, levels):
         expect = _tally(*_secured_block(cfg, addons, 37, RngStream(cfg.seed, 1)))
         for counts, want in zip(_mc_block(cfg, addons, 1), expect):
             assert np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("n", [40, 250])  # the full sort and the partial sort
+def test_block_overflow_is_rejected_without_a_warning(n):
+    # G is counted by g_stat's helper, with its overflow check
+    assert simulation._negative_sums is backtest._negative_sums
+    # the negative partial sums overflow to -inf; G used to read 0.9707 at 24
+    cfg = McConfig(dist=Normal(0.0, 5e307), seed=1, n=n, runs=512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
+            _mc_block(cfg, _addons(cfg), 0)
+        # sigma = 1e306 overflows only in the positive tail, which the prefix never reads
+        big = replace(cfg, dist=Normal(0.0, 1e306), n=250)
+        counts_t, counts_g = _mc_block(big, _addons(big), 0)
+    assert counts_t.sum() == counts_g.sum() == 512
 
 
 def test_block_rows_follow_the_stream_contract():
@@ -587,7 +640,8 @@ def test_mc_config_validation():
         McConfig(dist=Normal(), seed=1, runs=0)
     with pytest.raises(ValueError):
         McConfig(dist=Normal(), seed=1, alpha_var=1.5)
-    with pytest.raises(ValueError):
+    # parallel_map holds the worker check for every caller
+    with pytest.raises(ValueError, match="need workers >= 1, got 0"):
         mc_null(McConfig(dist=Normal(), seed=1, runs=10), workers=0)
     for level in ("alpha_var", "alpha_es"):
         for value in (0.0, 1.5, math.nan):
@@ -652,3 +706,11 @@ def test_fit_and_simulate_garch_emits_paths():
         fit_and_simulate(x, "arch", picks=1, seed=8, base_stream_id=0)
     with pytest.raises(ValueError, match="picks"):
         fit_and_simulate(x, "normal", picks=0, seed=8, base_stream_id=0)
+
+
+def test_model_table_and_mc_defaults():
+    # fit_and_simulate dispatches on MODELS; McConfig reads the calibration point
+    assert simulation.MODELS == ("normal", "skew_t", "garch_normal", "garch_skew_t")
+    cfg = McConfig(dist=Normal(), seed=1)
+    assert (cfg.n, cfg.alpha_var, cfg.alpha_es) == tuple(CALIBRATION) == (250, 0.01, 0.025)
+    assert cfg.runs == 50_000
