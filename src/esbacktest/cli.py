@@ -14,7 +14,9 @@ cannot vouch for what it wrote under this configuration. An output path
 that cannot be written exits with code 3 too, and a missing output
 directory does so before any work is done. Every stochastic
 subcommand requires an explicit seed and is byte-reproducible for any
-worker count.
+worker count. ``--workers`` runs ``backtest``, ``compare`` and ``mc`` on
+threads, as their numpy kernels release the GIL, and ``simulate``'s fits on
+processes.
 """
 
 from __future__ import annotations
@@ -318,7 +320,8 @@ def cmd_simulate(args) -> int:
         (s.values, model, args.picks, args.seed, i * args.picks)
         for i, s in enumerate(samples)
     ]
-    outputs = parallel_map(_simulate_task, tasks, args.workers)
+    # Nelder-Mead steps in Python and holds the GIL, so fits scale on processes only
+    outputs = parallel_map(_simulate_task, tasks, args.workers, processes=True)
 
     names, columns, fits = [], [], []
     for sample, (params, sims) in zip(samples, outputs):

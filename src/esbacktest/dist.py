@@ -125,8 +125,10 @@ class Normal:
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         _check_count(n)
-        gen = stream.generator()
-        return self.mu + self.sigma * gen.standard_normal(n)
+        z = stream.generator().standard_normal(n)
+        z *= self.sigma
+        z += self.mu
+        return z
 
     def mean(self) -> float:
         return self.mu
@@ -261,10 +263,18 @@ class SkewT:
         """
         _check_count(n)
         gen = stream.generator()
-        a = np.abs(gen.standard_t(self.nu, n))
+        z = gen.standard_t(self.nu, n)
+        np.abs(z, out=z)
         w = self.xi**2
-        z = np.where(gen.random(n) < w / (1.0 + w), self.xi * a, -a / self.xi)
-        return self.loc + self.scale * z
+        down = gen.random(n) >= w / (1.0 + w)
+        # a / -xi is -a / xi bit for bit: a quotient takes the sign of its
+        # operands and rounds its magnitude the same either way
+        negative = z / -self.xi
+        z *= self.xi
+        np.copyto(z, negative, where=down)
+        z *= self.scale
+        z += self.loc
+        return z
 
     def sample_by_quantile(self, n: int, stream: RngStream) -> np.ndarray:
         """Inverse-cdf draws: the quantile of n open uniforms, in stream order."""

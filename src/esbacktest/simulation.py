@@ -5,12 +5,15 @@ statistics: each run draws an n-day sample, secures it with the analytic
 reserve for the requested level, and tallies the resulting counts. Runs are
 cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
 innovations from stream (seed, b), and ``_mc_block`` counts exceptions on the
-draws and worst-case sums on a partial sort of each row. Workers receive
-contiguous chunks of blocks and integer counts add exactly, so the aggregate
-is identical under any worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
+draws and worst-case sums on a partial sort of each row. Worker threads
+receive contiguous chunks of blocks, since the sampling, partition and sort
+release the GIL, and integer counts add exactly, so the aggregate is
+identical under any worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
+As the threads share one address space, a block keeps its temporaries small.
 
 The GARCH recursion ``_garch_paths`` steps once per day across all rows it
-is given: a Monte Carlo block, the picks of one fit, or one path.
+is given: a Monte Carlo block, the picks of one fit, or one path. It keeps
+only the days after the burn-in.
 """
 
 from __future__ import annotations
@@ -150,12 +153,15 @@ def _innovations(g: GarchSpec, n: int, stream: RngStream) -> np.ndarray:
     return law.sample_by_quantile(n, stream)
 
 
-def _garch_paths(g: GarchSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _garch_paths(
+    g: GarchSpec, z: np.ndarray, burn_in: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Returns and conditional sd of the GARCH paths driven by the rows of z.
 
     Every row starts from the stationary variance, and the recursion steps
-    once per column across all rows. One row steps over Python floats,
-    where numpy's per-call cost would be most of the time. Each step is
+    once per column across all rows; the first ``burn_in`` days of each path
+    are stepped but not kept. One row steps over Python floats, where
+    numpy's per-call cost would be most of the time. Each step is
     elementwise IEEE arithmetic in the same order either way, so every row
     equals the one-path scalar loop bit for bit.
     """
@@ -165,16 +171,22 @@ def _garch_paths(g: GarchSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         sqrt, columns, s2 = np.sqrt, z.T, np.full(m, g.stationary_variance())
     omega, a1, b1 = g.omega, g.a1, g.b1
+    for zt in columns[:burn_in]:
+        eps = sqrt(s2) * zt
+        s2 = omega + a1 * eps * eps + b1 * s2
     path = []
-    for zt in columns:
+    for zt in columns[burn_in:]:
         sd = sqrt(s2)
         path.append(sd)
         eps = sd * zt
         s2 = omega + a1 * eps * eps + b1 * s2
     if not np.isfinite(path[-1]).all():  # an inf or nan variance persists
         raise ValueError("GARCH conditional variance overflows")
-    sigma = np.array(path).reshape(steps, m).T
-    return g.mu + sigma * z, sigma
+    sigma = np.array(path).reshape(steps - burn_in, m).T
+    del path  # before the returns are built, to lower the peak
+    returns = sigma * z[:, burn_in:]
+    returns += g.mu
+    return returns, sigma
 
 
 def garch_simulate(
@@ -189,8 +201,8 @@ def garch_simulate(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     z = _innovations(g, burn_in + n, stream)
-    returns, sigma = _garch_paths(g, z[np.newaxis])
-    return returns[0, burn_in:], sigma[0, burn_in:]
+    returns, sigma = _garch_paths(g, z[np.newaxis], burn_in)
+    return returns[0], sigma[0]
 
 
 def _conditional_variance(
@@ -464,8 +476,9 @@ def _mc_block(cfg: McConfig, addons: tuple[float, float], b: int):
         if isinstance(cfg.dist, GarchSpec):
             # the per-day reserve is conditional: sigma_t scales the unit risk
             z = _innovations(cfg.dist, m * steps, stream).reshape(m, steps)
-            x, sigma = (a[:, GARCH_BURN_IN:] for a in _garch_paths(cfg.dist, z))
-            eps = x - cfg.dist.mu
+            eps, sigma = _garch_paths(cfg.dist, z, GARCH_BURN_IN)
+            del z
+            eps -= cfg.dist.mu
             t = (eps < -(sigma * var_add)).sum(1)
             g = _g_counts(eps + sigma * es_add, 0.0)
         else:
@@ -521,7 +534,7 @@ def fit_and_simulate(
         fitted = garch_fit(x, kind)
         params = {"model": model, **garch_to_json(fitted)}
         z = np.stack([_innovations(fitted, GARCH_BURN_IN + x.size, s) for s in streams])
-        sims = list(_garch_paths(fitted, z)[0][:, GARCH_BURN_IN:])
+        sims = list(_garch_paths(fitted, z, GARCH_BURN_IN)[0])
     else:
         fitted = fit_iid(x, kind)
         params = {"model": model, **dist_to_json(fitted)}

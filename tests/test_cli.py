@@ -587,19 +587,23 @@ def test_mc_skew_t_garch_with_infinite_variance_exits_3(tmp_path, capsys):
         ('--garch-json={"mu":0,"omega":5e306,"a1":0.1,"b1":0.85}', "349",
          "GARCH conditional variance overflows"),
         # and one whose recursion overflows inside the tested window of one run
+        # (among the first 100, which a block reads first from its stream)
         ('--garch-json={"mu":0,"omega":1e305,"a1":0.1,"b1":0.85,'
-         '"innovation":"skew_t","nu":2.5,"xi":1}', "100",
+         '"innovation":"skew_t","nu":2.5,"xi":1}', "349",
          "GARCH conditional variance overflows"),
     ],
     ids=["normal", "garch-spec", "garch-burn-in", "garch-window"],
 )
 def test_mc_overflow_exits_3_without_a_warning(tmp_path, capsys, source, runs, message):
-    argv = ["mc", source, "--runs", runs, "--seed", "4", "--out-prefix", str(tmp_path / "m")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 3
-    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
-    assert list(tmp_path.iterdir()) == []
+    for workers in (1, 2, 3):
+        # runs is one block, so each worker thread draws a block of its own
+        argv = ["mc", source, "--runs", str(int(runs) * workers), "--seed", "4",
+                "--workers", str(workers), "--out-prefix", str(tmp_path / "m")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_mc_overflow_only_in_the_positive_tail_still_runs(tmp_path, capsys):

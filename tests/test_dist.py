@@ -388,13 +388,22 @@ def test_two_piece_skew_t_sampler_matches_the_cdf(nu, xi):
 def test_skew_t_draw_order_is_the_stream_contract():
     # contracts 2 and 3: n draws of |T| with standard_t, then n uniforms
     assert STREAM_CONTRACT == 3
-    d = SkewT(5.0, 0.7, loc=0.2, scale=1.5)
-    gen = RngStream(2024, 4).generator()
-    a = np.abs(gen.standard_t(5.0, 500))
-    w = 0.7**2
-    up = gen.random(500) < w / (1.0 + w)
-    expect = 0.2 + 1.5 * np.where(up, 0.7 * a, -a / 0.7)
-    assert np.array_equal(d.sample(500, RngStream(2024, 4)), expect)
+    for xi, loc, scale in ((0.7, 0.2, 1.5), (1.0, 0.0, 1.0), (1.3, -0.3, 0.01)):
+        d = SkewT(5.0, xi, loc=loc, scale=scale)
+        gen = RngStream(2024, 4).generator()
+        a = np.abs(gen.standard_t(5.0, 5000))
+        w = xi**2
+        up = gen.random(5000) < w / (1.0 + w)
+        expect = loc + scale * np.where(up, xi * a, -a / xi)
+        assert np.array_equal(d.sample(5000, RngStream(2024, 4)), expect)
+
+
+def test_normal_and_t_draws_are_the_stream_scaled_and_shifted():
+    gen = RngStream(2024, 6).generator
+    expect = 0.2 + 1.5 * gen().standard_normal(500)
+    assert np.array_equal(Normal(0.2, 1.5).sample(500, RngStream(2024, 6)), expect)
+    expect = -0.3 + 0.01 * gen().standard_t(4.0, 500)
+    assert np.array_equal(StudentT(4.0, -0.3, 0.01).sample(500, RngStream(2024, 6)), expect)
 
 
 def test_skew_t_quantile_draws_are_inverse_cdf_of_open_uniforms():

@@ -425,6 +425,15 @@ def test_overflowing_reserve_names_the_sample_and_estimator(estimator):
             rolling_backtest(_huge_sample(1e298).values, cfg)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_batch_names_the_first_of_two_failing_samples(workers):
+    samples = [Sample(name, 0, _huge_sample(1e298).values) for name in ("a", "b")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^a\[0:500\]: var_norm reserve"):
+            run_batch(samples, RollingConfig("var_norm"), workers=workers)
+
+
 def test_overflowing_partial_sums_are_rejected_without_a_warning():
     # historical reserves of a 1e307 sample stay finite, its sorted sums do not
     with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -66,13 +67,16 @@ GARCH_ORACLE_SPECS = [
 @pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
 def test_block_recursion_equals_scalar_loop_oracle(g):
     z = _innovations(g, 64 * 300, RngStream(81, 2)).reshape(64, 300)
-    returns, sigma = _garch_paths(g, z)
-    expect = [_garch_loop_oracle(g, row) for row in z]
-    assert np.array_equal(returns, np.array([r for r, _ in expect]))
-    assert np.array_equal(sigma, np.array([s for _, s in expect]))
-    one_r, one_s = _garch_paths(g, z[:1])
-    assert np.array_equal(one_r[0], expect[0][0])
-    assert np.array_equal(one_s[0], expect[0][1])
+    full = [_garch_loop_oracle(g, row) for row in z]
+    for burn_in in (0, 1, 100, 299):
+        # the oracle keeps the whole path; the kernel keeps the days after burn_in
+        expect = [(r[burn_in:], s[burn_in:]) for r, s in full]
+        returns, sigma = _garch_paths(g, z, burn_in)
+        assert np.array_equal(returns, np.array([r for r, _ in expect]))
+        assert np.array_equal(sigma, np.array([s for _, s in expect]))
+        one_r, one_s = _garch_paths(g, z[:1], burn_in)
+        assert np.array_equal(one_r[0], expect[0][0])
+        assert np.array_equal(one_s[0], expect[0][1])
 
 
 @pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
@@ -230,7 +234,7 @@ def test_garch_paths_reject_a_variance_that_overflows_without_a_warning():
             garch_simulate(g, 10, RngStream(1))  # one path: Python floats
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="GARCH conditional variance overflows"):
-                _garch_paths(g, np.full((3, 20), 3.0))  # rows: numpy arrays
+                _garch_paths(g, np.full((3, 20), 3.0), 10)  # rows: numpy arrays
 
 
 @pytest.mark.parametrize(
@@ -456,8 +460,9 @@ def _secured_block(cfg, addons, rows, stream):
     if isinstance(cfg.dist, GarchSpec):
         # the per-day reserve is conditional: sigma_t scales the unit risk
         z = _innovations(cfg.dist, rows * steps, stream).reshape(rows, steps)
-        x, sigma = _garch_paths(cfg.dist, z)
-        x, sigma = x[:, GARCH_BURN_IN:], sigma[:, GARCH_BURN_IN:]
+        paths = [_garch_loop_oracle(cfg.dist, row) for row in z]
+        x = np.array([r[GARCH_BURN_IN:] for r, _ in paths])
+        sigma = np.array([s[GARCH_BURN_IN:] for _, s in paths])
         eps = x - cfg.dist.mu
         return eps + sigma * var_add, eps + sigma * es_add
     x = cfg.dist.sample(rows * steps, stream).reshape(rows, steps)
@@ -537,6 +542,25 @@ def test_block_overflow_is_rejected_without_a_warning(n):
         big = replace(cfg, dist=Normal(0.0, 1e306), n=250)
         counts_t, counts_g = _mc_block(big, _addons(big), 0)
     assert counts_t.sum() == counts_g.sum() == 512
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Normal(), StudentT(3.0), SkewT(5.0, 0.8), GarchSpec(mu=0.0, omega=0.05, a1=0.1, b1=0.85)],
+    ids=["normal", "t3", "skewt", "garch"],
+)
+def test_block_peak_memory_is_at_most_three_times_its_draws(dist):
+    # worker threads hold one block each in a shared address space
+    cfg = McConfig(dist=dist, seed=87, n=250, runs=1024)
+    addons = _addons(cfg)
+    draw_bytes = _block_rows(cfg) * _steps(cfg) * 8
+    tracemalloc.start()
+    try:
+        _mc_block(cfg, addons, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * draw_bytes
 
 
 def test_block_rows_follow_the_stream_contract():
