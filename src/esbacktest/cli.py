@@ -16,13 +16,18 @@ directory does so before any work is done. Every stochastic
 subcommand requires an explicit seed and is byte-reproducible for any
 worker count. ``--workers`` runs ``backtest``, ``compare`` and ``mc`` on
 threads, as their numpy kernels release the GIL, and ``simulate``'s fits on
-processes.
+processes. ``simulate`` imports the scipy modules its model's fit uses
+(``scipy.optimize``, and ``scipy.signal`` for GARCH; none for ``normal``) in
+this process before its pool starts. Under the fork start method, Linux's
+default through Python 3.13, the workers inherit them; under spawn or
+forkserver each worker still imports them.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import importlib
 import json
 import os
 import sys
@@ -320,6 +325,9 @@ def cmd_simulate(args) -> int:
         (s.values, model, args.picks, args.seed, i * args.picks)
         for i, s in enumerate(samples)
     ]
+    # imported once here, the fits' scipy modules are inherited by forked workers
+    for name in simulation._fit_modules(model):
+        importlib.import_module(name)
     # Nelder-Mead steps in Python and holds the GIL, so fits scale on processes only
     outputs = parallel_map(_simulate_task, tasks, args.workers, processes=True)
 

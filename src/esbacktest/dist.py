@@ -213,12 +213,24 @@ class SkewT:
     kind = "skew_t"
 
     def __post_init__(self) -> None:
-        if not 2 < self.nu < math.inf:
-            raise ValueError(f"nu must be finite and exceed 2, got {self.nu}")
-        if not (self.xi > 0 and 0 < self.xi * self.xi < math.inf):
-            raise ValueError(f"xi must be positive with xi**2 in (0, inf), got {self.xi}")
+        self._check_shape(self.nu, self.xi)
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+
+    @staticmethod
+    def _check_shape(nu: float, xi: float) -> None:
+        """Raise ``ValueError`` unless (nu, xi) is a shape ``SkewT`` accepts."""
+        if not 2 < nu < math.inf:
+            raise ValueError(f"nu must be finite and exceed 2, got {nu}")
+        if not (xi > 0 and 0 < xi * xi < math.inf):
+            raise ValueError(f"xi must be positive with xi**2 in (0, inf), got {xi}")
+
+    @staticmethod
+    def _moments(nu: float, xi: float) -> tuple[float, float]:
+        """Mean and variance at loc 0 and scale 1 of a shape that passes ``_check_shape``."""
+        ez = _abs_t_mean(nu) * (xi - 1.0 / xi)
+        ez2 = nu / (nu - 2.0) * (xi**3 + xi**-3) / (xi + 1.0 / xi)
+        return ez, ez2 - ez**2
 
     def _core(self, x):
         z = _std(x, self.loc, self.scale)  # t log density at the two-piece argument
@@ -248,10 +260,14 @@ class SkewT:
         p = np.asarray(p, dtype=float)
         w = self.xi**2
         p0 = 1.0 / (1.0 + w)  # mass below zero
-        q = p * (1.0 + w) / 2.0  # 0 once p underflows; stdtrit(nu, 0) is +inf
-        lower = np.where(q > 0, special.stdtrit(self.nu, q), -np.inf) / self.xi
-        upper = self.xi * special.stdtrit(self.nu, (p - p0) * (1.0 + w) / (2.0 * w) + 0.5)
-        out = self.loc + self.scale * np.where(p < p0, lower, upper)
+        # each branch inverts the t cdf at its own probabilities only
+        lower, upper = p < p0, p >= p0
+        z = np.empty_like(p)
+        q = p[lower] * (1.0 + w) / 2.0  # 0 once p underflows; stdtrit(nu, 0) is +inf
+        z[lower] = np.where(q > 0, special.stdtrit(self.nu, q), -np.inf) / self.xi
+        r = (p[upper] - p0) * (1.0 + w) / (2.0 * w) + 0.5
+        z[upper] = self.xi * special.stdtrit(self.nu, r)
+        out = self.loc + self.scale * z
         return out if out.ndim else float(out)
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
@@ -283,15 +299,10 @@ class SkewT:
         return np.asarray(self.quantile(_open_uniform(gen, n)))
 
     def mean(self) -> float:
-        m1 = _abs_t_mean(self.nu)
-        return self.loc + self.scale * m1 * (self.xi - 1.0 / self.xi)
+        return self.loc + self.scale * self._moments(self.nu, self.xi)[0]
 
     def variance(self) -> float:
-        m1 = _abs_t_mean(self.nu)
-        m2 = self.nu / (self.nu - 2.0)
-        ez = m1 * (self.xi - 1.0 / self.xi)
-        ez2 = m2 * (self.xi**3 + self.xi**-3) / (self.xi + 1.0 / self.xi)
-        return self.scale**2 * (ez2 - ez**2)
+        return self.scale**2 * self._moments(self.nu, self.xi)[1]
 
 
 DistSpec = Union[Normal, StudentT, SkewT]

@@ -132,15 +132,15 @@ def _unit_law(
     """Zero-mean, unit-variance innovation law: Normal() or a rescaled SkewT."""
     if kind == "normal":
         return Normal()
-    base = SkewT(nu, xi)
+    SkewT._check_shape(nu, xi)
     try:
-        var = base.variance()
+        mean, var = SkewT._moments(nu, xi)
     except OverflowError:  # xi**3 or xi**-3 leaves the float range
         var = math.inf
     if not math.isfinite(var):
         raise ValueError(f"skew_t variance is not finite at nu={nu}, xi={xi}")
     s = math.sqrt(var)
-    return SkewT(nu, xi, loc=-base.mean() / s, scale=1.0 / s)
+    return SkewT(nu, xi, loc=-mean / s, scale=1.0 / s)
 
 
 def _innovations(g: GarchSpec, n: int, stream: RngStream) -> np.ndarray:
@@ -211,10 +211,9 @@ def _conditional_variance(
     """Variance path implied by observed returns, seeded at the sample variance s0."""
     from scipy.signal import lfilter
     e = x - mu
-    drive = omega + a1 * e[:-1] ** 2
-    rest, _state = lfilter([1.0], [1.0, -b1], drive, zi=np.array([b1 * s0]))
-    s2 = np.concatenate(([s0], rest))
-    return s2, e
+    # s2[0] = s0 and s2[t] = drive[t] + b1 * s2[t - 1]: s0 leads the drive, no state
+    drive = np.concatenate(([s0], omega + a1 * e[:-1] ** 2))
+    return lfilter([1.0], [1.0, -b1], drive), e
 
 
 def _garch_params(theta) -> tuple[float, float, float, float]:
@@ -227,7 +226,7 @@ def _garch_params(theta) -> tuple[float, float, float, float]:
 def _garch_nll(theta: np.ndarray, x: np.ndarray, s0: float, kind: str) -> float:
     mu, omega, a1, b1 = _garch_params(theta)
     s2, e = _conditional_variance(x, s0, mu, omega, a1, b1)
-    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
+    if not (s2.min() > 0 and s2.max() < math.inf):  # NaN fails too
         return 1e12
     if kind == "normal":
         ll = -0.5 * np.sum(np.log(2.0 * math.pi * s2) + e * e / s2)
@@ -513,6 +512,18 @@ def mc_null(
 _MODELS = {"normal": (False, "normal"), "skew_t": (False, "skew_t"),
            "garch_normal": (True, "normal"), "garch_skew_t": (True, "skew_t")}
 MODELS = tuple(_MODELS)
+
+
+def _fit_modules(model: str) -> tuple[str, ...]:
+    """The scipy modules a fit of ``model`` imports.
+
+    A normal fit takes moments; every likelihood fit runs Nelder-Mead, and a
+    GARCH likelihood also filters its conditional variance.
+    """
+    garch, kind = _MODELS[model]
+    if garch:
+        return ("scipy.optimize", "scipy.signal")
+    return () if kind == "normal" else ("scipy.optimize",)
 
 
 def fit_and_simulate(

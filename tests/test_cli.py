@@ -740,6 +740,50 @@ def test_hist_commands_run_with_scipy_blocked(tmp_path, panel_csv):
 
 
 @pytest.mark.parametrize(
+    "model, expect",
+    [
+        ("normal", []),
+        ("skew-t", ["scipy.optimize"]),
+        ("garch-normal", ["scipy.optimize", "scipy.signal"]),
+        ("garch-skew-t", ["scipy.optimize", "scipy.signal"]),
+    ],
+)
+def test_simulate_imports_the_fit_modules_of_its_model_before_the_pool(
+    tmp_path, panel_csv, model, expect
+):
+    # a fresh interpreter, so the module table holds only what simulate loaded;
+    # the stand-in for parallel_map records it and stops the run there
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "from esbacktest import cli\n"
+        "class Stop(Exception): pass\n"
+        "def record(*args, **kwargs):\n"
+        "    print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        "    raise Stop\n"
+        "cli.parallel_map = record\n"
+        "try:\n"
+        "    cli.main(json.loads(sys.argv[1]))\n"
+        "except Stop:\n"
+        "    pass\n"
+    )
+    argv = ["simulate", "--input", str(panel_csv), "--model", model, "--seed", "1",
+            "--workers", "2", "--out", str(tmp_path / "sim.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert {m for m in loaded if m in ("scipy.optimize", "scipy.signal")} == set(expect)
+    if not expect:
+        assert loaded == set()
+
+
+@pytest.mark.parametrize(
     "command, estimator, culprit",
     [
         ("backtest", "es-norm", "es_norm reserve at level 0.025"),

@@ -255,6 +255,38 @@ def test_skew_t_one_kernel_matches_two_scipy_stats_calls_bit_for_bit(
         _assert_matches_oracle(d.quantile, _skew_t_two_calls(d, "quantile"), _PS)
 
 
+def _skew_t_quantile_both_branches(d):
+    # the form SkewT.quantile replaced: both stdtrit branches over every
+    # probability, one picked per probability by np.where
+    from scipy import special
+
+    def quantile(p):
+        p = np.asarray(p, dtype=float)
+        w = d.xi**2
+        p0 = 1.0 / (1.0 + w)
+        q = p * (1.0 + w) / 2.0
+        lower = np.where(q > 0, special.stdtrit(d.nu, q), -np.inf) / d.xi
+        upper = d.xi * special.stdtrit(d.nu, (p - p0) * (1.0 + w) / (2.0 * w) + 0.5)
+        out = d.loc + d.scale * np.where(p < p0, lower, upper)
+        return out if out.ndim else float(out)
+
+    return quantile
+
+
+@pytest.mark.parametrize("loc, scale", _LOC_SCALE)
+@pytest.mark.parametrize("nu, xi", [(2.05, 0.3), (5.0, 0.85), (4.0, 1.0), (123.0, 2.5)])
+def test_skew_t_quantile_equals_both_branch_form_bit_for_bit(nu, xi, loc, scale):
+    d = SkewT(nu, xi, loc, scale)
+    oracle = _skew_t_quantile_both_branches(d)
+    p0 = 1.0 / (1.0 + xi * xi)  # the branch point, and its neighbours
+    edges = [p0, np.nextafter(p0, 0.0), np.nextafter(p0, 1.0)]
+    points = np.concatenate([_PS, edges])
+    _assert_matches_oracle(d.quantile, oracle, points)
+    for p in [*edges, 5e-324]:
+        _assert_same_bits(d.quantile(np.array(p)), oracle(np.array(p)))
+    _assert_same_bits(d.quantile(points[:3].reshape(3, 1)), oracle(points[:3].reshape(3, 1)))
+
+
 def test_package_import_loads_no_scipy_until_a_law_is_evaluated():
     # the historical path is numpy alone; scipy.special loads when a law is
     # first evaluated, the fits import scipy.optimize and scipy.signal only when

@@ -14,7 +14,7 @@ from scipy import stats
 
 from esbacktest import backtest, simulation
 from esbacktest.backtest import CALIBRATION
-from esbacktest.dist import Normal, RngStream, SkewT, StudentT
+from esbacktest.dist import Normal, RngStream, SkewT, StudentT, _abs_t_mean
 from esbacktest.estimators import true_risk
 from esbacktest.simulation import (
     GARCH_BURN_IN,
@@ -26,10 +26,12 @@ from esbacktest.simulation import (
     _block_rows,
     _conditional_variance,
     _garch_nll,
+    _garch_params,
     _garch_paths,
     _innovations,
     _mc_block,
     _skewt_nll,
+    _skewt_shape,
     _steps,
     _unit_law,
     fit_and_simulate,
@@ -281,6 +283,114 @@ def test_conditional_variance_filter_matches_loop_oracle():
         expect[t] = omega + a1 * (x[t - 1] - mu) ** 2 + b1 * expect[t - 1]
     assert np.allclose(s2, expect, rtol=1e-12, atol=0)
     assert np.allclose(e, x - mu)
+
+
+def _conditional_variance_with_state(x, s0, mu, omega, a1, b1):
+    """The variance filter the likelihood ran before: b1 * s0 as lfilter's state."""
+    from scipy.signal import lfilter
+
+    e = x - mu
+    drive = omega + a1 * e[:-1] ** 2
+    rest, _state = lfilter([1.0], [1.0, -b1], drive, zi=np.array([b1 * s0]))
+    return np.concatenate(([s0], rest)), e
+
+
+def _unit_law_of_two_skew_t(nu, xi):
+    """The unit skew-t law as built before: a base SkewT, then its rescaled copy,
+    with the mean and the variance each taking their own E|T|."""
+    SkewT(nu, xi)  # the base law validates the shape
+    try:
+        ez = _abs_t_mean(nu) * (xi - 1.0 / xi)
+        ez2 = nu / (nu - 2.0) * (xi**3 + xi**-3) / (xi + 1.0 / xi)
+        var = 1.0**2 * (ez2 - ez**2)
+    except OverflowError:
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValueError(f"skew_t variance is not finite at nu={nu}, xi={xi}")
+    s = math.sqrt(var)
+    mean = 0.0 + 1.0 * _abs_t_mean(nu) * (xi - 1.0 / xi)
+    return SkewT(nu, xi, loc=-mean / s, scale=1.0 / s)
+
+
+def _garch_nll_oracle(theta, x, s0, kind):
+    """The likelihood as evaluated before its per-call trims."""
+    mu, omega, a1, b1 = _garch_params(theta)
+    s2, e = _conditional_variance_with_state(x, s0, mu, omega, a1, b1)
+    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
+        return 1e12
+    if kind == "normal":
+        ll = -0.5 * np.sum(np.log(2.0 * math.pi * s2) + e * e / s2)
+    else:
+        try:
+            law = _unit_law_of_two_skew_t(*_skewt_shape(theta[4:]))
+        except (ValueError, OverflowError):
+            return 1e12
+        sd = np.sqrt(s2)
+        ll = np.sum(law.logpdf(e / sd) - np.log(sd))
+    if not np.isfinite(ll):
+        return 1e12
+    return -float(ll)
+
+
+def _random_thetas(rng, m, v):
+    """m skew-t GARCH parameter vectors around the fit's starts, some far out."""
+    theta = np.column_stack([
+        rng.normal(0.0, 0.01, m),
+        math.log(v) + rng.uniform(-30.0, 30.0, m),
+        rng.normal(2.0, 4.0, m),
+        rng.normal(-1.0, 3.0, m),
+        rng.uniform(-45.0, 6.0, m),  # nu = 2 + exp(-45) rounds to 2
+        rng.normal(0.0, 1.0, m),
+    ])
+    far = rng.random(m) < 0.05
+    theta[far, 1] = rng.uniform(650.0, 709.0, far.sum())  # the variance overflows
+    far = rng.random(m) < 0.05
+    theta[far, 0] = rng.choice([1e150, -1e160, 1e200], far.sum())  # e * e overflows
+    far = rng.random(m) < 0.05
+    theta[far, 5] = rng.choice([-800.0, 800.0], far.sum())  # xi under- or overflows
+    return theta
+
+
+@pytest.mark.parametrize("kind", ["normal", "skew_t"])
+def test_garch_nll_equals_the_untrimmed_likelihood_bit_for_bit(kind):
+    x, _ = garch_simulate(_skewt_garch(5.0, 0.85), 500, RngStream(88))
+    v = float(np.var(x, ddof=1))
+    thetas = _random_thetas(np.random.default_rng(89), 3000, v)
+    if kind == "normal":
+        thetas = thetas[:, :4]
+    # a tiny seed variance makes e * e / s2 overflow: a non-finite likelihood;
+    # a negative one fails the variance check
+    values = {}
+    with np.errstate(all="ignore"):
+        for s0 in (v, 1e-300, 5e-324, -v):
+            for theta in thetas:
+                got = _garch_nll(theta, x, s0, kind)
+                assert got == _garch_nll_oracle(theta, x, s0, kind), (theta, s0)
+                values[got == 1e12] = values.get(got == 1e12, 0) + 1
+    assert values[True] > 500 and values[False] > 500
+
+
+# garch_fit of one garch_simulate path, as JSON, captured before the
+# likelihood's per-call trims: the Nelder-Mead path must not move a bit
+_PINNED_FITS = {
+    "skew_t": (
+        '{"mu": 0.00017796304732302896, "omega": 4.018858317095233e-06, '
+        '"a1": 0.14934460444584477, "b1": 0.7988984227630098, "innovation": "skew_t", '
+        '"nu": 4.909081974836604, "xi": 0.852062705387445}'
+    ),
+    "normal": (
+        '{"mu": 0.0002673047560472373, "omega": 4.728073305347766e-06, '
+        '"a1": 0.15792496203628123, "b1": 0.773297816319381, "innovation": "normal"}'
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["skew_t", "normal"])
+def test_garch_fit_json_is_pinned_to_its_bytes(kind):
+    g = garch_from_json({"mu": 0.0003, "omega": 2e-6, "a1": 0.08, "b1": 0.9,
+                         "innovation": "skew_t", "nu": 5, "xi": 0.85})
+    x, _ = garch_simulate(g, 500, RngStream(14))
+    assert json.dumps(garch_to_json(garch_fit(x, kind))) == _PINNED_FITS[kind]
 
 
 # ---------------------------------------------------------------------------
