@@ -5,6 +5,10 @@ plus counter-based random streams so Monte Carlo draws are reproducible and
 independent of worker scheduling. Densities, cdfs and quantiles are scipy.stats'
 own formulas on ``scipy.special``, loc and scale applied in scipy.stats' order,
 so they equal scipy.stats bit for bit without its import or per-call cost.
+``StudentT`` is the skew-t at xi = 1 with its own sampler; one caveat follows:
+``SkewT.logpdf`` takes ``math.log(scale)`` where scipy.stats takes ``np.log``,
+so at a few scales ``StudentT.logpdf`` sits one ulp from scipy's. Every law
+returns numpy scalars for scalar input, as scipy.stats does.
 ``scipy.special`` itself is imported on first use, through ``special``, so
 code that never evaluates a law (the historical estimators) never loads scipy.
 
@@ -18,7 +22,7 @@ streams" section states the whole contract.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -137,59 +141,11 @@ class Normal:
         return self.sigma**2
 
 
-@dataclass(frozen=True)
-class StudentT:
-    """Student-t law with ``nu`` degrees of freedom, shifted and scaled.
-
-    ``nu`` must be finite, where the density formula holds, and exceed 2 so
-    the variance (and the tail expectations used for shortfall work) stay finite.
-    """
-
-    nu: float
-    loc: float = 0.0
-    scale: float = 1.0
-
-    kind = "student_t"
-
-    def __post_init__(self) -> None:
-        if not 2 < self.nu < math.inf:
-            raise ValueError(f"nu must be finite and exceed 2, got {self.nu}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    def pdf(self, x):
-        return np.exp(_t_logpdf(_std(x, self.loc, self.scale), self.nu)) / self.scale
-
-    def logpdf(self, x):
-        return _t_logpdf(_std(x, self.loc, self.scale), self.nu) - np.log(self.scale)
-
-    def cdf(self, x):
-        return special.stdtr(self.nu, _std(x, self.loc, self.scale))
-
-    def quantile(self, p):
-        _check_prob(p)
-        return special.stdtrit(self.nu, p) * self.scale + self.loc
-
-    def sample(self, n: int, stream: RngStream) -> np.ndarray:
-        _check_count(n)
-        gen = stream.generator()
-        return self.loc + self.scale * gen.standard_t(self.nu, n)
-
-    def mean(self) -> float:
-        return self.loc
-
-    def variance(self) -> float:
-        return self.scale**2 * self.nu / (self.nu - 2.0)
-
-
 def _abs_t_mean(nu: float) -> float:
     """E|T| for a standard Student-t with nu > 1 degrees of freedom."""
-    return (
-        2.0
-        * math.sqrt(nu)
-        * math.exp(special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0))
-        / (math.sqrt(math.pi) * (nu - 1.0))
-    )
+    # poch(nu/2, 1/2), the t density's gamma ratio, keeps its digits at large nu
+    ratio = float(special.poch(0.5 * nu, 0.5))
+    return 2.0 * math.sqrt(nu) * ratio / (math.sqrt(math.pi) * (nu - 1.0))
 
 
 @dataclass(frozen=True)
@@ -237,13 +193,11 @@ class SkewT:
         return _t_logpdf(np.where(z >= 0, z / self.xi, z * self.xi), self.nu)
 
     def pdf(self, x):
-        out = 2.0 / (self.xi + 1.0 / self.xi) * np.exp(self._core(x)) / self.scale
-        return out if out.ndim else float(out)
+        return 2.0 / (self.xi + 1.0 / self.xi) * np.exp(self._core(x)) / self.scale
 
     def logpdf(self, x):
         norm = math.log(2.0 / (self.xi + 1.0 / self.xi)) - math.log(self.scale)
-        out = norm + self._core(x)
-        return out if out.ndim else float(out)
+        return norm + self._core(x)
 
     def cdf(self, x):
         z = _std(x, self.loc, self.scale)
@@ -252,8 +206,7 @@ class SkewT:
         upper = 1.0 / (1.0 + w) + 2.0 * w / (1.0 + w) * (
             special.stdtr(self.nu, z / self.xi) - 0.5
         )
-        out = np.where(z < 0, lower, upper)
-        return out if out.ndim else float(out)
+        return np.where(z < 0, lower, upper)[()]
 
     def quantile(self, p):
         _check_prob(p)
@@ -267,8 +220,7 @@ class SkewT:
         z[lower] = np.where(q > 0, special.stdtrit(self.nu, q), -np.inf) / self.xi
         r = (p[upper] - p0) * (1.0 + w) / (2.0 * w) + 0.5
         z[upper] = self.xi * special.stdtrit(self.nu, r)
-        out = self.loc + self.scale * z
-        return out if out.ndim else float(out)
+        return self.loc + self.scale * z
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         """Two-piece draws (Fernandez & Steel 1998): n of |T|, then n uniforms.
@@ -305,6 +257,30 @@ class SkewT:
         return self.scale**2 * self._moments(self.nu, self.xi)[1]
 
 
+@dataclass(frozen=True)
+class StudentT(SkewT):
+    """Student-t law with ``nu`` degrees of freedom, shifted and scaled.
+
+    It is the skew-t at ``xi = 1``, whose two-piece formulas are then exact,
+    and inherits every method but ``sample``: its draws are numpy's
+    ``standard_t``, one per value. ``nu`` must be finite, where the density
+    formula holds, and exceed 2 so the variance (and the tail expectations
+    used for shortfall work) stay finite.
+    """
+
+    nu: float
+    xi: float = field(default=1.0, init=False, repr=False)
+    loc: float = 0.0
+    scale: float = 1.0
+
+    kind = "student_t"
+
+    def sample(self, n: int, stream: RngStream) -> np.ndarray:
+        _check_count(n)
+        gen = stream.generator()
+        return self.loc + self.scale * gen.standard_t(self.nu, n)
+
+
 DistSpec = Union[Normal, StudentT, SkewT]
 
 PRESETS = {
@@ -333,7 +309,7 @@ def dist_to_json(d: DistSpec) -> dict:
     """Serialize a distribution to a plain JSON-ready dict."""
     if not isinstance(d, tuple(_KINDS.values())):
         raise ValueError(f"unsupported distribution {d!r}")
-    return {"kind": d.kind, **asdict(d)}
+    return {"kind": d.kind, **{f.name: getattr(d, f.name) for f in fields(d) if f.init}}
 
 
 def dist_from_json(obj: dict) -> DistSpec:

@@ -119,9 +119,8 @@ def _es_true(d: DistSpec, alpha: float) -> float:
         return es_normal(SampleMoments(d.mu, d.sigma, 0), alpha)  # n is unused
     # two-piece t, StudentT being xi = 1: with M(a) = -t(a)(nu + a^2)/(nu - 1),
     # E[Z; Z <= q] = (c / xi^2) M(q xi) if q < 0, else E[Z] + c xi^2 M(q / xi)
-    xi = getattr(d, "xi", 1.0)
-    z = SkewT(d.nu, xi)
-    q = z.quantile(alpha)
+    xi, z = d.xi, SkewT(d.nu, d.xi)
+    q = float(z.quantile(alpha))
     c = 2.0 / (xi + 1.0 / xi)
     a, k, shift = (q * xi, c / xi**2, 0.0) if q < 0 else (q / xi, c * xi**2, z.mean())
     pdf = float(StudentT(d.nu).pdf(a))

@@ -224,7 +224,10 @@ def _garch_params(theta) -> tuple[float, float, float, float]:
 
 
 def _garch_nll(theta: np.ndarray, x: np.ndarray, s0: float, kind: str) -> float:
-    mu, omega, a1, b1 = _garch_params(theta)
+    try:
+        mu, omega, a1, b1 = _garch_params(theta)
+    except OverflowError:  # exp(theta[1]) leaves the float range
+        return 1e12
     s2, e = _conditional_variance(x, s0, mu, omega, a1, b1)
     if not (s2.min() > 0 and s2.max() < math.inf):  # NaN fails too
         return 1e12
@@ -310,8 +313,8 @@ def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
     nu, xi = _skewt_shape(theta[4:]) if innovation == "skew_t" else (None, None)
     try:
         return GarchSpec(*_garch_params(theta), innovation, nu, xi)
-    except ValueError as exc:
-        # expit rounds persistence to 1, or exp underflows omega to 0
+    except (ValueError, OverflowError) as exc:
+        # expit rounds persistence to 1, or exp under- or overflows omega
         raise FitError(
             f"fit reached a parameter boundary: {exc}",
             best={"theta": theta.tolist(), "nll": nll},

@@ -462,6 +462,19 @@ def test_simulate_garch_model_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model", ["garch-normal", "garch-skew-t"])
+def test_simulate_garch_on_huge_returns_keeps_the_exit_code_contract(tmp_path, capsys, model):
+    # a variance near 1e296 starts log(omega) near 678; the first simplex steps
+    # past log(DBL_MAX), which must score as a bad point, not raise
+    path = tmp_path / "huge.csv"
+    x = np.random.default_rng(1).standard_normal(600) * 1e148
+    path.write_text("x\n" + "\n".join(repr(float(v)) for v in x) + "\n")
+    argv = ["simulate", "--input", str(path), "--model", model, "--window", "600",
+            "--seed", "1", "--out", str(tmp_path / "sim.csv")]
+    assert main(argv) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--alpha-var", "--alpha-es", "--alpha-z"])
 def test_compare_rejects_each_level_outside_the_unit_interval(
     tmp_path, panel_csv, capsys, flag

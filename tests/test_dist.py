@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import esbacktest
 from esbacktest.dist import (
@@ -20,6 +21,7 @@ from esbacktest.dist import (
     RngStream,
     SkewT,
     StudentT,
+    _abs_t_mean,
     dist_from_json,
     dist_to_json,
     preset,
@@ -228,7 +230,7 @@ def _skew_t_two_calls(d, name):
                 stats.t.cdf(z / xi, nu) - 0.5
             )
             out = np.where(z < 0, lower, upper)
-        return out if out.ndim else float(out)
+        return out[()]
 
     def quantile(p):
         p = np.asarray(p, dtype=float)
@@ -236,7 +238,7 @@ def _skew_t_two_calls(d, name):
         p0 = 1.0 / (1.0 + w)
         upper = xi * stats.t.ppf((p - p0) * (1.0 + w) / (2.0 * w) + 0.5, nu)
         out = d.loc + d.scale * np.where(p < p0, lower, upper)
-        return out if out.ndim else float(out)
+        return out[()]
 
     return quantile if name == "quantile" else at
 
@@ -268,7 +270,7 @@ def _skew_t_quantile_both_branches(d):
         lower = np.where(q > 0, special.stdtrit(d.nu, q), -np.inf) / d.xi
         upper = d.xi * special.stdtrit(d.nu, (p - p0) * (1.0 + w) / (2.0 * w) + 0.5)
         out = d.loc + d.scale * np.where(p < p0, lower, upper)
-        return out if out.ndim else float(out)
+        return out[()]
 
     return quantile
 
@@ -285,6 +287,97 @@ def test_skew_t_quantile_equals_both_branch_form_bit_for_bit(nu, xi, loc, scale)
     for p in [*edges, 5e-324]:
         _assert_same_bits(d.quantile(np.array(p)), oracle(np.array(p)))
     _assert_same_bits(d.quantile(points[:3].reshape(3, 1)), oracle(points[:3].reshape(3, 1)))
+
+
+class _OwnStudentT:
+    """The Student-t that carried its own copy of the t formulas, before
+    ``StudentT`` became the skew-t at xi = 1."""
+
+    def __init__(self, nu, loc=0.0, scale=1.0):
+        self.nu, self.loc, self.scale = nu, loc, scale
+
+    def _log_t(self, x):
+        nu, z = self.nu, (np.asarray(x, dtype=float) - self.loc) / self.scale
+        c = np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
+        return c - (nu + 1) / 2 * np.log1p(z * z / nu)
+
+    def pdf(self, x):
+        return np.exp(self._log_t(x)) / self.scale
+
+    def logpdf(self, x):
+        return self._log_t(x) - np.log(self.scale)
+
+    def cdf(self, x):
+        return special.stdtr(self.nu, (np.asarray(x, dtype=float) - self.loc) / self.scale)
+
+    def quantile(self, p):
+        return special.stdtrit(self.nu, p) * self.scale + self.loc
+
+    def sample(self, n, stream):
+        return self.loc + self.scale * stream.generator().standard_t(self.nu, n)
+
+    def variance(self):
+        return self.scale**2 * self.nu / (self.nu - 2.0)
+
+
+@pytest.mark.parametrize("loc, scale", _LOC_SCALE)
+@pytest.mark.parametrize("nu", [2.05, 2.5, 3.0, 4.1, 5.0, 8.0, 30.0, 123.0])
+def test_student_t_as_unit_xi_skew_t_matches_its_own_formulas(nu, loc, scale):
+    d, own = StudentT(nu, loc, scale), _OwnStudentT(nu, loc, scale)
+    with np.errstate(over="ignore"):
+        for name in ("pdf", "logpdf", "cdf"):
+            _assert_matches_oracle(getattr(d, name), getattr(own, name), _XS)
+    _assert_matches_oracle(d.quantile, own.quantile, _PS)
+    assert abs(d.variance() - own.variance()) <= np.spacing(own.variance())
+    assert d.mean() == loc
+
+
+@pytest.mark.parametrize("name", ["t3", "t5", "t10", "t15"])
+def test_student_t_presets_draw_numpys_standard_t(name):
+    d = preset(name)
+    own = _OwnStudentT(d.nu, d.loc, d.scale)
+    for stream in (RngStream(7), RngStream(2024, 3)):
+        assert np.array_equal(d.sample(1000, stream), own.sample(1000, stream))
+
+
+def test_student_t_is_a_skew_t_that_defines_only_its_sampler():
+    d = StudentT(4.0, -0.3, 0.01)
+    assert isinstance(d, SkewT) and d.xi == 1.0 and d.kind == "student_t"
+    assert repr(d) == "StudentT(nu=4.0, loc=-0.3, scale=0.01)"
+    assert pickle.loads(pickle.dumps(d)) == d
+    methods = [k for k, v in vars(StudentT).items() if callable(v) and not k.startswith("__")]
+    assert methods == ["sample"]
+    with pytest.raises(TypeError):
+        StudentT(4.0, xi=2.0)
+    with pytest.raises(ValueError, match="bad parameters for 'student_t'"):
+        dist_from_json({"kind": "student_t", "nu": 4.0, "xi": 1.0})
+    with pytest.raises(ValueError, match="^nu must be finite and exceed 2, got 2.0$"):
+        StudentT(2.0)
+    with pytest.raises(ValueError, match="^scale must be positive, got 0.0$"):
+        StudentT(5.0, 0.0, 0.0)
+
+
+def _abs_t_mean_by_gammaln(nu):
+    # the form before the gamma ratio went through poch
+    ratio = math.exp(special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0))
+    return 2.0 * math.sqrt(nu) * ratio / (math.sqrt(math.pi) * (nu - 1.0))
+
+
+def test_abs_t_mean_equals_the_gammaln_form_below_1e4():
+    u = np.random.default_rng(43).random((2, 3000))
+    nus = np.concatenate([2.0 + 10.0 * u[0], np.exp(np.log(1e4) * u[1])])
+    for nu in nus[nus > 2.0].tolist() + [2.05, 3.0, 5.0, 9999.0]:
+        assert _abs_t_mean(nu) == _abs_t_mean_by_gammaln(nu), nu
+
+
+@pytest.mark.parametrize("nu", [1e15, 1e16, 1e300])
+def test_skew_t_moments_reach_the_normal_limit_at_large_nu(nu):
+    xi = 0.8
+    mean = math.sqrt(2.0 / math.pi) * (xi - 1.0 / xi)  # E|Z| (xi - 1/xi) for normal Z
+    var = (xi**3 + xi**-3) / (xi + 1.0 / xi) - mean**2
+    d = SkewT(nu, xi)
+    assert d.mean() == pytest.approx(mean, rel=1e-14)
+    assert d.variance() == pytest.approx(var, rel=1e-14)
 
 
 def test_package_import_loads_no_scipy_until_a_law_is_evaluated():

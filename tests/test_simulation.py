@@ -189,6 +189,20 @@ def test_garch_nll_scores_a_shape_without_a_law_as_1e12(index, value):
     assert _garch_nll(theta, x, s0, "skew_t") == 1e12
 
 
+@pytest.mark.parametrize("kind, shape", [("normal", []), ("skew_t", [math.log(6.0), 0.0])])
+def test_garch_nll_scores_an_overflowing_omega_as_1e12(kind, shape):
+    # exp(710) leaves the float range before any variance is filtered
+    x = np.random.default_rng(87).standard_normal(300)
+    assert _garch_nll(np.array([0.0, 710.0, 0.0, 0.0, *shape]), x, float(np.var(x, ddof=1)), kind) == 1e12
+
+
+def test_large_nu_keeps_the_skew_t_moments_finite():
+    # the gamma ratio of E|T| held only to nu ~ 1e4 when taken as exp(gammaln - gammaln)
+    GarchSpec(0.0, 1e-6, 0.1, 0.85, "skew_t", nu=1e15, xi=0.8)  # checks its unit law's variance
+    normal_limit = true_risk(SkewT(1e300, 0.8), 0.7, "ES")
+    assert true_risk(SkewT(1e15, 0.8), 0.7, "ES") == pytest.approx(normal_limit, rel=1e-12)
+
+
 def test_skewt_nll_scores_an_overflowing_shape_as_1e12():
     x = np.random.default_rng(86).standard_t(5.0, 200)
     assert _skewt_nll(np.array([0.0, 0.0, 1.0, 800.0]), x) == 1e12
@@ -454,12 +468,14 @@ def test_garch_fit_with_skew_t_innovations_smoke():
     [
         ("normal", [0.0, -11.5, 40.0, 0.0], r"a1 \+ b1 < 1"),
         ("skew_t", [0.0, -800.0, 2.0, 0.0, 1.0, 0.0], "omega"),
+        ("normal", [0.0, 710.0, 2.0, 0.0], "math range error"),
     ],
 )
 def test_garch_fit_on_a_parameter_boundary_raises_fit_error(
     monkeypatch, innovation, theta, boundary
 ):
-    # expit(40) rounds persistence to exactly 1 and exp(-800) omega to 0
+    # expit(40) rounds persistence to exactly 1, exp(-800) omega to 0, and
+    # exp(710) overflows
     def optimum(fun, starts, args=()):
         return np.array(theta), -123.5
 
