@@ -123,7 +123,9 @@ def g_stat(y) -> StatResult:
     Sorting ascending and cumulating, the count equals the largest k whose k
     smallest entries sum below zero (a zero partial sum does not count).
     Always at least the exception count, since a prefix of negative entries
-    has a negative sum. Partial sums that overflow raise ``ValueError``.
+    has a negative sum. A partial sum that overflows to ``-inf`` raises
+    ``ValueError``; one that overflows to ``+inf`` is past the count and is
+    not counted, so ``g_stat([-1.0, 1e308, 1e308])`` counts 1.
     """
     arr = _values(y)
     nominal = int(_negative_sums(arr))
@@ -131,11 +133,16 @@ def g_stat(y) -> StatResult:
 
 
 def _negative_sums(y: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Count of negative partial sums of ``sort(y) + shift`` along the last axis;
-    a partial sum it reads that is not finite raises ``ValueError``."""
+    """Count of negative partial sums of ``sort(y) + shift`` along the last axis.
+
+    A partial sum of ``-inf`` or NaN raises ``ValueError``; ``+inf`` does not.
+    Past the first non-negative sum every term is positive, so the sums rise
+    from there and only overflow upwards: whether a row raises depends on the
+    law, not on how many of its sorted values are read.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.cumsum(np.sort(y, -1) + shift, -1)
-    if not np.isfinite(sums).all():
+    if not (sums > -np.inf).all():
         raise ValueError("partial sums of the sorted sample overflow")
     return (sums < 0).sum(-1)
 

@@ -7,14 +7,16 @@ the first 250 days seed a rolling one-day-ahead reserve estimate, the last
 classified and cross-tabulated.
 
 Rolling reserves come from one table, ``_KERNELS``, that maps each name in
-``ESTIMATORS`` to an array kernel. A kernel takes the (test, learn) view of
-all learning windows at once (``sliding_window_view``, no copy) and returns
-one reserve per test day, equal bit for bit to calling the scalar estimator
-on each window: the normal kernels reduce each row for its mean and sd and
-call ``Normal().quantile``/``pdf`` (``scipy.special``) once per series, the
-historical kernels take each row's order statistic with one 2-D
-``np.partition``, and the ES tails are gathered in time order, one block per
-tail length, for row means.
+``ESTIMATORS`` to a statistic of the learning windows and a reserve read from
+it. ``_reserves`` takes the (test, learn) view of a sample's windows once
+(``sliding_window_view``, no copy) and reduces it once per statistic and key:
+each row's mean and sd for the normal family at any level, and each row's
+order statistic at one tail index for the historical family, so VAR and ES
+at one level share a 2-D ``np.partition``. Every (estimator, level) series is
+read from those reductions and equals the scalar estimator on each window
+bit for bit: the normal reads call ``Normal().quantile``/``pdf``
+(``scipy.special``) once per series, and the ES tails are gathered in time
+order, one block per tail length, for row means.
 A sample with a non-finite value is rejected before any kernel runs.
 
 Both backtests grade through ``_graded``: ``rolling_backtest`` with one
@@ -163,10 +165,33 @@ def _unique(names, lineno: int) -> tuple[str, ...]:
 
 
 def _parse_rows(numbered_lines, width: int, dated: bool):
-    """(rows, dates) from (physical line number, line) pairs of ``width`` fields,
-    the first a YYYYMMDD date if ``dated``; errors name the physical line."""
+    """(values, dates) from (physical line number, line) pairs of ``width`` fields,
+    the first a YYYYMMDD date if ``dated``; errors name the physical line.
+
+    Every line is split and parsed in one pass; on any failure the per-line
+    loop runs again to name the first bad line.
+    """
+    numbered = list(numbered_lines)
+    lines = [line for _, line in numbered]
+    cells = ",".join(lines).split(",") if lines else []
+    dates = [date.strip() for date in cells[::width]] if dated else []
+    if dated:
+        del cells[::width]
+    ok = all(line.count(",") == width - 1 for line in lines)
+    ok = ok and all(map(_DATE_RE.match, dates))
+    try:  # float() strips each cell itself
+        values = np.fromiter(map(float, cells), float, len(cells)) if ok else None
+    except ValueError:
+        ok = False
+    if not ok or not np.isfinite(values).all():
+        return _parse_lines(numbered, width, dated)
+    return values.reshape(len(lines), width - dated), list(map(int, dates))
+
+
+def _parse_lines(numbered, width: int, dated: bool):
+    """``_parse_rows`` one line at a time, raising at the first bad line."""
     dates, rows = [], []
-    for i, line in numbered_lines:
+    for i, line in numbered:
         parts = line.split(",")
         if len(parts) != width:
             raise DataError(f"line {i}: expected {width} fields, found {len(parts)}")
@@ -176,13 +201,7 @@ def _parse_rows(numbered_lines, width: int, dated: bool):
                 raise DataError(f"line {i}: bad date {date!r}, expected YYYYMMDD")
             dates.append(int(date))
             parts = parts[1:]
-        try:  # float() strips the cell itself; _parse_float only names a bad one
-            row = [float(c) for c in parts]
-        except ValueError:
-            row = None
-        if row is None or not math.isfinite(sum(row)):
-            row = [_parse_float(c, i) for c in parts]
-        rows.append(row)
+        rows.append([_parse_float(c, i) for c in parts])
     return rows, dates
 
 
@@ -242,7 +261,7 @@ def _load_simple_csv(path) -> ReturnPanel:
         raise DataError(f"line {head}: a header row is required, found only numbers")
     names = _unique(names, head)
     rows, dates = _parse_rows(lines[1:], len(header), has_dates)
-    if not rows:
+    if not len(rows):
         raise DataError(f"{path}: no data rows")
     return ReturnPanel(
         names=names,
@@ -303,19 +322,20 @@ def split_samples(panel: ReturnPanel, window: int = LEARN + CALIBRATION.n) -> li
     return out
 
 
-def _normal_moments(windows: np.ndarray) -> SampleMoments:
+def _normal_moments(windows: np.ndarray, _) -> SampleMoments:
     return SampleMoments(
         windows.mean(axis=1), windows.std(axis=1, ddof=1), windows.shape[1]
     )
 
 
-def _hist_boundary(windows: np.ndarray, alpha: float) -> np.ndarray:
-    k = _tail_index(windows.shape[1], alpha)
-    return np.partition(windows, k, axis=1)[:, k]
+def _boundary(windows: np.ndarray, k: int) -> np.ndarray:
+    # the column alone: a partitioned block held beside another slows the next
+    # partition down
+    return np.partition(windows, k, axis=1)[:, k].copy()
 
 
-def _es_hist(windows: np.ndarray, alpha: float) -> np.ndarray:
-    mask = windows <= _hist_boundary(windows, alpha)[:, None]
+def _es_hist(windows: np.ndarray, boundary: np.ndarray, _alpha) -> np.ndarray:
+    mask = windows <= boundary[:, None]
     tails, size = windows[mask], mask.sum(axis=1)  # tails in time order, row by row
     start = np.cumsum(size) - size
     out = np.empty(len(windows))
@@ -327,13 +347,18 @@ def _es_hist(windows: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-# Estimator name -> kernel mapping a (test, learn) array of rolling windows to
-# one reserve per window; each matches its scalar estimator bit for bit.
+# A statistic is (key, reduce): reduce(windows, key(learn, alpha)) gives one
+# value per window, so the series whose keys agree share one reduction.
+_MOMENTS = (lambda learn, alpha: None, _normal_moments)
+_BOUNDARY = (_tail_index, _boundary)
+# Estimator name -> (statistic, reserve): reserve(windows, value, alpha) reads one
+# reserve per window from the statistic; each matches its scalar estimator bit
+# for bit.
 _KERNELS = {
-    "var_hist": lambda windows, alpha: -_hist_boundary(windows, alpha),
-    "var_norm": lambda windows, alpha: var_normal(_normal_moments(windows), alpha),
-    "es_hist": _es_hist,
-    "es_norm": lambda windows, alpha: es_normal(_normal_moments(windows), alpha),
+    "var_hist": (_BOUNDARY, lambda windows, boundary, alpha: -boundary),
+    "var_norm": (_MOMENTS, lambda windows, m, alpha: var_normal(m, alpha)),
+    "es_hist": (_BOUNDARY, _es_hist),
+    "es_norm": (_MOMENTS, lambda windows, m, alpha: es_normal(m, alpha)),
 }
 ESTIMATORS = tuple(_KERNELS)
 
@@ -374,18 +399,24 @@ class RollingConfig:
         return CALIBRATION.alpha_var if var else CALIBRATION.alpha_es
 
 
-def _reserve_series(
-    x: np.ndarray, learn: int, test: int, estimator: str, alpha: float
-) -> np.ndarray:
-    """Reserve for each test day from the ``learn`` observations before it."""
+def _reserves(x: np.ndarray, learn: int, test: int, pairs) -> dict:
+    """Reserve series per (estimator, level) pair, one per test day from the
+    ``learn`` observations before it; in ``pairs`` order, so that the first
+    series to overflow raises."""
     windows = sliding_window_view(x[: learn + test - 1], learn)
-    with np.errstate(over="ignore", invalid="ignore"):
-        reserves = _KERNELS[estimator](windows, alpha)
-    finite = np.isfinite(reserves)  # the sample is finite, so only overflow fails
-    if not finite.all():
-        day = int(np.argmin(finite))
-        raise ValueError(f"{estimator} reserve at level {alpha} overflows on day {day}")
-    return reserves
+    reduced, series = {}, {}
+    for estimator, alpha in dict.fromkeys(pairs):
+        (key, reduce), reserve = _KERNELS[estimator]
+        at = (reduce, key(learn, alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if at not in reduced:
+                reduced[at] = reduce(windows, at[1])
+            reserves = series[estimator, alpha] = reserve(windows, reduced[at], alpha)
+        finite = np.isfinite(reserves)  # the sample is finite, so only overflow fails
+        if not finite.all():
+            day = int(np.argmin(finite))
+            raise ValueError(f"{estimator} reserve at level {alpha} overflows on day {day}")
+    return series
 
 
 def _graded(
@@ -415,7 +446,7 @@ def _graded(
     pairs = [(var_est, alpha_var), (es_est, alpha_es)]
     if alpha_z is not None:
         pairs += [(var_est, alpha_z), (es_est, alpha_z)]
-    series = {p: _reserve_series(arr, learn, test, *p) for p in dict.fromkeys(pairs)}
+    series = _reserves(arr, learn, test, pairs)
 
     y = secure(realized, series[var_est, alpha_var])
     nt = t_stat(y).nominal

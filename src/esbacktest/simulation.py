@@ -455,7 +455,7 @@ def _g_counts(y: np.ndarray, shift: float) -> np.ndarray:
     sort(y) + shift equals sort(y + shift), as rounding is monotone, and the
     negative partial sums of a sorted row form a prefix. So a row sorts only
     its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
-    A partial sum it reads that overflows raises ``ValueError``, as in ``g_stat``.
+    A partial sum that overflows to ``-inf`` raises ``ValueError`` on either path.
     """
     if y.shape[1] <= _G_PREFIX + 1:
         return _negative_sums(y, shift)

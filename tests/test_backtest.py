@@ -239,6 +239,15 @@ def test_negative_sums_counts_each_row_as_g_stat_does():
         _negative_sums(y, 0.5)
 
 
+def test_g_stat_counts_past_a_sum_that_overflows_upwards():
+    # past the negative prefix the sums only rise, so +inf is never counted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g_stat([-1.0, 1e308, 1e308]).nominal == 1
+        y = np.array([[-3.0, 1e308, 1e308, 1.0], [-1e308, -1.0, 1e308, 1e308]])
+        assert _negative_sums(y).tolist() == [2, 2]
+
+
 def test_calibration_point_is_where_the_var_thresholds_hold():
     assert CALIBRATION == (250, 0.01, 0.025)
     # the Basel rule: yellow from the first count whose binomial cdf reaches

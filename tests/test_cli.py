@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -403,6 +404,55 @@ def test_backtest_reports_are_byte_reproducible(tmp_path, panel_csv, capsys):
     capsys.readouterr()
 
 
+def _desk_reports(tmp_path) -> dict:
+    """sha256 of each file the desk commands of _PINNED_REPORTS write."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_t(4, (1000, 4)) * 0.01
+    x[:, 2:] = np.round(x[:, 2:], 3)  # ties at the tail boundaries
+    panel = tmp_path / "desk.csv"
+    panel.write_text("a,b,c,d\n" + "".join(",".join(map(repr, r)) + "\n" for r in x.tolist()))
+    runs = {f"backtest {e}": ["backtest", "--estimator", e] for e in cli._ESTIMATOR_CHOICES}
+    for family in harness.FAMILIES:
+        runs[f"compare {family}"] = ["compare", "--estimator", family]
+        # z shares VAR's tail index; VAR shares ES's
+        runs[f"compare {family} z01"] = ["compare", "--estimator", family, "--alpha-z", "0.01"]
+        runs[f"compare {family} var025"] = [
+            "compare", "--estimator", family, "--alpha-var", "0.025"]
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--input", str(panel), "--out", str(out)]) == 0
+        for path in (out, tmp_path / f"{name}.json.heatmap.csv"):
+            if path.exists():
+                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    return digests
+
+
+# The desk reports' bytes, captured before the rolling reserves shared their
+# window reductions across estimators and levels: no output may move a bit
+_PINNED_REPORTS = {
+    "backtest var-hist.json": "566119e59a2e01d1",
+    "backtest var-hist.json.heatmap.csv": "02d41881b57d29ee",
+    "backtest var-norm.json": "8f5dc4e5510abc41",
+    "backtest var-norm.json.heatmap.csv": "033bfc8db08626db",
+    "backtest es-hist.json": "ea7eff472585728e",
+    "backtest es-hist.json.heatmap.csv": "b0b047b5e718ee87",
+    "backtest es-norm.json": "d361dbc659fb13a7",
+    "backtest es-norm.json.heatmap.csv": "033bfc8db08626db",
+    "compare hist.json": "fe222e9782acd541",
+    "compare hist z01.json": "22a35ef5203f22a0",
+    "compare hist var025.json": "ebeada54efcfc52b",
+    "compare norm.json": "8b1aa246a557bca2",
+    "compare norm z01.json": "5b34d2add6e1590c",
+    "compare norm var025.json": "9d1919c659d9896f",
+}
+
+
+def test_desk_reports_are_pinned_to_their_bytes(tmp_path, capsys):
+    assert _desk_reports(tmp_path) == _PINNED_REPORTS
+    capsys.readouterr()
+
+
 def test_worker_default_comes_from_environment(tmp_path, panel_csv, capsys, monkeypatch):
     monkeypatch.setenv("ESBACKTEST_WORKERS", "2")
     out = tmp_path / "env.json"
@@ -636,6 +686,19 @@ def test_mc_overflow_only_in_the_positive_tail_still_runs(tmp_path, capsys):
         "ES cdf@24 = 1.0000 ± 0.0000",
         "ES cdf@25 = 1.0000 ± 0.0000",
     ]
+
+
+@pytest.mark.parametrize("n", ["250", "49"])  # the partial sort and the full sort
+def test_mc_overflow_above_the_negative_prefix_runs_on_either_sort_path(tmp_path, capsys, n):
+    # the full sort reads the positive tail, whose sums overflow to +inf;
+    # only -inf or NaN refuses a law, whichever sums a path reads
+    argv = ["mc", '--dist-json={"kind":"normal","mu":0,"sigma":2e306}', "--runs", "512",
+            "--n", n, "--seed", "1", "--out-prefix", str(tmp_path / "m")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m_es.csv", "m_summary.json", "m_var.csv"]
 
 
 def _subparsers() -> dict:

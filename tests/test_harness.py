@@ -34,7 +34,9 @@ from esbacktest.harness import (
     run_compare_batch,
     split_samples,
     write_heatmap_csv,
-    _reserve_series,
+    _parse_lines,
+    _parse_rows,
+    _reserves,
 )
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,19 @@ def test_simple_csv_values_are_the_float_of_each_cell(tmp_path, fmt):
     values = load_returns(path, fmt).values
     expected = np.array([[float(c.strip()) / scale for c in r] for r in cells])
     assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("dated", [False, True])
+def test_one_pass_parse_equals_the_per_line_loop(dated):
+    rng = np.random.default_rng(66)
+    cells = np.array([" 0.01", "-0.0 ", "1e-3", "+.5", "1_000", "\t-2.5e-7", "1e308"])
+    lines = [",".join(([f" 2020{k:04d} "] if dated else []) + list(rng.choice(cells, 4)))
+             for k in range(300)]
+    numbered = list(enumerate(lines, start=9))
+    values, dates = _parse_rows(iter(numbered), 4 + dated, dated)
+    rows, expected_dates = _parse_lines(numbered, 4 + dated, dated)
+    assert np.array_equal(values.view(np.int64), np.array(rows).view(np.int64))
+    assert dates == expected_dates and len(dates) == 300 * dated
 
 
 @pytest.mark.parametrize(
@@ -333,7 +348,7 @@ def test_split_window_exceeding_rows_rejected():
 def test_rolling_reserves_follow_the_learning_window():
     # strictly increasing data: the historical reserve is a known index pull
     x = np.arange(500, dtype=float)
-    reserve = _reserve_series(x, 250, 250, "var_hist", 0.025)
+    reserve = _reserves(x, 250, 250, [("var_hist", 0.025)])["var_hist", 0.025]
     k = math.floor(250 * 0.025)  # 7th smallest of each window
     expected = -(np.arange(250, dtype=float) + k)
     assert np.array_equal(reserve, expected)
@@ -357,7 +372,41 @@ def _reserve_loop(x, learn, test, estimator, alpha):
     return out
 
 
-@pytest.mark.parametrize("estimator", ["var_hist", "var_norm", "es_hist", "es_norm"])
+def _pair_set(name, learn, alpha):
+    """(estimator, level) pairs for one reserve call: one estimator at alpha, or
+    a named set whose levels share a tail index with alpha or do not."""
+    if "@" not in name:
+        return [(name, alpha)]
+    k = math.floor(learn * alpha)
+    same = (k + 0.75) / learn  # another level at alpha's tail index
+    assert same != alpha and math.floor(learn * same) == k
+    half = alpha / 2  # a lower tail index, except where learn * alpha < 2
+    return {
+        "hist@shared-index": [("var_hist", alpha), ("es_hist", same),
+                              ("es_hist", alpha), ("var_hist", same)],
+        "hist@distinct-index": [("var_hist", half), ("es_hist", alpha),
+                                ("var_hist", alpha), ("es_hist", half)],
+        "both@two-levels": [("var_norm", half), ("es_hist", alpha), ("es_norm", alpha),
+                            ("var_hist", half), ("var_norm", alpha), ("es_hist", alpha)],
+    }[name]
+
+
+def _check_reserves(x, learn, test, pairs):
+    """_reserves against the per-window loop, pair by pair, zeros by sign."""
+    got = _reserves(x, learn, test, pairs)
+    assert list(got) == list(dict.fromkeys(pairs))  # computed in pairs order
+    for (estimator, alpha), reserve in got.items():
+        expected = _reserve_loop(x, learn, test, estimator, alpha)
+        assert np.array_equal(reserve, expected)
+        assert np.array_equal(reserve.view(np.int64), expected.view(np.int64))  # -0.0 != 0.0
+    return got
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    ["var_hist", "var_norm", "es_hist", "es_norm",
+     "hist@shared-index", "hist@distinct-index", "both@two-levels"],
+)
 @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.3, 0.6])
 # es_hist tails reach 91 (300 at 0.3) and 601 (1000 at 0.6) elements: past
 # the 8-accumulator and recursive-split thresholds of numpy's pairwise sum
@@ -370,10 +419,7 @@ def test_reserve_kernels_match_per_window_loop(estimator, alpha, learn, test, ti
     x = rng.standard_t(4, learn + test) * 0.01
     if tied:
         x = np.round(x, 3)  # ties at the tail boundary widen the ES average
-    expected = _reserve_loop(x, learn, test, estimator, alpha)
-    got = _reserve_series(x, learn, test, estimator, alpha)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # -0.0 != 0.0
+    _check_reserves(x, learn, test, _pair_set(estimator, learn, alpha))
 
 
 def test_es_hist_kernel_keeps_the_sign_of_zero():
@@ -385,8 +431,17 @@ def test_es_hist_kernel_keeps_the_sign_of_zero():
     for alpha in (0.025, 0.3, 0.6):
         expected = _reserve_loop(x, 20, 40, "es_hist", alpha)
         assert (expected == 0).sum() >= 10
-        got = _reserve_series(x, 20, 40, "es_hist", alpha)
+        got = _reserves(x, 20, 40, [("es_hist", alpha)])["es_hist", alpha]
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # 300-day windows of signed zeros: each VAR boundary is the zero that a
+    # 1-D partition returns (a row sort returns the other one on some of
+    # these windows), shared by the VAR and ES series at one tail index
+    signed = np.where(rng.random(340) < 0.5, 0.0, -0.0)
+    for pairs in ([("var_hist", 0.025), ("es_hist", 0.025), ("var_hist", 0.0251)],
+                  [("es_hist", 0.3), ("var_hist", 0.01), ("var_hist", 0.3)]):
+        got = _check_reserves(signed, 300, 40, pairs)
+        var = got["var_hist", pairs[-1][1]]
+        assert (var == 0).all() and 0 < np.signbit(var).sum() < var.size
 
 
 def test_rolling_rejects_non_finite_samples():
@@ -435,12 +490,17 @@ def test_run_batch_names_the_first_of_two_failing_samples(workers):
 
 
 def test_overflowing_partial_sums_are_rejected_without_a_warning():
-    # historical reserves of a 1e307 sample stay finite, its sorted sums do not
+    # three -8e307 crashes end a sample of returns: the historical reserves
+    # stay finite and the negative sorted sums overflow to -inf. A 1e307
+    # sample overflows only past the negative prefix, to +inf, and G counts.
+    crashed = _huge_sample(0.01).values.copy()
+    crashed[-3:] = -8e307
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for estimator in ("var_hist", "es_hist"):
             with pytest.raises(ValueError, match=r"^a\[0:500\]: partial sums"):
-                run_batch([_huge_sample(1e307)], RollingConfig(estimator))
+                run_batch([Sample("a", 0, crashed)], RollingConfig(estimator))
+            assert run_batch([_huge_sample(1e307)], RollingConfig(estimator))
         assert run_batch([_huge_sample(1e298)], RollingConfig("es_hist"))
 
 
