@@ -16,18 +16,14 @@ directory does so before any work is done. Every stochastic
 subcommand requires an explicit seed and is byte-reproducible for any
 worker count. ``--workers`` runs ``backtest``, ``compare`` and ``mc`` on
 threads, as their numpy kernels release the GIL, and ``simulate``'s fits on
-processes. ``simulate`` imports the scipy modules its model's fit uses
-(``scipy.optimize``, and ``scipy.signal`` for GARCH; none for ``normal``) in
-this process before its pool starts. Under the fork start method, Linux's
-default through Python 3.13, the workers inherit them; under spawn or
-forkserver each worker still imports them.
+processes (see ``simulation.simulate_batch``).
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import importlib
+import functools
 import json
 import os
 import sys
@@ -39,7 +35,6 @@ from . import harness, simulation
 from .backtest import CALIBRATION, ES_THRESHOLDS, RESULT_FIELDS, VAR_THRESHOLDS, ZONES
 from .dist import PRESETS, dist_from_json, preset
 from .harness import LEARN, DataError, RollingConfig
-from .parallel import parallel_map
 from .simulation import McConfig, garch_from_json
 
 __all__ = ["main", "build_parser"]
@@ -79,6 +74,7 @@ def _add_panel_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # one parser per process, built by the first call: main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="esbacktest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -126,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="simulated panel CSV path")
     p.add_argument("--fits-out", default=None, help="fitted-parameter JSON path")
 
-    workers = int(os.environ.get(_ENV_WORKERS, "1"))
     for p in sub.choices.values():
-        p.add_argument("--workers", type=int, default=workers)
+        # None stands for "not given": main reads the default on every call
+        p.add_argument("--workers", type=int, default=None)
     return parser
 
 
@@ -321,38 +317,22 @@ def cmd_simulate(args) -> int:
     panel = _load_panel(args)
     samples = harness.split_samples(panel, args.window)
     model = args.model.replace("-", "_")
-    tasks = [
-        (s.values, model, args.picks, args.seed, i * args.picks)
-        for i, s in enumerate(samples)
-    ]
-    # imported once here, the fits' scipy modules are inherited by forked workers
-    for name in simulation._fit_modules(model):
-        importlib.import_module(name)
-    # Nelder-Mead steps in Python and holds the GIL, so fits scale on processes only
-    outputs = parallel_map(_simulate_task, tasks, args.workers, processes=True)
+    outputs = simulation.simulate_batch(
+        [s.values for s in samples], model, args.picks, args.seed, args.workers
+    )
 
-    names, columns, fits = [], [], []
-    for sample, (params, sims) in zip(samples, outputs):
-        fits.append({"sample": sample.label, "params": params})
-        for p, sim in enumerate(sims):
-            names.append(f"{sample.label}.p{p}")
-            columns.append(sim)
+    fits = [{"sample": s.label, "params": params} for s, (params, _) in zip(samples, outputs)]
+    names = [f"{s.label}.p{p}" for s in samples for p in range(args.picks)]
 
     with open(args.out, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        block = np.column_stack(columns)
-        for row in block:
+        for row in np.column_stack([sim for _, sims in outputs for sim in sims]):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     if args.fits_out:
         _write_json(args.fits_out, {"model": model, "fits": fits})
     _validate_csv(args.out, ",".join(names))
-    print(f"simulated {len(columns)} series from {len(samples)} fitted samples")
+    print(f"simulated {len(names)} series from {len(samples)} fitted samples")
     return 0
-
-
-def _simulate_task(task):
-    values, model, picks, seed, base = task
-    return simulation.fit_and_simulate(values, model, picks, seed, base)
 
 
 _COMMANDS = {
@@ -365,10 +345,13 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
+        workers = int(os.environ.get(_ENV_WORKERS, "1"))
         args = build_parser().parse_args(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.workers is None:
+        args.workers = workers
     try:
         return _COMMANDS[args.command](args)
     except DataError as exc:

@@ -14,11 +14,15 @@ As the threads share one address space, a block keeps its temporaries small.
 The GARCH recursion ``_garch_paths`` steps once per day across all rows it
 is given: a Monte Carlo block, the picks of one fit, or one path. It keeps
 only the days after the burn-in.
+
+``simulate_batch`` fits a model to each sample on processes, as Nelder-Mead
+holds the GIL, and draws pick p of sample s from stream (seed, s * picks + p).
 """
 
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -46,6 +50,7 @@ __all__ = [
     "garch_to_json",
     "garch_from_json",
     "fit_and_simulate",
+    "simulate_batch",
 ]
 
 GARCH_BURN_IN = 500
@@ -256,6 +261,10 @@ class FitError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.diagnostics = diagnostics
+
+    def __reduce__(self):
+        # the default rebuilds from args alone, which a worker's FitError fails
+        return type(self), (*self.args, self.best, self.diagnostics)
 
 
 def _multistart_minimize(fun, starts: Sequence[np.ndarray], args=()):
@@ -511,22 +520,14 @@ def mc_null(
     )
 
 
-# Model name -> (GARCH?, innovation kind): the models fit_and_simulate knows
-_MODELS = {"normal": (False, "normal"), "skew_t": (False, "skew_t"),
-           "garch_normal": (True, "normal"), "garch_skew_t": (True, "skew_t")}
+# Model name -> (GARCH?, innovation kind, the scipy modules its fit imports):
+# a normal fit takes moments; every likelihood fit runs Nelder-Mead, and a
+# GARCH likelihood also filters its conditional variance
+_OPTIMIZE, _GARCH_FIT = ("scipy.optimize",), ("scipy.optimize", "scipy.signal")
+_MODELS = {"normal": (False, "normal", ()), "skew_t": (False, "skew_t", _OPTIMIZE),
+           "garch_normal": (True, "normal", _GARCH_FIT),
+           "garch_skew_t": (True, "skew_t", _GARCH_FIT)}
 MODELS = tuple(_MODELS)
-
-
-def _fit_modules(model: str) -> tuple[str, ...]:
-    """The scipy modules a fit of ``model`` imports.
-
-    A normal fit takes moments; every likelihood fit runs Nelder-Mead, and a
-    GARCH likelihood also filters its conditional variance.
-    """
-    garch, kind = _MODELS[model]
-    if garch:
-        return ("scipy.optimize", "scipy.signal")
-    return () if kind == "normal" else ("scipy.optimize",)
 
 
 def fit_and_simulate(
@@ -543,7 +544,7 @@ def fit_and_simulate(
     streams = [RngStream(seed, base_stream_id + p) for p in range(picks)]
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-    garch, kind = _MODELS[model]
+    garch, kind, _ = _MODELS[model]
     if garch:
         fitted = garch_fit(x, kind)
         params = {"model": model, **garch_to_json(fitted)}
@@ -555,3 +556,21 @@ def fit_and_simulate(
         sims = [np.asarray(fitted.sample(x.size, s)) for s in streams]
     return params, sims
 
+
+def _fit_and_simulate_task(task):
+    # a global lookup, so that a wrapper set on the module attribute runs too
+    return fit_and_simulate(*task)
+
+
+def simulate_batch(
+    samples: Sequence, model: str, picks: int, seed: int, workers: int = 1
+) -> list[tuple[dict, list[np.ndarray]]]:
+    """``fit_and_simulate`` per sample on up to ``workers`` processes; the scipy
+    modules of the model's fit are imported here first, for forked workers to
+    inherit."""
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    for name in _MODELS[model][2]:
+        importlib.import_module(name)
+    tasks = [(x, model, picks, seed, s * picks) for s, x in enumerate(samples)]
+    return parallel_map(_fit_and_simulate_task, tasks, workers, processes=True)

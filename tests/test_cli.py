@@ -472,6 +472,39 @@ def test_worker_default_comes_from_environment(tmp_path, panel_csv, capsys, monk
     capsys.readouterr()
 
 
+def test_a_second_main_call_reuses_the_parser_and_rereads_the_worker_default(
+    tmp_path, monkeypatch, capsys
+):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "mc", lambda args: seen.append(args.workers) or 0)
+    argv = ["mc", "--dist", "normal", "--seed", "1", "--out-prefix", str(tmp_path / "m")]
+    monkeypatch.setenv("ESBACKTEST_WORKERS", "2")
+    assert main(argv) == 0
+    built = cli.build_parser.cache_info().misses
+    monkeypatch.setenv("ESBACKTEST_WORKERS", "3")
+    assert main(argv) == 0
+    assert main(argv + ["--workers", "4"]) == 0
+    monkeypatch.delenv("ESBACKTEST_WORKERS")
+    assert main(argv) == 0
+    assert seen == [2, 3, 4, 1]
+    monkeypatch.setenv("ESBACKTEST_WORKERS", "abc")
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid literal for int() with base 10: 'abc'"
+    ]
+    assert seen == [2, 3, 4, 1]
+    assert cli.build_parser.cache_info().misses == built == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "from esbacktest import cli; print(cli.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout == "0\n"
+
+
 def test_reference_confusion_fixture_is_well_formed():
     import pathlib
 
@@ -833,12 +866,12 @@ def test_simulate_imports_the_fit_modules_of_its_model_before_the_pool(
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import json, sys\n"
-        "from esbacktest import cli\n"
+        "from esbacktest import cli, simulation\n"
         "class Stop(Exception): pass\n"
         "def record(*args, **kwargs):\n"
         "    print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
         "    raise Stop\n"
-        "cli.parallel_map = record\n"
+        "simulation.parallel_map = record\n"
         "try:\n"
         "    cli.main(json.loads(sys.argv[1]))\n"
         "except Stop:\n"
@@ -857,6 +890,33 @@ def test_simulate_imports_the_fit_modules_of_its_model_before_the_pool(
     assert {m for m in loaded if m in ("scipy.optimize", "scipy.signal")} == set(expect)
     if not expect:
         assert loaded == set()
+
+
+def test_a_fit_on_a_parameter_boundary_exits_3_at_any_worker_count(tmp_path):
+    # the high-variance half drives the GARCH fit to a1 + b1 = 1; on a process
+    # pool the FitError is pickled in a worker and must reach main intact
+    rng = np.random.default_rng(18)
+    cols = [np.concatenate([rng.normal(0, 0.01, 150), rng.normal(0, 0.1, 150)]).tolist()
+            for _ in range(2)]
+    panel = tmp_path / "boundary.csv"
+    panel.write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(*cols)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    errs = []
+    for workers in ("1", "2"):
+        argv = ["simulate", "--input", str(panel), "--model", "garch-normal",
+                "--window", "300", "--seed", "1", "--workers", workers,
+                "--out", str(tmp_path / f"sim{workers}.csv")]
+        proc = subprocess.run([sys.executable, "-m", "esbacktest.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 3, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert errs[0].splitlines() == [
+        "config error: fit reached a parameter boundary: "
+        "need a1 + b1 < 1 for stationarity, got 1.0"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from esbacktest.parallel import parallel_map
+from esbacktest.simulation import FitError
 
 
 def _square_or_fail(i):
@@ -13,6 +14,12 @@ def _square_or_fail(i):
             time.sleep(0.05)  # so item 5 fails first in time where it has its own chunk
         raise ValueError(f"item {i}")
     return i * i
+
+
+def _fit_or_fail(i):
+    if i == 2:
+        raise FitError(f"item {i}", {"theta": [0.25, i], "nll": 3.5}, {"nfev": 40})
+    return i
 
 
 @pytest.mark.parametrize("processes", [False, True], ids=["threads", "processes"])
@@ -27,3 +34,11 @@ def test_parallel_map_keeps_input_order_and_raises_the_first_failure(workers, pr
 def test_parallel_map_needs_a_worker():
     with pytest.raises(ValueError, match="need workers >= 1, got 0"):
         parallel_map(_square_or_fail, range(3), 0)
+
+
+def test_parallel_map_on_processes_raises_a_workers_fit_error_intact():
+    # the exception is pickled in the worker and rebuilt here
+    with pytest.raises(FitError, match="^item 2$") as info:
+        parallel_map(_fit_or_fail, range(4), 2, processes=True)
+    assert info.value.best == {"theta": [0.25, 2], "nll": 3.5}
+    assert info.value.diagnostics == {"nfev": 40}

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -41,6 +42,7 @@ from esbacktest.simulation import (
     garch_simulate,
     garch_to_json,
     mc_null,
+    simulate_batch,
 )
 
 # ---------------------------------------------------------------------------
@@ -487,6 +489,16 @@ def test_garch_fit_on_a_parameter_boundary_raises_fit_error(
     assert info.value.diagnostics["boundary"] in str(info.value)
 
 
+def test_fit_error_survives_a_pickle_round_trip():
+    # a process pool pickles a worker's exception to raise it in the parent
+    err = FitError("fit reached a parameter boundary: x", {"theta": [0.5], "nll": 1.5},
+                   {"boundary": "x"})
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is FitError
+    assert str(back) == str(err) and back.args == err.args
+    assert back.best == err.best and back.diagnostics == err.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # i.i.d. fitting
 # ---------------------------------------------------------------------------
@@ -856,6 +868,19 @@ def test_fit_and_simulate_garch_emits_paths():
         fit_and_simulate(x, "arch", picks=1, seed=8, base_stream_id=0)
     with pytest.raises(ValueError, match="picks"):
         fit_and_simulate(x, "normal", picks=0, seed=8, base_stream_id=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_simulate_batch_draws_sample_s_pick_p_from_stream_s_times_picks_plus_p(workers):
+    samples = [Normal(0.0, 0.01).sample(200, RngStream(97, j)) for j in range(3)]
+    batch = simulate_batch(samples, "normal", 2, 9, workers)
+    assert len(batch) == 3
+    for s, (x, (params, sims)) in enumerate(zip(samples, batch)):
+        one_params, one_sims = fit_and_simulate(x, "normal", 2, 9, s * 2)
+        assert params == one_params
+        assert all(np.array_equal(a, b) for a, b in zip(sims, one_sims, strict=True))
+    with pytest.raises(ValueError, match="unknown model 'arch'"):
+        simulate_batch(samples, "arch", 2, 9, workers)
 
 
 def test_model_table_and_mc_defaults():
