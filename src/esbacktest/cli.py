@@ -16,7 +16,8 @@ directory does so before any work is done. Every stochastic
 subcommand requires an explicit seed and is byte-reproducible for any
 worker count. ``--workers`` runs ``backtest``, ``compare`` and ``mc`` on
 threads, as their numpy kernels release the GIL, and ``simulate``'s fits on
-processes (see ``simulation.simulate_batch``).
+processes (see ``simulation.simulate_batch``). Without ``--workers`` the
+count comes from ``ESBACKTEST_WORKERS`` (1 when unset), a positive integer.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fits-out", default=None, help="fitted-parameter JSON path")
 
     for p in sub.choices.values():
-        # None stands for "not given": main reads the default on every call
+        # None stands for "not given": only then does main read the environment
         p.add_argument("--workers", type=int, default=None)
     return parser
 
@@ -147,6 +148,11 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 class OutputCheckError(Exception):
@@ -178,8 +184,7 @@ def _write_report(args, config, samples, results, summary, expect_z: bool) -> No
         "summary": summary,
     }
     _write_json(args.out, report)
-    with open(args.out) as fh:
-        report = json.load(fh)
+    report = _read_json(args.out)
     _check(
         len(report["samples"]) == len(report["results"]), "samples/results aligned"
     )
@@ -302,6 +307,12 @@ def cmd_mc(args) -> int:
         points = [k for b in (th.green_upper, th.yellow_upper) for k in (b - 1, b)]
         summary[nd.metric.lower()] = {str(k): entry(nd, k) for k in points}
     _write_json(summary_path, summary)
+    summary = _read_json(summary_path)
+    _check(list(summary) == [*params, "var", "es"], f"summary keys {list(summary)}")
+    for metric in ("var", "es"):
+        for e in summary[metric].values():
+            _check(list(e) == ["p_at_most", "p_below", "mc_se"], f"{metric} entry keys")
+            _check(0 <= e["p_below"] <= e["p_at_most"] <= 1, f"{metric} probabilities")
 
     # zone-boundary readings: counts at most k for VAR, strictly below k for ES
     for nd, reading in zip(nulls, ("p_at_most", "p_below")):
@@ -330,6 +341,12 @@ def cmd_simulate(args) -> int:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     if args.fits_out:
         _write_json(args.fits_out, {"model": model, "fits": fits})
+        written = _read_json(args.fits_out)
+        _check(list(written) == ["model", "fits"], f"fits keys {list(written)}")
+        _check(written["model"] == model, "fits model")
+        _check([f["sample"] for f in written["fits"]] == [s.label for s in samples],
+               "one fit per sample")
+        _check(all(list(f) == ["sample", "params"] for f in written["fits"]), "fit keys")
     _validate_csv(args.out, ",".join(names))
     print(f"simulated {len(names)} series from {len(samples)} fitted samples")
     return 0
@@ -345,13 +362,15 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        workers = int(os.environ.get(_ENV_WORKERS, "1"))
         args = build_parser().parse_args(argv)
+        if args.workers is None:
+            text = os.environ.get(_ENV_WORKERS, "1")
+            args.workers = int(text) if text.strip().isdecimal() else 0
+            if args.workers < 1:
+                raise ValueError(f"{_ENV_WORKERS} must be a positive integer, got {text!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.workers is None:
-        args.workers = workers
     try:
         return _COMMANDS[args.command](args)
     except DataError as exc:

@@ -96,7 +96,7 @@ class RngStream:
 
 def _open_uniform(gen: Generator, n: int) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), safe for quantile transforms."""
-    return gen.integers(1, 1 << 53, size=n).astype(np.float64) / _OPEN_UNIT
+    return gen.integers(1, 1 << 53, size=n) / _OPEN_UNIT
 
 
 @dataclass(frozen=True)
@@ -210,17 +210,29 @@ class SkewT:
 
     def quantile(self, p):
         _check_prob(p)
-        p = np.asarray(p, dtype=float)
+        return self._quantile_into(np.array(p, dtype=float))[()]
+
+    def _quantile_into(self, p: np.ndarray) -> np.ndarray:
+        """Overwrite the probabilities ``p`` with their quantiles, in place."""
         w = self.xi**2
         p0 = 1.0 / (1.0 + w)  # mass below zero
-        # each branch inverts the t cdf at its own probabilities only
-        lower, upper = p < p0, p >= p0
-        z = np.empty_like(p)
-        q = p[lower] * (1.0 + w) / 2.0  # 0 once p underflows; stdtrit(nu, 0) is +inf
-        z[lower] = np.where(q > 0, special.stdtrit(self.nu, q), -np.inf) / self.xi
-        r = (p[upper] - p0) * (1.0 + w) / (2.0 * w) + 0.5
-        z[upper] = self.xi * special.stdtrit(self.nu, r)
-        return self.loc + self.scale * z
+        lower = p < p0
+        upper = ~lower
+        # map each probability to the t cdf level its branch inverts, in the
+        # order of operations of the closed form, so every rounding is kept
+        np.subtract(p, p0, out=p, where=upper)
+        p *= 1.0 + w
+        np.divide(p, 2.0, out=p, where=lower)
+        np.divide(p, 2.0 * w, out=p, where=upper)
+        np.add(p, 0.5, out=p, where=upper)
+        underflow = p == 0  # a lower level that underflows; stdtrit(nu, 0) is +inf
+        special.stdtrit(self.nu, p, out=p)
+        p[underflow] = -np.inf
+        np.divide(p, self.xi, out=p, where=lower)
+        np.multiply(p, self.xi, out=p, where=upper)
+        p *= self.scale
+        p += self.loc
+        return p
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         """Two-piece draws (Fernandez & Steel 1998): n of |T|, then n uniforms.
@@ -247,8 +259,7 @@ class SkewT:
     def sample_by_quantile(self, n: int, stream: RngStream) -> np.ndarray:
         """Inverse-cdf draws: the quantile of n open uniforms, in stream order."""
         _check_count(n)
-        gen = stream.generator()
-        return np.asarray(self.quantile(_open_uniform(gen, n)))
+        return self._quantile_into(_open_uniform(stream.generator(), n))
 
     def mean(self) -> float:
         return self.loc + self.scale * self._moments(self.nu, self.xi)[0]

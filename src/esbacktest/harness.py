@@ -106,6 +106,8 @@ class ReturnPanel:
             dates = np.asarray(self.dates, dtype=np.int64)
             if dates.size != values.shape[0]:
                 raise ValueError("one date per row required")
+            if not (dates[1:] > dates[:-1]).all():
+                raise ValueError("dates must strictly increase")
             dates.flags.writeable = False
             object.__setattr__(self, "dates", dates)
 
@@ -166,10 +168,12 @@ def _unique(names, lineno: int) -> tuple[str, ...]:
 
 def _parse_rows(numbered_lines, width: int, dated: bool):
     """(values, dates) from (physical line number, line) pairs of ``width`` fields,
-    the first a YYYYMMDD date if ``dated``; errors name the physical line.
+    the first a YYYYMMDD date if ``dated``, the dates strictly increasing;
+    errors name the physical line.
 
-    Every line is split and parsed in one pass; on any failure the per-line
-    loop runs again to name the first bad line.
+    Every line is split and parsed in one pass, and the date order is one
+    array comparison; on any failure the per-line loop runs again to name
+    the first bad line.
     """
     numbered = list(numbered_lines)
     lines = [line for _, line in numbered]
@@ -183,9 +187,10 @@ def _parse_rows(numbered_lines, width: int, dated: bool):
         values = np.fromiter(map(float, cells), float, len(cells)) if ok else None
     except ValueError:
         ok = False
-    if not ok or not np.isfinite(values).all():
+    order = np.array(list(map(int, dates)) if ok else [], dtype=np.int64)
+    if not ok or not np.isfinite(values).all() or not (order[1:] > order[:-1]).all():
         return _parse_lines(numbered, width, dated)
-    return values.reshape(len(lines), width - dated), list(map(int, dates))
+    return values.reshape(len(lines), width - dated), order.tolist()
 
 
 def _parse_lines(numbered, width: int, dated: bool):
@@ -199,6 +204,8 @@ def _parse_lines(numbered, width: int, dated: bool):
             date = parts[0].strip()
             if not _DATE_RE.match(date):
                 raise DataError(f"line {i}: bad date {date!r}, expected YYYYMMDD")
+            if dates and int(date) <= dates[-1]:
+                raise DataError(f"line {i}: date {date} is not after {dates[-1]}")
             dates.append(int(date))
             parts = parts[1:]
         rows.append([_parse_float(c, i) for c in parts])

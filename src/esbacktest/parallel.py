@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["parallel_map"]
+
 
 def _run_chunk(fn, chunk) -> list:
     return [fn(item) for item in chunk]

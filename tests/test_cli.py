@@ -490,10 +490,119 @@ def test_a_second_main_call_reuses_the_parser_and_rereads_the_worker_default(
     monkeypatch.setenv("ESBACKTEST_WORKERS", "abc")
     assert main(argv) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: invalid literal for int() with base 10: 'abc'"
+        "error: ESBACKTEST_WORKERS must be a positive integer, got 'abc'"
     ]
     assert seen == [2, 3, 4, 1]
     assert cli.build_parser.cache_info().misses == built == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_a_bad_worker_default_is_read_only_without_workers(
+    tmp_path, capsys, monkeypatch, value
+):
+    argv = ["mc", "--dist", "normal", "--runs", "100", "--seed", "1"]
+    assert main(argv + ["--workers", "2", "--out-prefix", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("ESBACKTEST_WORKERS", value)
+    assert main(argv + ["--workers", "2", "--out-prefix", str(tmp_path / "env")]) == 0
+    for suffix in ("_var.csv", "_es.csv", "_summary.json"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        assert (tmp_path / f"env{suffix}").read_bytes() == plain
+    capsys.readouterr()
+    assert main(argv + ["--out-prefix", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: ESBACKTEST_WORKERS must be a positive integer, got {value!r}"
+    ]
+    assert not list(tmp_path.glob("bad*"))
+
+
+def _json_writer_that(change):
+    """``cli._write_json`` that applies ``change`` to the payload it writes."""
+    original = cli._write_json
+    return lambda path, payload: original(path, change(json.loads(json.dumps(payload))))
+
+
+def _drop_seed(summary):
+    del summary["seed"]
+    return summary
+
+
+def _swap_entry_keys(summary):
+    summary["es"]["12"] = dict(reversed(list(summary["es"]["12"].items())))
+    return summary
+
+
+def _swap_probabilities(summary):
+    entry = summary["var"]["5"]
+    entry["p_below"], entry["p_at_most"] = entry["p_at_most"], entry["p_below"] + 1.0
+    return summary
+
+
+@pytest.mark.parametrize(
+    "change, check",
+    [
+        (_drop_seed, "summary keys"),
+        (_swap_entry_keys, "es entry keys"),
+        (_swap_probabilities, "var probabilities"),
+    ],
+)
+def test_mc_reads_back_its_summary(tmp_path, capsys, monkeypatch, change, check):
+    monkeypatch.setattr(cli, "_write_json", _json_writer_that(change))
+    argv = ["mc", "--dist", "normal", "--runs", "100", "--seed", "1"]
+    assert main(argv + ["--out-prefix", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"output check failed: {check}")
+
+
+def _add_key(fits):
+    fits["extra"] = 1
+    return fits
+
+
+def _other_model(fits):
+    fits["model"] = "skew_t"
+    return fits
+
+
+def _drop_last_fit(fits):
+    fits["fits"].pop()
+    return fits
+
+
+def _swap_fit_keys(fits):
+    fits["fits"][0] = dict(reversed(list(fits["fits"][0].items())))
+    return fits
+
+
+@pytest.mark.parametrize(
+    "change, check",
+    [
+        (_add_key, "fits keys"),
+        (_other_model, "fits model"),
+        (_drop_last_fit, "one fit per sample"),
+        (_swap_fit_keys, "fit keys"),
+    ],
+)
+def test_simulate_reads_back_its_fits(
+    tmp_path, panel_csv, capsys, monkeypatch, change, check
+):
+    monkeypatch.setattr(cli, "_write_json", _json_writer_that(change))
+    argv = ["simulate", "--input", str(panel_csv), "--model", "normal", "--picks", "1",
+            "--window", "250", "--seed", "1", "--out", str(tmp_path / "s.csv"),
+            "--fits-out", str(tmp_path / "f.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"output check failed: {check}")
+
+
+def test_a_dated_panel_out_of_order_exits_2(tmp_path, capsys):
+    path = tmp_path / "dated.csv"
+    path.write_text("date,a\n20201399,0.01\n20200101,0.02\n20200101,0.01\n00000000,0.01\n")
+    argv = ["backtest", "--input", str(path), "--estimator", "var-hist",
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: line 3: date 20200101 is not after 20201399"
+    ]
 
 
 def test_importing_the_cli_builds_no_parser():

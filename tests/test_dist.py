@@ -539,6 +539,39 @@ def test_skew_t_quantile_draws_are_inverse_cdf_of_open_uniforms():
     assert stats.kstest(x, d.cdf).pvalue > 0.001
 
 
+def _sample_by_quantile_before_in_place_steps(d, n, stream):
+    # SkewT.sample_by_quantile as it was before its steps ran in place: every
+    # step of the open uniforms and of each quantile branch made a new array
+    u = stream.generator().integers(1, 1 << 53, size=n).astype(np.float64) / float(1 << 53)
+    w = d.xi**2
+    p0 = 1.0 / (1.0 + w)
+    lower, upper = u < p0, u >= p0
+    z = np.empty_like(u)
+    q = u[lower] * (1.0 + w) / 2.0
+    z[lower] = np.where(q > 0, special.stdtrit(d.nu, q), -np.inf) / d.xi
+    r = (u[upper] - p0) * (1.0 + w) / (2.0 * w) + 0.5
+    z[upper] = d.xi * special.stdtrit(d.nu, r)
+    return d.loc + d.scale * z
+
+
+@pytest.mark.parametrize(
+    "d",
+    [SkewT(5.0, 0.85), SkewT(3.0, 1.3, -0.2, 0.7), SkewT(7.0, 0.4, 1e-3, 2e-2), StudentT(4.0)],
+)
+@pytest.mark.parametrize("n", [1, 7, 20_000])
+def test_in_place_quantile_draws_keep_their_bits(d, n):
+    got = d.sample_by_quantile(n, RngStream(19, n))
+    want = _sample_by_quantile_before_in_place_steps(d, n, RngStream(19, n))
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_quantile_leaves_its_argument_unchanged():
+    p = np.array([0.01, 0.5, 0.99])
+    SkewT(5.0, 0.8).quantile(p)
+    assert p.tolist() == [0.01, 0.5, 0.99]
+
+
 def test_skew_t_moment_formulas_against_quadrature():
     d = SkewT(5.0, 1.4)
     m1, _ = integrate.quad(lambda x: x * d.pdf(x), -np.inf, np.inf, limit=400)

@@ -93,6 +93,53 @@ def test_ff_daily_unparseable_cell_reports_line(tmp_path):
         load_returns(path, "ff_daily")
 
 
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("simple_csv", "date,a\n20201399,0.01\n20200101,0.02\n20200101,0.01\n00000000,0.01\n",
+         "line 3: date 20200101 is not after 20201399"),
+        ("simple_csv", "date,a\n\n20200101,0.01\n\n20200101,0.02\n",
+         "line 5: date 20200101 is not after 20200101"),
+        # the order is checked before the missing-data rows are dropped
+        (
+            "ff_daily",
+            ",A\n20050103,1.0\n20050105,-99.99\n20050104,2.0\n",
+            "line 4: date 20050104 is not after 20050105",
+        ),
+        # the first bad line is named, whatever it breaks
+        ("simple_csv", "date,a\n20200102,0.01\n20200101,zzz\n", "line 3: date 20200101"),
+        ("simple_csv", "date,a\n20200102,zzz\n20200101,0.01\n", "line 2: cannot parse"),
+    ],
+)
+def test_dates_must_strictly_increase(tmp_path, fmt, text, message):
+    path = tmp_path / "dated.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as exc:
+        load_returns(path, fmt)
+    assert str(exc.value).startswith(message)
+
+
+def test_one_pass_date_order_equals_the_per_line_loop():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        dates = np.cumsum(rng.integers(-1, 3, size=6)) + 20200101
+        numbered = list(enumerate((f"{d},0.01" for d in dates), start=2))
+        try:
+            want = _parse_lines(numbered, 2, True)[1]
+        except DataError as exc:
+            with pytest.raises(DataError, match=str(exc)):
+                _parse_rows(numbered, 2, True)
+        else:
+            assert _parse_rows(numbered, 2, True)[1] == want == sorted(set(want))
+
+
+def test_return_panel_rejects_dates_out_of_order():
+    with pytest.raises(ValueError, match="dates must strictly increase"):
+        ReturnPanel(("a",), np.zeros((3, 1)), dates=[20200101, 20200103, 20200103])
+    panel = ReturnPanel(("a",), np.zeros((3, 1)), dates=[20200101, 20200102, 20200103])
+    assert np.array_equal(panel.dates, [20200101, 20200102, 20200103])
+
+
 def test_ff_daily_requires_dated_rows(tmp_path):
     path = tmp_path / "ff.csv"
     path.write_text("no,data,here\n")

@@ -1,0 +1,72 @@
+"""The package entry point: one declaration of the public names per module."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import esbacktest
+
+LIBRARY_MODULES = ("backtest", "dist", "estimators", "harness", "parallel", "secured", "simulation")
+
+# every name `import esbacktest` exported before the modules' __all__ became its source
+EXPORTED_BEFORE = {
+    "BacktestResult", "ConfusionMatrix", "DataError", "DistSpec", "ES_THRESHOLDS",
+    "FitError", "GarchSpec", "McConfig", "Normal", "NullDistribution", "PRESETS",
+    "ReturnPanel", "RngStream", "RollingConfig", "STREAM_CONTRACT", "Sample",
+    "SampleMoments", "SecuredSample", "SkewT", "StatResult", "StudentT",
+    "VAR_THRESHOLDS", "ZONES", "Z_THRESHOLDS", "ZoneThresholds", "build_normalized",
+    "build_secured", "classify", "compare_backtest", "confusion", "dist_from_json",
+    "dist_to_json", "dual_g", "dual_t", "es_empirical", "es_normal", "filter_dates",
+    "fit_and_simulate", "fit_iid", "g_stat", "garch_fit", "garch_from_json",
+    "garch_simulate", "garch_to_json", "heatmap_table", "load_returns", "mc_null",
+    "moments", "parallel_map", "preset", "rolling_backtest", "run_batch",
+    "run_compare_batch", "split_samples", "t_stat", "true_risk", "var_empirical",
+    "var_normal", "write_heatmap_csv", "z_stat",
+}
+
+
+def _module(name):
+    return importlib.import_module(f"esbacktest.{name}")
+
+
+def test_package_all_is_the_duplicate_free_union_of_the_module_lists():
+    union = [n for name in LIBRARY_MODULES for n in _module(name).__all__]
+    assert esbacktest.__all__ == union
+    assert len(set(union)) == len(union)
+
+
+def test_each_exported_name_is_its_defining_modules_own_object():
+    for name in LIBRARY_MODULES:
+        module = _module(name)
+        for public in module.__all__:
+            assert getattr(esbacktest, public) is getattr(module, public), public
+
+
+def test_no_name_exported_before_is_lost():
+    assert EXPORTED_BEFORE <= set(esbacktest.__all__)
+    newly = set(esbacktest.__all__) - EXPORTED_BEFORE
+    assert newly == {
+        "simulate_batch", "MODELS", "GARCH_BURN_IN", "CALIBRATION", "CalibrationPoint",
+        "RESULT_FIELDS", "ESTIMATORS", "FAMILIES", "FORMATS", "LEARN",
+    }
+    assert "main" not in esbacktest.__all__  # the cli is not re-exported
+
+
+def test_fresh_package_import_loads_numpy_and_the_standard_library_only():
+    src = str(Path(esbacktest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import esbacktest\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    roots = {m.split(".")[0] for m in proc.stdout.split()}
+    assert "scipy" not in roots
+    # numpy's compiled extensions register Cython's runtime as modules too
+    cython = {r for r in roots if r == "cython_runtime" or r.startswith("_cython_")}
+    assert roots - cython - set(sys.stdlib_module_names) == {"esbacktest", "numpy"}

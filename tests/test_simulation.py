@@ -684,8 +684,14 @@ def test_block_overflow_is_rejected_without_a_warning(n):
 
 @pytest.mark.parametrize(
     "dist",
-    [Normal(), StudentT(3.0), SkewT(5.0, 0.8), GarchSpec(mu=0.0, omega=0.05, a1=0.1, b1=0.85)],
-    ids=["normal", "t3", "skewt", "garch"],
+    [
+        Normal(),
+        StudentT(3.0),
+        SkewT(5.0, 0.8),
+        GarchSpec(mu=0.0, omega=0.05, a1=0.1, b1=0.85),
+        GarchSpec(0.0, 0.05, 0.1, 0.85, "skew_t", 5.0, 0.85),
+    ],
+    ids=["normal", "t3", "skewt", "garch", "garch-skewt"],
 )
 def test_block_peak_memory_is_at_most_three_times_its_draws(dist):
     # worker threads hold one block each in a shared address space
