@@ -225,9 +225,10 @@ class SkewT:
         np.divide(p, 2.0, out=p, where=lower)
         np.divide(p, 2.0 * w, out=p, where=upper)
         np.add(p, 0.5, out=p, where=upper)
-        underflow = p == 0  # a lower level that underflows; stdtrit(nu, 0) is +inf
         special.stdtrit(self.nu, p, out=p)
-        p[underflow] = -np.inf
+        # stdtrit reads +inf below about 1e-222 at nu = 2.5 (1e-270 at nu = 5),
+        # and at a level that underflows to 0: a lower-branch quantile is -inf there
+        p[lower & (p > 0)] = -np.inf
         np.divide(p, self.xi, out=p, where=lower)
         np.multiply(p, self.xi, out=p, where=upper)
         p *= self.scale

@@ -12,7 +12,16 @@ it. ``_reserves`` takes the (test, learn) view of a sample's windows once
 (``sliding_window_view``, no copy) and reduces it once per statistic and key:
 each row's mean and sd for the normal family at any level, and each row's
 order statistic at one tail index for the historical family, so VAR and ES
-at one level share a 2-D ``np.partition``. Every (estimator, level) series is
+at one level share a 2-D ``np.partition``. The historical family reads a
+narrower view, ``_low_tail``: each window's values at or below a bound tau,
+in time order, padded with ``+inf``. tau is the largest k-th smallest value
+of the aligned blocks of ``learn // 2`` values, k the largest tail index of
+the sample's pairs. Every window holds a whole block, so every value at or
+below its k-th smallest is in its row, and the boundaries, ties and ES tails
+are the same floats in the same order. The full windows are read instead
+when a block is shorter than k + 1 values, when the widest row would be
+wider than a block, or when a value in the view is a zero of either sign,
+whose sign a 1-D partition decides. Every (estimator, level) series is
 read from those reductions and equals the scalar estimator on each window
 bit for bit: the normal reads call ``Normal().quantile``/``pdf``
 (``scipy.special``) once per series, and the ES tails are gathered in time
@@ -77,10 +86,22 @@ LEARN = 250
 _FF_SENTINELS = (-99.99, -999.0)
 _CAP_T, _CAP_G = 15, 35  # heatmap caps of the exception and worst-case-sum counts
 _DATE_RE = re.compile(r"^\d{8}$")
+# days in each month of a leap year; month 0 stands in for a month out of range
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 class DataError(ValueError):
     """Raised when an input file cannot be ingested."""
+
+
+def _calendar(dates) -> np.ndarray:
+    """Whether each YYYYMMDD integer is a date of the Gregorian calendar, years 1 to 9999."""
+    dates = np.asarray(dates, dtype=np.int64)
+    year, month, day = dates // 10000, dates // 100 % 100, dates % 100
+    month = np.where(month <= 12, month, 0)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    last = _MONTH_DAYS[month] - ((month == 2) & ~leap)
+    return (1 <= year) & (year <= 9999) & (1 <= day) & (day <= last)
 
 
 @dataclass(frozen=True)
@@ -106,6 +127,8 @@ class ReturnPanel:
             dates = np.asarray(self.dates, dtype=np.int64)
             if dates.size != values.shape[0]:
                 raise ValueError("one date per row required")
+            if not _calendar(dates).all():
+                raise ValueError("dates must be calendar dates, YYYYMMDD")
             if not (dates[1:] > dates[:-1]).all():
                 raise ValueError("dates must strictly increase")
             dates.flags.writeable = False
@@ -168,12 +191,12 @@ def _unique(names, lineno: int) -> tuple[str, ...]:
 
 def _parse_rows(numbered_lines, width: int, dated: bool):
     """(values, dates) from (physical line number, line) pairs of ``width`` fields,
-    the first a YYYYMMDD date if ``dated``, the dates strictly increasing;
-    errors name the physical line.
+    the first a YYYYMMDD calendar date if ``dated``, the dates strictly
+    increasing; errors name the physical line.
 
-    Every line is split and parsed in one pass, and the date order is one
-    array comparison; on any failure the per-line loop runs again to name
-    the first bad line.
+    Every line is split and parsed in one pass, and the calendar and the date
+    order are array checks; on any failure the per-line loop runs again to
+    name the first bad line.
     """
     numbered = list(numbered_lines)
     lines = [line for _, line in numbered]
@@ -188,7 +211,8 @@ def _parse_rows(numbered_lines, width: int, dated: bool):
     except ValueError:
         ok = False
     order = np.array(list(map(int, dates)) if ok else [], dtype=np.int64)
-    if not ok or not np.isfinite(values).all() or not (order[1:] > order[:-1]).all():
+    ok = ok and _calendar(order).all() and (order[1:] > order[:-1]).all()
+    if not ok or not np.isfinite(values).all():
         return _parse_lines(numbered, width, dated)
     return values.reshape(len(lines), width - dated), order.tolist()
 
@@ -204,6 +228,8 @@ def _parse_lines(numbered, width: int, dated: bool):
             date = parts[0].strip()
             if not _DATE_RE.match(date):
                 raise DataError(f"line {i}: bad date {date!r}, expected YYYYMMDD")
+            if not _calendar(int(date)):
+                raise DataError(f"line {i}: date {date} is not a calendar date")
             if dates and int(date) <= dates[-1]:
                 raise DataError(f"line {i}: date {date} is not after {dates[-1]}")
             dates.append(int(date))
@@ -292,7 +318,15 @@ def load_returns(path, fmt: str) -> ReturnPanel:
 def filter_dates(
     panel: ReturnPanel, start: Optional[int] = None, end: Optional[int] = None
 ) -> ReturnPanel:
-    """Restrict a dated panel to start <= date <= end (YYYYMMDD, inclusive)."""
+    """Restrict a dated panel to start <= date <= end (YYYYMMDD, inclusive).
+
+    Each bound given must be a calendar date, and start may not follow end.
+    """
+    for name, bound in (("start", start), ("end", end)):
+        if bound is not None and not (0 < bound < 10**8 and _calendar(bound)):
+            raise ValueError(f"{name} {bound} is not a calendar date, YYYYMMDD")
+    if start is not None and end is not None and start > end:
+        raise ValueError(f"start {start} is after end {end}")
     if start is None and end is None:
         return panel
     if panel.dates is None:
@@ -406,19 +440,46 @@ class RollingConfig:
         return CALIBRATION.alpha_var if var else CALIBRATION.alpha_es
 
 
+def _low_tail(x: np.ndarray, windows: np.ndarray, k: int) -> np.ndarray:
+    """Each window's values at or below tau, in time order, padded with +inf,
+    where tau bounds every window's k-th smallest value; ``windows`` where the
+    bound saves nothing or a zero's sign would depend on the row."""
+    half = windows.shape[1] // 2
+    if half < k + 1:
+        return windows
+    # every window holds a whole aligned block, whose k-th smallest bounds its own
+    blocks = x[: x.size // half * half].reshape(-1, half)
+    at = np.flatnonzero(x <= np.partition(blocks, k, axis=1)[:, k].max())
+    start = np.arange(len(windows))
+    first = np.searchsorted(at, start)  # each window's first index into at
+    size = np.searchsorted(at, start + windows.shape[1]) - first
+    width, low = size.max(), x[at]
+    if width > half or (low == 0).any():
+        return windows
+    cols = np.arange(width)
+    rows = np.take(low, first[:, None] + cols, mode="clip")
+    rows[cols >= size[:, None]] = np.inf
+    return rows
+
+
 def _reserves(x: np.ndarray, learn: int, test: int, pairs) -> dict:
     """Reserve series per (estimator, level) pair, one per test day from the
     ``learn`` observations before it; in ``pairs`` order, so that the first
     series to overflow raises."""
-    windows = sliding_window_view(x[: learn + test - 1], learn)
+    x = x[: learn + test - 1]
+    windows = sliding_window_view(x, learn)
+    ks = [_tail_index(learn, alpha) for e, alpha in pairs if _KERNELS[e][0] is _BOUNDARY]
+    low = _low_tail(x, windows, max(ks)) if ks else windows
     reduced, series = {}, {}
     for estimator, alpha in dict.fromkeys(pairs):
-        (key, reduce), reserve = _KERNELS[estimator]
+        statistic, reserve = _KERNELS[estimator]
+        rows = low if statistic is _BOUNDARY else windows
+        key, reduce = statistic
         at = (reduce, key(learn, alpha))
         with np.errstate(over="ignore", invalid="ignore"):
             if at not in reduced:
-                reduced[at] = reduce(windows, at[1])
-            reserves = series[estimator, alpha] = reserve(windows, reduced[at], alpha)
+                reduced[at] = reduce(rows, at[1])
+            reserves = series[estimator, alpha] = reserve(rows, reduced[at], alpha)
         finite = np.isfinite(reserves)  # the sample is finite, so only overflow fails
         if not finite.all():
             day = int(np.argmin(finite))

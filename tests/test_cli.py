@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esbacktest import cli, harness, simulation
@@ -108,7 +108,8 @@ def test_backtest_repeated_column_name_exits_2(tmp_path, capsys, fmt, header, li
     rng = np.random.default_rng(63)
     rows = [",".join(f"{v:.6f}" for v in r) for r in rng.standard_normal((500, 3))]
     if fmt == "ff_daily":
-        rows = [f"{20000101 + k}," + r for k, r in enumerate(rows)]
+        days = np.datetime_as_string(np.datetime64("2000-01-03") + np.arange(len(rows)))
+        rows = [d.replace("-", "") + "," + r for d, r in zip(days, rows)]
     path = tmp_path / "repeated.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     argv = ["backtest", "--input", str(path), "--format", fmt, "--estimator", "var-hist"]
@@ -358,10 +359,9 @@ def test_backtest_ff_panel_yields_125_samples(tmp_path, capsys):
     path = tmp_path / "ff.csv"
     header = "," + ",".join(f"P{i}" for i in range(25))
     lines = [header]
-    for row in range(2500):
-        date = 20050000 + row  # monotone 8-digit identifiers
+    for day in np.datetime_as_string(np.datetime64("2005-01-03") + np.arange(2500)):
         cells = ",".join(f"{v:.4f}" for v in rng.standard_normal(25))
-        lines.append(f"{date},{cells}")
+        lines.append(f"{day.replace('-', '')},{cells}")
     path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "ff_report.json"
     code = main(
@@ -596,12 +596,23 @@ def test_simulate_reads_back_its_fits(
 
 def test_a_dated_panel_out_of_order_exits_2(tmp_path, capsys):
     path = tmp_path / "dated.csv"
+    path.write_text("date,a\n20201231,0.01\n20200101,0.02\n20200101,0.01\n20200102,0.01\n")
+    argv = ["backtest", "--input", str(path), "--estimator", "var-hist",
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: line 3: date 20200101 is not after 20201231"
+    ]
+
+
+def test_a_dated_panel_off_the_calendar_exits_2(tmp_path, capsys):
+    path = tmp_path / "dated.csv"
     path.write_text("date,a\n20201399,0.01\n20200101,0.02\n20200101,0.01\n00000000,0.01\n")
     argv = ["backtest", "--input", str(path), "--estimator", "var-hist",
             "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "data error: line 3: date 20200101 is not after 20201399"
+        "data error: line 2: date 20201399 is not a calendar date"
     ]
 
 
@@ -665,6 +676,34 @@ def test_simulate_garch_on_huge_returns_keeps_the_exit_code_contract(tmp_path, c
             "--seed", "1", "--out", str(tmp_path / "sim.csv")]
     assert main(argv) in (0, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (["--start", "20201399"], "start 20201399 is not a calendar date, YYYYMMDD"),
+        (["--end", "20230229"], "end 20230229 is not a calendar date, YYYYMMDD"),
+        (["--start", "-1"], "start -1 is not a calendar date, YYYYMMDD"),
+        (["--end", "1" + "0" * 30], f"end 1{'0' * 30} is not a calendar date, YYYYMMDD"),
+        (["--start", "20210102", "--end", "20210101"], "start 20210102 is after end 20210101"),
+    ],
+)
+@pytest.mark.parametrize("command", ["backtest", "compare", "simulate"])
+def test_date_bounds_must_be_calendar_dates_in_order(tmp_path, capsys, command, bounds, message):
+    rng = np.random.default_rng(64)
+    days = np.datetime_as_string(np.datetime64("2020-01-01") + np.arange(500))
+    path = tmp_path / "dated.csv"
+    path.write_text("date,a\n" + "".join(
+        f"{d.replace('-', '')},{v:.6f}\n" for d, v in zip(days, rng.standard_normal(500) * 0.01)
+    ))
+    out = tmp_path / "out.json"
+    argv = [command, "--input", str(path), "--out", str(out)]
+    argv += {"backtest": ["--estimator", "var-hist"], "compare": ["--estimator", "hist"],
+             "simulate": ["--model", "normal", "--seed", "1"]}[command]
+    assert main(argv + bounds) == 3
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+    assert main(argv + ["--start", "20200101", "--end", "20210514"]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--alpha-var", "--alpha-es", "--alpha-z"])
@@ -756,14 +795,16 @@ def test_compare_missing_output_directory_exits_3(tmp_path, panel_csv, capsys):
 
 
 def test_mc_level_without_a_finite_reserve_exits_3(tmp_path, capsys):
-    # stdtrit returns +inf this far out; every run used to count 250 exceptions
+    # the t3 quantile this far out reads -inf (stdtrit's +inf is on the wrong
+    # side of the median), so the VAR reserve is +inf; every run used to count
+    # 250 exceptions
     argv = ["mc", "--dist", "t3", "--alpha-var", "1e-300", "--runs", "100",
             "--seed", "1", "--out-prefix", str(tmp_path / "m")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: true VAR at level 1e-300 is not finite: -inf"]
+    assert err == ["config error: true VAR at level 1e-300 is not finite: inf"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1068,16 +1109,18 @@ def _mostly(good, bad):
 @st.composite
 def _panel_text(draw):
     """A small simple_csv panel: normal, constant or huge columns, maybe broken."""
-    n_rows = draw(_mostly([40, 16], [0, 1, 3]))
+    n_rows = draw(_mostly([40, 16, 120], [0, 1, 3]))
     n_cols = draw(st.integers(1, 2))
     columns = []
     for _ in range(n_cols):
-        kind = draw(_mostly(["returns"], ["constant", "huge", "huger"]))
+        kind = draw(_mostly(["returns", "scaled"], ["constant", "huge", "huger"]))
         if kind == "constant":
             columns.append(["0.01"] * n_rows)
-        elif kind == "returns":
+        elif kind in ("returns", "scaled"):
             cells = st.sampled_from(_GOOD_CELLS)
-            columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+            cells = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+            exponent = f"e{draw(_EXPONENT)}" if kind == "scaled" else ""
+            columns.append([c + exponent for c in cells])
         else:
             scale = "e298" if kind == "huge" else "e307"
             signs = st.sampled_from(["", "-"])
@@ -1097,18 +1140,28 @@ def _panel_text(draw):
     return "\n".join([header] + rows) + "\n"
 
 
-_DIST_JSON = _mostly(
-    ['{"kind": "normal"}', '{"kind": "student_t", "nu": 3}',
-     '{"kind": "skew_t", "nu": 5, "xi": 0.8}'],
-    ['{"kind": "skew_t", "nu": "5", "xi": 0.8}', '{"kind": "skew_t", "nu": 5}',
-     '{"kind": 3}', "[1, 2]", '"normal"', "null", "{"],
+# a power of ten that scales a panel column, a law or a GARCH variance
+_EXPONENT = st.integers(-300, 308)
+_DIST_JSON = st.one_of(
+    _mostly(
+        ['{"kind": "normal"}', '{"kind": "student_t", "nu": 3}',
+         '{"kind": "skew_t", "nu": 5, "xi": 0.8}'],
+        ['{"kind": "skew_t", "nu": "5", "xi": 0.8}', '{"kind": "skew_t", "nu": 5}',
+         '{"kind": 3}', "[1, 2]", '"normal"', "null", "{"],
+    ),
+    _EXPONENT.map(lambda k: f'{{"kind": "normal", "mu": 0, "sigma": 1e{k}}}'),
+    _EXPONENT.map(lambda k: f'{{"kind": "student_t", "nu": 3, "scale": 1e{k}}}'),
+    _EXPONENT.map(lambda k: f'{{"kind": "skew_t", "nu": 5, "xi": 0.8, "scale": 1e{k}}}'),
 )
-_GARCH_JSON = _mostly(
-    ['{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8}',
-     '{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8, '
-     '"innovation": "skew_t", "nu": 5, "xi": 0.9}'],
-    ['{"mu": 0, "omega": "x", "a1": 0.1, "b1": 0.8}',
-     '{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8, "extra": 1}', "[]", "3.5"],
+_GARCH_JSON = st.one_of(
+    _mostly(
+        ['{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8}',
+         '{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8, '
+         '"innovation": "skew_t", "nu": 5, "xi": 0.9}'],
+        ['{"mu": 0, "omega": "x", "a1": 0.1, "b1": 0.8}',
+         '{"mu": 0, "omega": 1e-6, "a1": 0.1, "b1": 0.8, "extra": 1}', "[]", "3.5"],
+    ),
+    _EXPONENT.map(lambda k: f'{{"mu": 0, "omega": 1e{k}, "a1": 0.1, "b1": 0.8}}'),
 )
 _LEVEL = _mostly(["0.01", "0.025", "0.2"], ["1e-300", "0", "1.5", "-0.1", "nan"])
 _LENGTH = _mostly(["2", "3", "5", "8"], ["0", "1"])
@@ -1134,7 +1187,7 @@ def _argv(draw):
     if command == "simulate":
         model = draw(_mostly(["normal"], ["skew-t", "garch-normal"]))
         return argv + ["--model", model, "--picks", draw(_mostly(["1", "2"], ["0"])),
-                       "--window", draw(_mostly(["32", "40"], ["0", "5"])),
+                       "--window", draw(_mostly(["32", "40", "100"], ["0", "5"])),
                        "--seed", "1", "--out", f"{out}/s.csv",
                        "--fits-out", f"{out}/f.json"]
     argv += ["--learn", draw(_LENGTH), "--test", draw(_LENGTH)]
@@ -1149,10 +1202,10 @@ def _argv(draw):
                    "--alpha-z", draw(_LEVEL), "--out", f"{out}/c.json"]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(text=_panel_text(), argv=_argv())
-def test_generated_runs_keep_the_exit_code_contract(text, argv):
-    # return code 0, 2 or 3; no exception, no warning, at most one stderr line
+def _contract_run(text, argv) -> int:
+    """Exit code of ``argv`` over 'in.csv' holding ``text`` and outputs in 'out/',
+    after checking the contract: return code 0, 2 or 3; no exception, no
+    warning, at most one stderr line."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "out").mkdir()
@@ -1167,5 +1220,52 @@ def test_generated_runs_keep_the_exit_code_contract(text, argv):
         assert code in (0, 2, 3)
         assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
         assert [str(w.message) for w in caught] == []
-        if any(a.startswith("missing/") for a in argv):
-            assert code == 3  # before any input is read
+        return code
+
+
+_HUGE_RETURNS = "x\n" + "".join(
+    f"{v!r}\n" for v in (np.random.default_rng(1).standard_normal(600) * 1e148).tolist()
+)
+_MC_2E306 = ["mc", '--dist-json={"kind":"normal","mu":0,"sigma":2e306}', "--runs", "512",
+             "--seed", "1", "--out-prefix", "out/m"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_panel_text(), argv=_argv())
+# a variance near 1e296, whose first GARCH simplex steps past log(DBL_MAX)
+@example(text=_HUGE_RETURNS, argv=["simulate", "--input", "in.csv", "--model", "garch-normal",
+                                   "--window", "600", "--seed", "1", "--out", "out/s.csv"])
+# sums that overflow above the negative prefix, on the partial and the full sort
+@example(text="a\n0.01\n", argv=_MC_2E306 + ["--n", "250"])
+@example(text="a\n0.01\n", argv=_MC_2E306 + ["--n", "49"])
+def test_generated_runs_keep_the_exit_code_contract(text, argv):
+    code = _contract_run(text, argv)
+    if any(a.startswith("missing/") for a in argv):
+        assert code == 3  # before any input is read
+
+
+@pytest.mark.parametrize("k", [-300, -200, -100, -10, 0, 10, 100, 148, 200, 290, 298, 300,
+                               305, 307])
+def test_runs_scaled_by_a_power_of_ten_keep_the_exit_code_contract(k):
+    # every subcommand and family on one panel and four laws scaled by 10^k;
+    # a scale that the float range holds comfortably must run
+    x = np.random.default_rng(68).standard_t(4, (120, 2)) * 0.01 * 10.0**k
+    text = "a,b\n" + "".join(f"{u!r},{v!r}\n" for u, v in x.tolist())
+    rolling = ["--input", "in.csv", "--learn", "60", "--test", "60"]
+    runs = [["backtest", *rolling, "--estimator", e, "--out", "out/r.json"]
+            for e in ("var-hist", "es-hist", "var-norm", "es-norm")]
+    runs += [["compare", *rolling, "--estimator", f, "--out", "out/c.json"]
+             for f in ("hist", "norm")]
+    runs += [["simulate", "--input", "in.csv", "--model", m, "--window", "120", "--picks", "1",
+              "--seed", "1", "--out", "out/s.csv"]
+             for m in ["normal", "skew-t"] + (["garch-normal"] if k in (0, 148, 300) else [])]
+    laws = [f'{{"kind": "normal", "mu": 0, "sigma": 1e{k}}}',
+            f'{{"kind": "student_t", "nu": 3, "scale": 1e{k}}}',
+            f'{{"kind": "skew_t", "nu": 5, "xi": 0.8, "scale": 1e{k}}}']
+    runs += [["mc", "--dist-json", law, "--runs", "40", "--n", "60", "--seed", "1",
+              "--out-prefix", "out/m"] for law in laws]
+    runs.append(["mc", "--garch-json", f'{{"mu": 0, "omega": 1e{2 * k}, "a1": 0.1, "b1": 0.8}}',
+                 "--runs", "40", "--n", "60", "--seed", "1", "--out-prefix", "out/m"])
+    codes = [_contract_run(text, argv) for argv in runs]
+    if abs(k) <= 100:
+        assert codes == [0] * len(runs)

@@ -84,6 +84,29 @@ def test_quantile_strictly_increasing():
         assert np.all(np.diff(q) > 0)
 
 
+@pytest.mark.parametrize("nu", [2.05, 2.5, 3.0, 5.0, 10.0, 30.0, 123.0])
+@pytest.mark.parametrize("xi", [0.3, 0.8, 1.0, 2.5])
+def test_no_lower_level_has_a_quantile_above_the_branch_point(nu, xi):
+    # stdtrit returns +inf at tiny lower levels (below ~1e-222 at nu = 2.5);
+    # every level below the mass under zero must stay at or below loc
+    levels = np.concatenate([[5e-324], np.logspace(-323, -1, 400)])
+    p0 = 1.0 / (1.0 + xi * xi)
+    laws = [SkewT(nu, xi), SkewT(nu, xi, 0.3, 2.5)]
+    laws += [StudentT(nu), StudentT(nu, 0.3, 2.5)] if xi == 1.0 else []
+    for d in laws:
+        q = d.quantile(levels)
+        assert not np.isnan(q).any()
+        assert (q[levels < p0] <= d.loc).all()
+        assert (q[levels >= p0] >= d.loc).all()
+
+
+def test_levels_past_stdtrit_range_read_minus_inf():
+    assert StudentT(3.0).quantile(1e-280) == -np.inf
+    assert StudentT(2.5).quantile(1e-230) == -np.inf
+    assert SkewT(5.0, 0.8).quantile(1e-290) == -np.inf
+    assert SkewT(5.0, 0.8, loc=1.0, scale=2.0).quantile(5e-324) == -np.inf
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, math.nan])
 def test_quantile_rejects_levels_outside_open_unit_interval(p):
     with pytest.raises(ValueError):
@@ -183,6 +206,18 @@ def _assert_same_bits(got, expect):
     assert np.array_equal(got[~nan].view(np.uint64), expect[~nan].view(np.uint64))
 
 
+def _wrong_side_as_minus_inf(t_quantile):
+    """A t quantile whose +inf at a lower level reads -inf: stdtrit, and with it
+    scipy.stats' ppf, returns +inf below about 1e-222 at nu = 2.5, where the
+    laws report the lower tail's -inf."""
+
+    def quantile(p):
+        q = t_quantile(p)
+        return np.where((np.asarray(p) < 0.5) & (q == np.inf), -np.inf, q)[()]
+
+    return quantile
+
+
 def _assert_matches_oracle(method, oracle, points):
     _assert_same_bits(method(points), oracle(points))
     block = points[-12:].reshape(3, 4)
@@ -207,7 +242,7 @@ def test_student_t_kernels_match_scipy_stats_bit_for_bit(nu, loc, scale):
     with np.errstate(over="ignore"):
         for name in ("pdf", "logpdf", "cdf"):
             _assert_matches_oracle(getattr(d, name), getattr(ref, name), _XS)
-    _assert_matches_oracle(d.quantile, ref.ppf, _PS)
+    _assert_matches_oracle(d.quantile, _wrong_side_as_minus_inf(ref.ppf), _PS)
 
 
 def _skew_t_two_calls(d, name):
@@ -234,7 +269,7 @@ def _skew_t_two_calls(d, name):
 
     def quantile(p):
         p = np.asarray(p, dtype=float)
-        lower = stats.t.ppf(p * (1.0 + w) / 2.0, nu) / xi
+        lower = _wrong_side_as_minus_inf(lambda q: stats.t.ppf(q, nu))(p * (1.0 + w) / 2.0) / xi
         p0 = 1.0 / (1.0 + w)
         upper = xi * stats.t.ppf((p - p0) * (1.0 + w) / (2.0 * w) + 0.5, nu)
         out = d.loc + d.scale * np.where(p < p0, lower, upper)
@@ -267,7 +302,7 @@ def _skew_t_quantile_both_branches(d):
         w = d.xi**2
         p0 = 1.0 / (1.0 + w)
         q = p * (1.0 + w) / 2.0
-        lower = np.where(q > 0, special.stdtrit(d.nu, q), -np.inf) / d.xi
+        lower = _wrong_side_as_minus_inf(lambda q: special.stdtrit(d.nu, q))(q) / d.xi
         upper = d.xi * special.stdtrit(d.nu, (p - p0) * (1.0 + w) / (2.0 * w) + 0.5)
         out = d.loc + d.scale * np.where(p < p0, lower, upper)
         return out[()]
@@ -311,7 +346,8 @@ class _OwnStudentT:
         return special.stdtr(self.nu, (np.asarray(x, dtype=float) - self.loc) / self.scale)
 
     def quantile(self, p):
-        return special.stdtrit(self.nu, p) * self.scale + self.loc
+        t = _wrong_side_as_minus_inf(lambda q: special.stdtrit(self.nu, q))(p)
+        return t * self.scale + self.loc
 
     def sample(self, n, stream):
         return self.loc + self.scale * stream.generator().standard_t(self.nu, n)

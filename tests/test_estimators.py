@@ -330,7 +330,7 @@ def test_skew_t_es_matches_high_precision_reference(point):
 @pytest.mark.parametrize("metric", ["VAR", "ES"])
 @pytest.mark.parametrize("d", [StudentT(3.0), SkewT(3.0, 0.8)])
 def test_true_risk_rejects_a_non_finite_reserve(d, metric):
-    # stdtrit returns +inf for levels this far out, not a finite quantile
+    # the quantile is -inf this far out, where stdtrit itself returns +inf
     with np.errstate(all="raise"):
         with pytest.raises(ValueError, match=f"true {metric} at level 1e-300"):
             true_risk(d, 1e-300, metric)

@@ -1,11 +1,15 @@
 """Ingestion, rolling-window backtests, confusion matrices, heatmap tables."""
 
+import datetime as dt
 import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from esbacktest.backtest import CALIBRATION, BacktestResult
 from esbacktest.estimators import (
@@ -34,6 +38,8 @@ from esbacktest.harness import (
     run_compare_batch,
     split_samples,
     write_heatmap_csv,
+    _calendar,
+    _low_tail,
     _parse_lines,
     _parse_rows,
     _reserves,
@@ -96,8 +102,11 @@ def test_ff_daily_unparseable_cell_reports_line(tmp_path):
 @pytest.mark.parametrize(
     "fmt, text, message",
     [
+        # a date that is not in the calendar fails first
         ("simple_csv", "date,a\n20201399,0.01\n20200101,0.02\n20200101,0.01\n00000000,0.01\n",
-         "line 3: date 20200101 is not after 20201399"),
+         "line 2: date 20201399 is not a calendar date"),
+        ("simple_csv", "date,a\n20201231,0.01\n20200101,0.02\n20200101,0.01\n",
+         "line 3: date 20200101 is not after 20201231"),
         ("simple_csv", "date,a\n\n20200101,0.01\n\n20200101,0.02\n",
          "line 5: date 20200101 is not after 20200101"),
         # the order is checked before the missing-data rows are dropped
@@ -131,6 +140,63 @@ def test_one_pass_date_order_equals_the_per_line_loop():
                 _parse_rows(numbered, 2, True)
         else:
             assert _parse_rows(numbered, 2, True)[1] == want == sorted(set(want))
+
+
+def _is_calendar_date(date: int) -> bool:
+    """The datetime oracle of ``harness._calendar`` for one YYYYMMDD integer."""
+    try:
+        dt.date(date // 10000, date // 100 % 100, date % 100)
+    except ValueError:
+        return False
+    return True
+
+
+def test_calendar_check_equals_the_datetime_oracle():
+    # every month 0..13 and day 0..32 of years around the leap-year rules
+    years = [0, 1, 4, 100, 1896, 1900, 1904, 2000, 2023, 2024, 2100, 2400, 9999]
+    grid = [y * 10000 + m * 100 + d for y in years for m in range(14) for d in range(33)]
+    rng = np.random.default_rng(20)
+    dates = np.array(grid + rng.integers(0, 10**8, 5000).tolist() + [-20200101, 10**8 + 101])
+    assert _calendar(dates).tolist() == [_is_calendar_date(int(d)) for d in dates]
+    assert _calendar(dates[:1]).shape == (1,) and _calendar(20240229) and not _calendar(20230229)
+
+
+@pytest.mark.parametrize("fmt", ["simple_csv", "ff_daily"])
+@pytest.mark.parametrize("bad", ["20230229", "19000229", "20200431", "20201301", "20200100",
+                                 "00000101"])
+def test_dates_must_be_calendar_dates(tmp_path, fmt, bad):
+    head = "date,a" if fmt == "simple_csv" else ",a"
+    path = tmp_path / "dated.csv"
+    path.write_text(f"{head}\n00010101,0.01\n{bad},0.02\n99991231,0.03\n")
+    with pytest.raises(DataError) as exc:
+        load_returns(path, fmt)
+    assert str(exc.value) == f"line 3: date {bad} is not a calendar date"
+    path.write_text(f"{head}\n00010101,0.01\n20240229,0.02\n99991231,0.03\n")
+    assert load_returns(path, fmt).dates.tolist() == [10101, 20240229, 99991231]
+    with pytest.raises(ValueError, match="dates must be calendar dates"):
+        ReturnPanel(("a",), np.zeros((2, 1)), dates=[20200101, int(bad)])
+
+
+def _calendar_days(first: str, n: int) -> list[int]:
+    """``n`` consecutive YYYYMMDD calendar days from the ISO date ``first``."""
+    days = np.datetime_as_string(np.datetime64(first) + np.arange(n))
+    return [int(d.replace("-", "")) for d in days]
+
+
+def test_one_pass_calendar_check_equals_the_per_line_loop():
+    rng = np.random.default_rng(21)
+    days = _calendar_days("2023-12-25", 500)
+    for _ in range(100):
+        dates = sorted(rng.choice(days, 6, replace=False))
+        dates[rng.integers(6)] += rng.choice([0, 1, 30, 70, 100, 8800])
+        numbered = list(enumerate((f"{d},0.01" for d in dates), start=2))
+        try:
+            want = _parse_lines(numbered, 2, True)[1]
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{exc}$"):
+                _parse_rows(numbered, 2, True)
+        else:
+            assert _parse_rows(numbered, 2, True)[1] == want
 
 
 def test_return_panel_rejects_dates_out_of_order():
@@ -220,8 +286,8 @@ def test_simple_csv_values_are_the_float_of_each_cell(tmp_path, fmt):
 def test_one_pass_parse_equals_the_per_line_loop(dated):
     rng = np.random.default_rng(66)
     cells = np.array([" 0.01", "-0.0 ", "1e-3", "+.5", "1_000", "\t-2.5e-7", "1e308"])
-    lines = [",".join(([f" 2020{k:04d} "] if dated else []) + list(rng.choice(cells, 4)))
-             for k in range(300)]
+    lines = [",".join(([f" {day} "] if dated else []) + list(rng.choice(cells, 4)))
+             for day in _calendar_days("2020-01-01", 300)]
     numbered = list(enumerate(lines, start=9))
     values, dates = _parse_rows(iter(numbered), 4 + dated, dated)
     rows, expected_dates = _parse_lines(numbered, 4 + dated, dated)
@@ -341,6 +407,26 @@ def test_filter_dates_inclusive(tmp_path):
     undated = ReturnPanel(("x",), np.zeros((3, 1)))
     with pytest.raises(ValueError, match="no dates"):
         filter_dates(undated, start=20200101)
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        (20201399, None, "start 20201399 is not a calendar date, YYYYMMDD"),
+        (None, 20210229, "end 20210229 is not a calendar date, YYYYMMDD"),
+        (-20200101, None, "start -20200101 is not a calendar date"),
+        (None, 10**30, f"end {10**30} is not a calendar date"),
+        (20200103, 20200102, "start 20200103 is after end 20200102"),
+    ],
+)
+def test_filter_dates_requires_calendar_bounds_in_order(start, end, message):
+    dated = ReturnPanel(("x",), np.zeros((2, 1)), dates=[20200101, 20200102])
+    undated = ReturnPanel(("x",), np.zeros((2, 1)))
+    for panel in (dated, undated):  # the bounds are checked first
+        with pytest.raises(ValueError) as exc:
+            filter_dates(panel, start=start, end=end)
+        assert str(exc.value).startswith(message)
+    assert filter_dates(dated, 20200102, 20200102).dates.tolist() == [20200102]
 
 
 def test_return_panel_validation():
@@ -489,6 +575,83 @@ def test_es_hist_kernel_keeps_the_sign_of_zero():
         got = _check_reserves(signed, 300, 40, pairs)
         var = got["var_hist", pairs[-1][1]]
         assert (var == 0).all() and 0 < np.signbit(var).sum() < var.size
+
+
+_LOW_TAIL_LEVELS = st.one_of(st.sampled_from([0.01, 0.025, 0.05, 0.1, 0.3, 0.6]),
+                            st.floats(0.001, 0.999))
+
+
+@st.composite
+def _reserve_case(draw):
+    """(x, learn, test, pairs): t4 returns with ties, crashes, runs of signed
+    zeros or a volatility regime switch, and a set of (estimator, level) pairs."""
+    learn, test = draw(st.integers(2, 90)), draw(st.integers(1, 60))
+    n = learn + test
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_t(4, n) * 0.01
+    if draw(st.booleans()):
+        x = np.round(x, draw(st.sampled_from([2, 3])))  # ties at the boundary
+    for _ in range(draw(st.integers(0, 2))):
+        x[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-0.4, -50.0, 0.4]))
+    if draw(st.booleans()):  # a run of signed zeros
+        i, length = draw(st.integers(0, n - 1)), draw(st.integers(1, 40))
+        zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=length, max_size=length))
+        x[i : i + length] = zeros[: n - i]
+    if draw(st.booleans()):  # the volatility steps up or down by 50
+        x[draw(st.integers(0, n - 1)):] *= draw(st.sampled_from([50.0, 0.02]))
+    levels = draw(st.lists(_LOW_TAIL_LEVELS, min_size=1, max_size=3))
+    pairs = st.tuples(st.sampled_from(ESTIMATORS), st.sampled_from(levels))
+    return x, learn, test, draw(st.lists(pairs, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_reserve_case())
+def test_reserves_equal_the_per_window_loop_bit_for_bit(case):
+    _check_reserves(*case)
+
+
+def _low_tail_of(x, learn, test, k):
+    windows = sliding_window_view(x[: learn + test - 1], learn)
+    return windows, _low_tail(x[: learn + test - 1], windows, k)
+
+
+def test_low_tail_rows_hold_each_window_values_up_to_the_bound():
+    x = np.random.default_rng(66).standard_t(4, 500) * 0.01
+    x[300] = -0.4  # a crash widens no row past the bound
+    windows, rows = _low_tail_of(x, 250, 250, 6)
+    assert rows is not windows and rows.shape[0] == 250 and rows.shape[1] <= 125
+    bound = rows[np.isfinite(rows)].max()
+    for window, row in zip(windows, rows):
+        kept = row[np.isfinite(row)]
+        assert np.array_equal(kept, window[window <= bound])  # in time order
+        assert (row[kept.size :] == np.inf).all() and kept.size >= 7
+    _check_reserves(x, 250, 250, _pair_set("hist@distinct-index", 250, 0.025))
+
+
+def test_low_tail_falls_back_to_the_full_windows():
+    rng = np.random.default_rng(67)
+    x = rng.standard_t(4, 500) * 0.01
+    # a block of learn // 2 = 125 values has no k-th smallest at k = 150
+    windows, rows = _low_tail_of(x, 250, 250, 150)
+    assert rows is windows
+    _check_reserves(x, 250, 250, [("var_hist", 0.6), ("es_hist", 0.01)])
+    # a regime switch: tau comes from a calm block, so the rows of the volatile
+    # windows would hold more values than a block
+    switched = x.copy()
+    switched[250:] *= 50
+    windows, rows = _low_tail_of(switched, 250, 250, 6)
+    assert rows is windows
+    _check_reserves(switched, 250, 250, [("var_hist", 0.025), ("es_hist", 0.025)])
+    # a zero of either sign in the view: its sign is the 1-D partition's choice
+    positive = np.abs(x) + 0.001
+    windows, rows = _low_tail_of(positive, 250, 250, 6)
+    assert rows is not windows
+    for zero in (0.0, -0.0):
+        zeroed = positive.copy()
+        zeroed[[40, 90, 200, 260, 320, 330, 400, 410]] = [zero, -zero] * 4
+        windows, rows = _low_tail_of(zeroed, 250, 250, 6)
+        assert rows is windows
+        got = _check_reserves(zeroed, 250, 250, [("var_hist", 0.01), ("es_hist", 0.01)])
+        assert (got["var_hist", 0.01] == 0).any()
 
 
 def test_rolling_rejects_non_finite_samples():
