@@ -328,9 +328,7 @@ def cmd_simulate(args) -> int:
     panel = _load_panel(args)
     samples = harness.split_samples(panel, args.window)
     model = args.model.replace("-", "_")
-    outputs = simulation.simulate_batch(
-        [s.values for s in samples], model, args.picks, args.seed, args.workers
-    )
+    outputs = simulation.simulate_batch(samples, model, args.picks, args.seed, args.workers)
 
     fits = [{"sample": s.label, "params": params} for s, (params, _) in zip(samples, outputs)]
     names = [f"{s.label}.p{p}" for s in samples for p in range(args.picks)]

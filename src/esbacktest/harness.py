@@ -6,6 +6,14 @@ the first 250 days seed a rolling one-day-ahead reserve estimate, the last
 250 days are secured against it, and the resulting statistics are
 classified and cross-tabulated.
 
+A loaded panel is checked in two places. ``_parse_rows`` reads every line in
+one pass and checks the field counts, the date pattern and that each cell is
+a number; ``ReturnPanel`` checks the arrays it is given: finite values,
+calendar dates and strictly increasing dates. On any failure ``_parse_lines``
+reads the lines again one at a time and raises a ``DataError`` that names the
+first bad line. ``ff_daily`` checks its whole percent block before it drops
+the rows that hold a missing-data sentinel.
+
 Rolling reserves come from one table, ``_KERNELS``, that maps each name in
 ``ESTIMATORS`` to a statistic of the learning windows and a reserve read from
 it. ``_reserves`` takes the (test, learn) view of a sample's windows once
@@ -38,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import takewhile
 from typing import NamedTuple, Optional, Sequence
@@ -114,7 +122,7 @@ class ReturnPanel:
     dropped_rows: int = 0
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # owned: the caller's stays writeable
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array")
         if values.shape[1] != len(self.names):
@@ -124,7 +132,7 @@ class ReturnPanel:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.dates is not None:
-            dates = np.asarray(self.dates, dtype=np.int64)
+            dates = np.array(self.dates, dtype=np.int64)
             if dates.size != values.shape[0]:
                 raise ValueError("one date per row required")
             if not _calendar(dates).all():
@@ -182,39 +190,43 @@ def _is_dated(line: str) -> bool:
     return bool(_DATE_RE.match(line.split(",")[0].strip()))
 
 
-def _unique(names, lineno: int) -> tuple[str, ...]:
+def _names(cells, lineno: int) -> tuple[str, ...]:
+    """Column names from the header cells of the return columns: a blank cell is
+    named ``col{j}`` after its 1-based position, and no name may repeat."""
+    names = [c.strip() or f"col{j}" for j, c in enumerate(cells, start=1)]
     repeated = [name for name, count in Counter(names).items() if count > 1]
     if repeated:
         raise DataError(f"line {lineno}: column name {repeated[0]!r} is repeated")
     return tuple(names)
 
 
-def _parse_rows(numbered_lines, width: int, dated: bool):
-    """(values, dates) from (physical line number, line) pairs of ``width`` fields,
-    the first a YYYYMMDD calendar date if ``dated``, the dates strictly
-    increasing; errors name the physical line.
+def _parse_rows(numbered_lines, names, dated: bool) -> ReturnPanel:
+    """The panel of (physical line number, line) pairs, each line a YYYYMMDD
+    date if ``dated`` and then one cell per name; errors name the physical line.
 
-    Every line is split and parsed in one pass, and the calendar and the date
-    order are array checks; on any failure the per-line loop runs again to
-    name the first bad line.
+    One pass splits every line and parses every cell: it checks the field
+    counts, the date pattern and that each cell is a number. ``ReturnPanel``
+    checks the rest on the arrays: finite values, calendar dates, strictly
+    increasing dates. On any failure the per-line loop runs again to name the
+    first bad line.
     """
     numbered = list(numbered_lines)
     lines = [line for _, line in numbered]
+    width = len(names) + dated
     cells = ",".join(lines).split(",") if lines else []
     dates = [date.strip() for date in cells[::width]] if dated else []
     if dated:
         del cells[::width]
-    ok = all(line.count(",") == width - 1 for line in lines)
-    ok = ok and all(map(_DATE_RE.match, dates))
-    try:  # float() strips each cell itself
-        values = np.fromiter(map(float, cells), float, len(cells)) if ok else None
+    try:
+        if not (all(line.count(",") == width - 1 for line in lines)
+                and all(map(_DATE_RE.match, dates))):
+            raise ValueError("a line has the wrong number of fields or a bad date")
+        values = np.fromiter(map(float, cells), float, len(cells))  # float() strips
+        order = np.fromiter(map(int, dates), np.int64, len(dates)) if dated else None
+        return ReturnPanel(names, values.reshape(len(lines), len(names)), order)
     except ValueError:
-        ok = False
-    order = np.array(list(map(int, dates)) if ok else [], dtype=np.int64)
-    ok = ok and _calendar(order).all() and (order[1:] > order[:-1]).all()
-    if not ok or not np.isfinite(values).all():
-        return _parse_lines(numbered, width, dated)
-    return values.reshape(len(lines), width - dated), order.tolist()
+        _parse_lines(numbered, width, dated)  # raises, naming the first bad line
+        raise
 
 
 def _parse_lines(numbered, width: int, dated: bool):
@@ -251,29 +263,19 @@ def _load_ff_daily(path) -> ReturnPanel:
     if start is None:
         raise DataError(f"{path}: no rows starting with a YYYYMMDD date")
     width = len(lines[start].split(","))
-    names = [f"col{j}" for j in range(1, width)]
-    if start > 0:
-        header = [c.strip() for c in lines[start - 1].split(",")]
-        if len(header) == width:
-            names = [h or f"col{j}" for j, h in enumerate(header[1:], start=1)]
-    names = _unique(names, start)
+    header = lines[start - 1].split(",") if start else []
+    names = _names(header[1:] if len(header) == width else [""] * (width - 1), start)
     # the daily block ends at the first undated line
     block = takewhile(lambda n: _is_dated(n[1]), enumerate(lines[start:], start + 1))
-    rows, dates = _parse_rows(block, width, dated=True)
+    raw = _parse_rows(block, names, dated=True)  # in percent
 
-    raw = np.asarray(rows, dtype=float)
-    missing = np.isin(raw, _FF_SENTINELS)
+    missing = np.isin(raw.values, _FF_SENTINELS)
     all_missing = missing.all(axis=0)
     if all_missing.any():
         bad = names[int(np.flatnonzero(all_missing)[0])]
         raise DataError(f"{path}: column {bad!r} has no usable observations")
     keep = ~missing.any(axis=1)
-    return ReturnPanel(
-        names=names,
-        values=raw[keep] / 100.0,
-        dates=np.asarray(dates, dtype=np.int64)[keep],
-        dropped_rows=int((~keep).sum()),
-    )
+    return ReturnPanel(names, raw.values[keep] / 100.0, raw.dates[keep], int((~keep).sum()))
 
 
 def _load_simple_csv(path) -> ReturnPanel:
@@ -292,15 +294,10 @@ def _load_simple_csv(path) -> ReturnPanel:
         pass  # a name that is no number: the first line is the header
     else:
         raise DataError(f"line {head}: a header row is required, found only numbers")
-    names = _unique(names, head)
-    rows, dates = _parse_rows(lines[1:], len(header), has_dates)
-    if not len(rows):
+    panel = _parse_rows(lines[1:], _names(names, head), has_dates)
+    if not panel.n_rows:
         raise DataError(f"{path}: no data rows")
-    return ReturnPanel(
-        names=names,
-        values=np.asarray(rows, dtype=float),
-        dates=np.asarray(dates, dtype=np.int64) if has_dates else None,
-    )
+    return panel
 
 
 # Input format -> loader of a panel file in that layout
@@ -325,25 +322,17 @@ def filter_dates(
     for name, bound in (("start", start), ("end", end)):
         if bound is not None and not (0 < bound < 10**8 and _calendar(bound)):
             raise ValueError(f"{name} {bound} is not a calendar date, YYYYMMDD")
-    if start is not None and end is not None and start > end:
-        raise ValueError(f"start {start} is after end {end}")
     if start is None and end is None:
         return panel
+    lo, hi = start or 0, end or 10**8  # an absent bound is the open end
+    if lo > hi:
+        raise ValueError(f"start {start} is after end {end}")
     if panel.dates is None:
         raise ValueError("panel has no dates to filter on")
-    keep = np.ones(panel.n_rows, dtype=bool)
-    if start is not None:
-        keep &= panel.dates >= start
-    if end is not None:
-        keep &= panel.dates <= end
+    keep = (lo <= panel.dates) & (panel.dates <= hi)
     if not keep.any():
         raise ValueError("date filter removes every row")
-    return ReturnPanel(
-        names=panel.names,
-        values=panel.values[keep],
-        dates=panel.dates[keep],
-        dropped_rows=panel.dropped_rows,
-    )
+    return replace(panel, values=panel.values[keep], dates=panel.dates[keep])
 
 
 def split_samples(panel: ReturnPanel, window: int = LEARN + CALIBRATION.n) -> list[Sample]:
@@ -609,7 +598,7 @@ class ConfusionMatrix:
     counts: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
         if counts.shape != (3, 3) or np.any(counts < 0):
             raise ValueError("counts must be a nonnegative 3x3 matrix")
         counts.flags.writeable = False

@@ -401,7 +401,7 @@ class NullDistribution:
     seed: int
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)  # owned: the caller's stays writeable
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         if int(counts.sum()) != self.runs:
@@ -558,8 +558,17 @@ def fit_and_simulate(
 
 
 def _fit_and_simulate_task(task):
-    # a global lookup, so that a wrapper set on the module attribute runs too
-    return fit_and_simulate(*task)
+    # global lookups, so that a wrapper set on the module attribute runs too; a
+    # harness.Sample names itself in the error that its fit raises
+    x, *args = task
+    if not hasattr(x, "label"):
+        return fit_and_simulate(x, *args)
+    try:
+        return fit_and_simulate(x.values, *args)
+    except FitError as exc:
+        raise FitError(f"{x.label}: {exc}", exc.best, exc.diagnostics) from None
+    except ValueError as exc:
+        raise ValueError(f"{x.label}: {exc}") from None
 
 
 def simulate_batch(
@@ -567,9 +576,11 @@ def simulate_batch(
 ) -> list[tuple[dict, list[np.ndarray]]]:
     """``fit_and_simulate`` per sample on up to ``workers`` processes; the scipy
     modules of the model's fit are imported here first, for forked workers to
-    inherit."""
+    inherit. A sample is an array or a ``harness.Sample``, whose label then
+    prefixes the error that its fit raises."""
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
+    RngStream(seed, 0)  # a seed out of range fails the run, not one sample
     for name in _MODELS[model][2]:
         importlib.import_module(name)
     tasks = [(x, model, picks, seed, s * picks) for s, x in enumerate(samples)]

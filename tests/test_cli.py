@@ -119,6 +119,25 @@ def test_backtest_repeated_column_name_exits_2(tmp_path, capsys, fmt, header, li
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("20050104,-99.99,nan", "line 3: cell 'nan' is not a finite number"),
+        ("20050230,-99.99,1.0", "line 3: date 20050230 is not a calendar date"),
+        ("20050103,-999,1.0", "line 3: date 20050103 is not after 20050103"),
+        ("20050104,-99.99", "line 3: expected 3 fields, found 2"),
+    ],
+)
+def test_ff_daily_sentinel_row_is_checked_before_it_is_dropped(tmp_path, capsys, bad_row,
+                                                               message):
+    path = tmp_path / "ff.csv"
+    path.write_text(f",A,B\n20050103,1.0,2.0\n{bad_row}\n20050105,1.0,2.0\n")
+    argv = ["backtest", "--input", str(path), "--format", "ff_daily", "--estimator", "var-hist",
+            "--learn", "2", "--test", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+
+
 def test_backtest_short_panel_exits_3(tmp_path, capsys):
     path = tmp_path / "short.csv"
     rng = np.random.default_rng(61)
@@ -1064,7 +1083,7 @@ def test_a_fit_on_a_parameter_boundary_exits_3_at_any_worker_count(tmp_path):
         errs.append(proc.stderr)
     assert errs[0] == errs[1]
     assert errs[0].splitlines() == [
-        "config error: fit reached a parameter boundary: "
+        "config error: a[0:300]: fit reached a parameter boundary: "
         "need a1 + b1 < 1 for stationarity, got 1.0"
     ]
 
@@ -1202,6 +1221,56 @@ def _argv(draw):
                    "--alpha-z", draw(_LEVEL), "--out", f"{out}/c.json"]
 
 
+_LEVEL_FIELD = (["0.01", "0.025"], ["1e-300", "0", "1.5", "-0.1", "nan"])
+_ROLLING = {"--learn": (["20", "40"], ["0", "1"]), "--test": (["5", "20"], ["0"])}
+# subcommand -> {flag: (good values, bad values)} of the fields a valid run perturbs
+_FIELDS = {
+    "simulate": {"--picks": (["1", "2"], ["0"]), "--window": (["30", "60"], ["0", "5"])},
+    "compare": {**_ROLLING, "--alpha-var": _LEVEL_FIELD, "--alpha-z": _LEVEL_FIELD},
+    "backtest": {**_ROLLING, "--alpha": _LEVEL_FIELD},
+    "mc": {"--n": (["5", "8"], ["0", "1"]), "--alpha-var": _LEVEL_FIELD,
+           "--alpha-es": _LEVEL_FIELD},
+}
+
+
+@st.composite
+def _valid_run(draw):
+    """(text, argv, valid): a run built to exit 0, or one whose single field (a
+    flag's value, the output directory or one panel cell) is bad instead;
+    ``valid`` says that none is. The panel holds 60 days of t4 returns."""
+    command = draw(st.sampled_from(list(_FIELDS)))
+    fields = _FIELDS[command]
+    perturbable = [*fields, "out"] + (["panel"] if command != "mc" else [])
+    # two runs in three are fully valid: the other draws already perturb many fields
+    perturbed = draw(st.sampled_from([None] * 2 * len(perturbable) + perturbable))
+    out = "missing" if perturbed == "out" else "out"
+    argv = [command] if command == "mc" else [command, "--input", "in.csv"]
+    for flag, (good, bad) in fields.items():
+        argv += [flag, draw(st.sampled_from(bad if flag == perturbed else good))]
+    if command in ("backtest", "compare") and draw(st.booleans()):
+        argv.append("--normalize")
+    if command == "backtest":
+        estimator = draw(st.sampled_from(["var-hist", "es-hist", "var-norm", "es-norm"]))
+        argv += ["--estimator", estimator, "--out", f"{out}/r.json",
+                 "--heatmap-out", f"{out}/h.csv"]
+    elif command == "compare":
+        argv += ["--estimator", draw(st.sampled_from(["hist", "norm"])),
+                 "--out", f"{out}/c.json"]
+    elif command == "mc":
+        argv += ["--dist", draw(st.sampled_from(["normal", "t3"])), "--runs", "40",
+                 "--seed", "1", "--out-prefix", f"{out}/m"]
+    else:  # a normal fit takes moments, where a likelihood fit costs ~0.2 s a run
+        argv += ["--model", "normal", "--seed", "1", "--out", f"{out}/s.csv",
+                 "--fits-out", f"{out}/f.json"]
+    n_cols = draw(st.integers(1, 2))
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).standard_t(4, (60, n_cols))
+    rows = [",".join(repr(v * 0.01) for v in row) for row in x.tolist()]
+    if perturbed == "panel":
+        rows[draw(st.integers(0, 59))] = ",".join([draw(st.sampled_from(_BAD_CELLS))] * n_cols)
+    text = "\n".join([",".join("ab"[:n_cols])] + rows) + "\n"
+    return text, argv, perturbed is None
+
+
 def _contract_run(text, argv) -> int:
     """Exit code of ``argv`` over 'in.csv' holding ``text`` and outputs in 'out/',
     after checking the contract: return code 0, 2 or 3; no exception, no
@@ -1231,17 +1300,20 @@ _MC_2E306 = ["mc", '--dist-json={"kind":"normal","mu":0,"sigma":2e306}', "--runs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=_panel_text(), argv=_argv())
+@given(run=st.tuples(_panel_text(), _argv(), st.just(False)) | _valid_run())
 # a variance near 1e296, whose first GARCH simplex steps past log(DBL_MAX)
-@example(text=_HUGE_RETURNS, argv=["simulate", "--input", "in.csv", "--model", "garch-normal",
-                                   "--window", "600", "--seed", "1", "--out", "out/s.csv"])
+@example(run=(_HUGE_RETURNS, ["simulate", "--input", "in.csv", "--model", "garch-normal",
+                              "--window", "600", "--seed", "1", "--out", "out/s.csv"], False))
 # sums that overflow above the negative prefix, on the partial and the full sort
-@example(text="a\n0.01\n", argv=_MC_2E306 + ["--n", "250"])
-@example(text="a\n0.01\n", argv=_MC_2E306 + ["--n", "49"])
-def test_generated_runs_keep_the_exit_code_contract(text, argv):
+@example(run=("a\n0.01\n", _MC_2E306 + ["--n", "250"], False))
+@example(run=("a\n0.01\n", _MC_2E306 + ["--n", "49"], False))
+def test_generated_runs_keep_the_exit_code_contract(run):
+    text, argv, valid = run
     code = _contract_run(text, argv)
     if any(a.startswith("missing/") for a in argv):
         assert code == 3  # before any input is read
+    if valid:
+        assert code == 0
 
 
 @pytest.mark.parametrize("k", [-300, -200, -100, -10, 0, 10, 100, 148, 200, 290, 298, 300,

@@ -3,7 +3,10 @@
 import datetime as dt
 import inspect
 import math
+import tempfile
 import warnings
+from itertools import takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from esbacktest.harness import (
     split_samples,
     write_heatmap_csv,
     _calendar,
+    _is_dated,
     _low_tail,
     _parse_lines,
     _parse_rows,
@@ -137,9 +141,9 @@ def test_one_pass_date_order_equals_the_per_line_loop():
             want = _parse_lines(numbered, 2, True)[1]
         except DataError as exc:
             with pytest.raises(DataError, match=str(exc)):
-                _parse_rows(numbered, 2, True)
+                _parse_rows(numbered, ("a",), True)
         else:
-            assert _parse_rows(numbered, 2, True)[1] == want == sorted(set(want))
+            assert _parse_rows(numbered, ("a",), True).dates.tolist() == want == sorted(set(want))
 
 
 def _is_calendar_date(date: int) -> bool:
@@ -194,9 +198,9 @@ def test_one_pass_calendar_check_equals_the_per_line_loop():
             want = _parse_lines(numbered, 2, True)[1]
         except DataError as exc:
             with pytest.raises(DataError, match=f"^{exc}$"):
-                _parse_rows(numbered, 2, True)
+                _parse_rows(numbered, ("a",), True)
         else:
-            assert _parse_rows(numbered, 2, True)[1] == want
+            assert _parse_rows(numbered, ("a",), True).dates.tolist() == want
 
 
 def test_return_panel_rejects_dates_out_of_order():
@@ -289,10 +293,70 @@ def test_one_pass_parse_equals_the_per_line_loop(dated):
     lines = [",".join(([f" {day} "] if dated else []) + list(rng.choice(cells, 4)))
              for day in _calendar_days("2020-01-01", 300)]
     numbered = list(enumerate(lines, start=9))
-    values, dates = _parse_rows(iter(numbered), 4 + dated, dated)
+    panel = _parse_rows(iter(numbered), tuple("abcd"), dated)
+    values, dates = panel.values, [] if panel.dates is None else panel.dates.tolist()
     rows, expected_dates = _parse_lines(numbered, 4 + dated, dated)
     assert np.array_equal(values.view(np.int64), np.array(rows).view(np.int64))
     assert dates == expected_dates and len(dates) == 300 * dated
+
+
+_FAULTS = ("fields", "pattern", "calendar", "order", "number", "nonfinite")
+
+
+@st.composite
+def _faulty_panel(draw):
+    """(fmt, text, numbered, width): a dated panel with one fault planted on one
+    line, and the (line number, line) pairs of ``width`` fields that the loader
+    parses."""
+    fmt = draw(st.sampled_from(FORMATS))
+    n_rows, n_cols = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    days = _calendar_days(draw(st.sampled_from(["2019-12-25", "2024-02-20"])), n_rows)
+    dates = [str(d) for d in days]
+    cells = [[draw(st.sampled_from(["0.01", "-0.5", " 2e-3", "0"])) for _ in range(n_cols)]
+             for _ in range(n_rows)]
+    fault = draw(st.sampled_from(_FAULTS))
+    # an undated first line would make ff_daily read it as its header
+    i = draw(st.integers(fault == "pattern" and fmt == "ff_daily", n_rows - 1))
+    if fault == "fields":
+        cells[i] = cells[i][1:] if draw(st.booleans()) else cells[i] + ["0.1"]
+    elif fault == "pattern":
+        dates[i] = draw(st.sampled_from(["2020-01-02", "2020010", "202001011", "x", ""]))
+    elif fault == "calendar":
+        dates[i] = draw(st.sampled_from(["20200230", "20210229", "20201301", "20200100"]))
+    elif fault == "order":  # a repeated date, or one before its predecessor's
+        dates[i] = dates[draw(st.integers(0, n_rows - 1).filter(lambda j: j != i))]
+    else:
+        bad = ["abc", "", "0x1p3", "1..0"] if fault == "number" else ["inf", "-inf", "nan",
+                                                                      "1e400", "NaN"]
+        cells[i][draw(st.integers(0, len(cells[i]) - 1))] = draw(st.sampled_from(bad))
+    lines = [",".join([d, *c]) for d, c in zip(dates, cells)]
+    numbered = list(enumerate(lines, start=2))
+    if fmt == "simple_csv":
+        return fmt, "\n".join(["date," + ",".join("abc"[:n_cols])] + lines), numbered, n_cols + 1
+    # ff_daily reads its block up to the first undated line, as wide as its first line
+    numbered = list(takewhile(lambda n: _is_dated(n[1]), numbered))
+    text = "\n".join(["," + ",".join("abc"[:n_cols])] + lines)
+    return fmt, text, numbered, len(lines[0].split(","))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_faulty_panel())
+def test_load_returns_names_the_faulty_line_as_the_per_line_loop_does(case):
+    fmt, text, numbered, width = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "faulty.csv"
+        path.write_text(text + "\n")
+        try:
+            rows, dates = _parse_lines(numbered, width, True)
+        except DataError as exc:
+            with pytest.raises(ValueError) as got:
+                load_returns(path, fmt)
+            assert type(got.value) is DataError  # a bare ValueError would exit 3
+            assert str(got.value) == str(exc)
+        else:  # a fault that ends an ff_daily block early
+            panel = load_returns(path, fmt)
+            assert fmt == "ff_daily" and panel.dates.tolist() == dates
+            assert np.array_equal(panel.values, np.array(rows) / 100)
 
 
 @pytest.mark.parametrize(
@@ -427,6 +491,62 @@ def test_filter_dates_requires_calendar_bounds_in_order(start, end, message):
             filter_dates(panel, start=start, end=end)
         assert str(exc.value).startswith(message)
     assert filter_dates(dated, 20200102, 20200102).dates.tolist() == [20200102]
+
+
+def test_blank_header_names_are_named_by_position_in_both_formats(tmp_path):
+    path = tmp_path / "blank.csv"
+    for fmt, head in (("simple_csv", "a, ,b,"), ("simple_csv", "date,a,,b, "),
+                      ("ff_daily", ",a,,b,")):
+        dated = head.startswith(("date", ","))
+        path.write_text(f"{head}\n" + "20200101," * dated + "1,2,3,4\n")
+        panel = load_returns(path, fmt)
+        assert panel.names == ("a", "col2", "b", "col4")
+        assert [s.label for s in split_samples(panel, 1)][1] == "col2[0:1]"
+
+
+def _old_filter_mask(dates, start, end):
+    """The mask of ``filter_dates`` with its bounds applied one at a time."""
+    keep = np.ones(dates.size, dtype=bool)
+    if start is not None:
+        keep &= dates >= start
+    if end is not None:
+        keep &= dates <= end
+    return keep
+
+
+def test_filter_dates_equals_the_mask_of_each_bound_in_turn():
+    rng = np.random.default_rng(21)
+    days = _calendar_days("2019-12-01", 120)
+    panel = ReturnPanel(("x",), rng.standard_normal((120, 1)), dates=days)
+    bounds = [None, *_calendar_days("2019-11-20", 150)]
+    for _ in range(300):
+        start, end = (bounds[k] for k in rng.integers(len(bounds), size=2))
+        keep = _old_filter_mask(panel.dates, start, end)
+        if start is not None and end is not None and start > end:
+            with pytest.raises(ValueError, match="is after end"):
+                filter_dates(panel, start, end)
+        elif not keep.any():
+            with pytest.raises(ValueError, match="removes every row"):
+                filter_dates(panel, start, end)
+        else:
+            cut = filter_dates(panel, start, end)
+            assert cut.dates.tolist() == panel.dates[keep].tolist()
+            assert np.array_equal(cut.values, panel.values[keep])
+    # every date of the calendar's range passes an absent bound
+    edges = ReturnPanel(("x",), np.zeros((2, 1)), dates=[10101, 99991231])
+    assert filter_dates(edges, start=10101).n_rows == filter_dates(edges, end=99991231).n_rows == 2
+
+
+def test_constructors_own_a_copy_of_the_callers_arrays():
+    values, dates = np.zeros((3, 1)), np.array([20200101, 20200102, 20200103])
+    panel = ReturnPanel(("a",), values, dates=dates)
+    counts = np.eye(3, dtype=np.int64)
+    matrix = ConfusionMatrix(counts)
+    for caller, owned in ((values, panel.values), (dates, panel.dates), (counts, matrix.counts)):
+        assert caller.flags.writeable and not owned.flags.writeable
+        before = owned.copy()
+        caller[0] = 7
+        assert np.array_equal(owned, before)
 
 
 def test_return_panel_validation():

@@ -889,6 +889,14 @@ def test_simulate_batch_draws_sample_s_pick_p_from_stream_s_times_picks_plus_p(w
         simulate_batch(samples, "arch", 2, 9, workers)
 
 
+def test_null_distribution_owns_a_copy_of_the_callers_counts():
+    counts = np.array([3, 5, 2])
+    nd = NullDistribution("VAR", counts, runs=10, seed=0)
+    assert counts.flags.writeable and not nd.counts.flags.writeable
+    counts[0] = 9
+    assert nd.counts.tolist() == [3, 5, 2]
+
+
 def test_model_table_and_mc_defaults():
     # fit_and_simulate dispatches on MODELS; McConfig reads the calibration point
     assert simulation.MODELS == ("normal", "skew_t", "garch_normal", "garch_skew_t")
