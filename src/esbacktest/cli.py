@@ -146,8 +146,7 @@ def _require_output_dirs(*paths) -> None:
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _read_json(path):

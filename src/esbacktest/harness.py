@@ -150,9 +150,6 @@ class ReturnPanel:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
-
 
 class Sample(NamedTuple):
     """One contiguous slice of one panel column."""
@@ -255,8 +252,10 @@ def _load_ff_daily(path) -> ReturnPanel:
 
     Returns are given in percent and converted to decimals; the sentinel
     values -99.99 and -999 mark missing data and drop the whole row. Any
-    description lines before the data block are skipped, and only the first
-    contiguous block of dated rows is read.
+    description lines before the first dated line are skipped. The block runs
+    from there to the first line whose first field, stripped, is blank or does
+    not start with a digit; every line in between is a data row, so a mistyped
+    date fails naming its line.
     """
     lines = _read_lines(path)
     start = next((i for i, line in enumerate(lines) if _is_dated(line)), None)
@@ -265,8 +264,8 @@ def _load_ff_daily(path) -> ReturnPanel:
     width = len(lines[start].split(","))
     header = lines[start - 1].split(",") if start else []
     names = _names(header[1:] if len(header) == width else [""] * (width - 1), start)
-    # the daily block ends at the first undated line
-    block = takewhile(lambda n: _is_dated(n[1]), enumerate(lines[start:], start + 1))
+    rows = enumerate(lines[start:], start + 1)
+    block = takewhile(lambda n: n[1].split(",")[0].strip()[:1].isdigit(), rows)
     raw = _parse_rows(block, names, dated=True)  # in percent
 
     missing = np.isin(raw.values, _FF_SENTINELS)

@@ -23,7 +23,7 @@ class SecuredSample:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        arr = _finite_vector(self.values, "secured sample")
+        arr = _finite_vector(np.array(self.values, dtype=float), "secured sample")  # owned
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

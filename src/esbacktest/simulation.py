@@ -11,8 +11,10 @@ release the GIL, and integer counts add exactly, so the aggregate is
 identical under any worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
 As the threads share one address space, a block keeps its temporaries small.
 
-The GARCH recursion ``_garch_paths`` steps once per day across all rows it
-is given: a Monte Carlo block, the picks of one fit, or one path. It keeps
+``_unit_law`` alone checks a GARCH innovation and builds its unit-variance
+law, which each ``GarchSpec`` keeps as ``law``. The GARCH recursion
+``_garch_paths`` steps once per day across the rows of a Monte Carlo block, or
+the one path of ``garch_simulate`` that draws each simulated pick; it keeps
 only the days after the burn-in.
 
 ``simulate_batch`` fits a model to each sample on processes, as Nelder-Mead
@@ -80,6 +82,7 @@ class GarchSpec:
     innovation: str = "normal"
     nu: Optional[float] = None
     xi: Optional[float] = None
+    law: Union[Normal, SkewT] = field(init=False, repr=False, compare=False)  # of z_t
 
     def __post_init__(self) -> None:
         if not self.omega > 0:
@@ -95,29 +98,21 @@ class GarchSpec:
                 "stationary variance omega / (1 - a1 - b1) is not finite at "
                 f"omega={self.omega}, a1={self.a1}, b1={self.b1}"
             )
-        if self.innovation == "normal":
-            if self.nu is not None or self.xi is not None:
-                raise ValueError("normal innovations take no nu/xi")
-        elif self.innovation == "skew_t":
-            if self.nu is None or self.xi is None:
-                raise ValueError("skew_t innovations need nu and xi")
-            _unit_law("skew_t", self.nu, self.xi)  # validates nu, xi and the variance
-        else:
-            raise ValueError(f"unknown innovation kind {self.innovation!r}")
+        object.__setattr__(self, "law", _unit_law(self.innovation, self.nu, self.xi))
 
     def stationary_variance(self) -> float:
         return self.omega / (1.0 - self.a1 - self.b1)
 
 
 def garch_to_json(g: GarchSpec) -> dict:
-    values = ((f.name, getattr(g, f.name)) for f in fields(GarchSpec))
+    values = ((f.name, getattr(g, f.name)) for f in fields(GarchSpec) if f.init)
     return {name: v for name, v in values if v is not None}
 
 
 def garch_from_json(obj: dict) -> GarchSpec:
     if not isinstance(obj, dict):
         raise ValueError("GARCH JSON must be an object")
-    extra = set(obj) - {f.name for f in fields(GarchSpec)}
+    extra = set(obj) - {f.name for f in fields(GarchSpec) if f.init}
     if extra:
         raise ValueError(f"unknown GARCH fields {sorted(extra)}")
     try:
@@ -134,9 +129,15 @@ def _skewt_shape(theta) -> tuple[float, float]:
 def _unit_law(
     kind: str, nu: Optional[float] = None, xi: Optional[float] = None
 ) -> Union[Normal, SkewT]:
-    """Zero-mean, unit-variance innovation law: Normal() or a rescaled SkewT."""
+    """The one check of a GARCH innovation, and its zero-mean, unit-variance law."""
     if kind == "normal":
+        if nu is not None or xi is not None:
+            raise ValueError("normal innovations take no nu/xi")
         return Normal()
+    if kind != "skew_t":
+        raise ValueError(f"unknown innovation kind {kind!r}")
+    if nu is None or xi is None:
+        raise ValueError("skew_t innovations need nu and xi")
     SkewT._check_shape(nu, xi)
     try:
         mean, var = SkewT._moments(nu, xi)
@@ -150,12 +151,11 @@ def _unit_law(
 
 def _innovations(g: GarchSpec, n: int, stream: RngStream) -> np.ndarray:
     """n unit-variance innovations of g from the start of ``stream``."""
-    law = _unit_law(g.innovation, g.nu, g.xi)
     # skew-t innovations stay inverse-cdf draws, so a GARCH path, and
     # any panel drawn from one, keeps its values for a given stream
     if g.innovation == "normal":
-        return law.sample(n, stream)
-    return law.sample_by_quantile(n, stream)
+        return g.law.sample(n, stream)
+    return g.law.sample_by_quantile(n, stream)
 
 
 def _garch_paths(
@@ -442,9 +442,7 @@ class NullDistribution:
 
 def _addons(cfg: McConfig) -> tuple[float, float]:
     """The analytic VAR and ES reserves; those of the unit law for GARCH."""
-    law = cfg.dist
-    if isinstance(law, GarchSpec):
-        law = _unit_law(law.innovation, law.nu, law.xi)
+    law = cfg.dist.law if isinstance(cfg.dist, GarchSpec) else cfg.dist
     return true_risk(law, cfg.alpha_var, "VAR"), true_risk(law, cfg.alpha_es, "ES")
 
 
@@ -548,8 +546,7 @@ def fit_and_simulate(
     if garch:
         fitted = garch_fit(x, kind)
         params = {"model": model, **garch_to_json(fitted)}
-        z = np.stack([_innovations(fitted, GARCH_BURN_IN + x.size, s) for s in streams])
-        sims = list(_garch_paths(fitted, z, GARCH_BURN_IN)[0])
+        sims = [garch_simulate(fitted, x.size, s)[0] for s in streams]
     else:
         fitted = fit_iid(x, kind)
         params = {"model": model, **dist_to_json(fitted)}

@@ -138,6 +138,17 @@ def test_ff_daily_sentinel_row_is_checked_before_it_is_dropped(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
 
 
+def test_ff_daily_mistyped_date_exits_2_naming_its_line(tmp_path, capsys):
+    # a mistyped date stays in the block, so the rows after it are not silently dropped
+    path = tmp_path / "ff.csv"
+    path.write_text(",a\n20200101,1.0\n20200102,1.0\n2020-01-03,1.0\n20200106,1.0\n20200107,1.0\n")
+    argv = ["backtest", "--input", str(path), "--format", "ff_daily", "--estimator", "var-hist",
+            "--learn", "2", "--test", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: line 4: bad date '2020-01-03', expected YYYYMMDD"]
+
+
 def test_backtest_short_panel_exits_3(tmp_path, capsys):
     path = tmp_path / "short.csv"
     rng = np.random.default_rng(61)

@@ -42,12 +42,12 @@ from esbacktest.harness import (
     split_samples,
     write_heatmap_csv,
     _calendar,
-    _is_dated,
     _low_tail,
     _parse_lines,
     _parse_rows,
     _reserves,
 )
+from esbacktest.secured import SecuredSample
 
 # ---------------------------------------------------------------------------
 # ingestion
@@ -77,8 +77,8 @@ def test_ff_daily_parsing(tmp_path):
     assert panel.dropped_rows == 2
     assert panel.n_rows == 3 and panel.n_cols == 2
     assert np.array_equal(panel.dates, [20050103, 20050105, 20050107])
-    assert np.allclose(panel.column("Port A"), [0.0125, 0.0010, 0.0000])
-    assert np.allclose(panel.column("Port B"), [-0.0050, 0.0020, 0.0100])
+    assert np.allclose(panel.values[:, 0], [0.0125, 0.0010, 0.0000])
+    assert np.allclose(panel.values[:, 1], [-0.0050, 0.0020, 0.0100])
 
 
 def test_ff_daily_without_header_names_columns(tmp_path):
@@ -87,6 +87,14 @@ def test_ff_daily_without_header_names_columns(tmp_path):
     panel = load_returns(path, "ff_daily")
     assert panel.names == ("col1", "col2")
     assert panel.n_rows == 2
+
+
+def test_ff_daily_block_ends_at_the_blank_line_before_a_copyright(tmp_path):
+    path = tmp_path / "ff.csv"
+    path.write_text(",a\n20200101,1.0\n20200102,1.0\n\nCopyright 2024 Kenneth R. French\n")
+    panel = load_returns(path, "ff_daily")
+    assert panel.dates.tolist() == [20200101, 20200102]
+    assert np.array_equal(panel.values, [[0.01], [0.01]])
 
 
 def test_ff_daily_all_missing_column_rejected(tmp_path):
@@ -333,8 +341,9 @@ def _faulty_panel(draw):
     numbered = list(enumerate(lines, start=2))
     if fmt == "simple_csv":
         return fmt, "\n".join(["date," + ",".join("abc"[:n_cols])] + lines), numbered, n_cols + 1
-    # ff_daily reads its block up to the first undated line, as wide as its first line
-    numbered = list(takewhile(lambda n: _is_dated(n[1]), numbered))
+    # ff_daily reads its block up to the first line whose first field, stripped,
+    # is blank or starts with no digit, as wide as its first line
+    numbered = list(takewhile(lambda n: n[1].split(",")[0].strip()[:1].isdigit(), numbered))
     text = "\n".join(["," + ",".join("abc"[:n_cols])] + lines)
     return fmt, text, numbered, len(lines[0].split(","))
 
@@ -393,8 +402,11 @@ def test_simple_csv_names_the_first_bad_cell(tmp_path, text, message):
          "line 5: expected 3 fields, found 2"),
         ("ff_daily", "Returns\r\n\r\n,A\r\n20200101,-inf\r\n",
          "line 4: cell '-inf' is not a finite number"),
+        # a first field that starts with a digit keeps a line in the block
+        ("ff_daily", ",a\n20200101,1.0\n20200102,1.0\n2020-01-03,1.0\n20200106,1.0\n",
+         "line 4: bad date '2020-01-03', expected YYYYMMDD"),
     ],
-    ids=["cell", "date", "header", "ragged", "crlf", "ff-cell", "ff-ragged", "ff-crlf"],
+    ids=["cell", "date", "header", "ragged", "crlf", "ff-cell", "ff-ragged", "ff-crlf", "ff-date"],
 )
 def test_simple_csv_numbers_physical_lines(tmp_path, fmt, text, message):
     # blank lines are skipped, but still counted
@@ -542,7 +554,11 @@ def test_constructors_own_a_copy_of_the_callers_arrays():
     panel = ReturnPanel(("a",), values, dates=dates)
     counts = np.eye(3, dtype=np.int64)
     matrix = ConfusionMatrix(counts)
-    for caller, owned in ((values, panel.values), (dates, panel.dates), (counts, matrix.counts)):
+    secured = np.array([0.1, -0.2, 0.3])
+    sample = SecuredSample(secured)
+    for caller, owned in ((values, panel.values), (dates, panel.dates), (counts, matrix.counts),
+                          (secured, sample.values)):
+        assert not np.shares_memory(caller, owned)
         assert caller.flags.writeable and not owned.flags.writeable
         before = owned.copy()
         caller[0] = 7

@@ -92,6 +92,27 @@ def test_garch_simulate_equals_scalar_loop_on_its_stream(g):
     assert np.array_equal(sigma, s[50:])
 
 
+def _stacked_picks(g, size, seed, base, picks):
+    """The former pick path: each pick's innovations a row of one recursion."""
+    z = np.stack([_innovations(g, GARCH_BURN_IN + size, RngStream(seed, base + p))
+                  for p in range(picks)])
+    return list(_garch_paths(g, z, GARCH_BURN_IN)[0])
+
+
+@pytest.mark.parametrize("picks", [1, 2, 3])
+@pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
+def test_garch_picks_equal_the_stacked_path(monkeypatch, g, picks):
+    model = "garch_" + g.innovation
+    monkeypatch.setattr(simulation, "garch_fit", lambda x, kind: g if kind == g.innovation else None)
+    x = np.random.default_rng(85).standard_normal(300) * 0.01
+    params, sims = fit_and_simulate(x, model, picks, 7, 11)
+    assert params == {"model": model, **garch_to_json(g)}
+    expect = _stacked_picks(g, x.size, 7, 11, picks)
+    assert len(sims) == picks
+    for got, want in zip(sims, expect):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_garch_without_feedback_reduces_to_iid():
     g = GarchSpec(mu=0.0, omega=1.0, a1=0.0, b1=0.0)
     x, sigma = garch_simulate(g, 10**6, RngStream(70))
@@ -148,6 +169,38 @@ def test_unit_law_has_mean_zero_and_variance_one(nu, xi):
     assert abs(law.mean()) < 1e-12
     assert abs(law.variance() - 1.0) < 1e-12
     assert _unit_law("normal") == Normal()
+
+
+def test_unit_law_is_built_once_per_spec_and_never_per_block_or_pick(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _unit_law(*args)
+
+    monkeypatch.setattr(simulation, "_unit_law", counted)
+    g = GarchSpec(mu=0.0, omega=0.05, a1=0.1, b1=0.85, innovation="skew_t", nu=5.0, xi=0.85)
+    assert calls == [("skew_t", 5.0, 0.85)]
+    cfg = McConfig(dist=g, seed=3, n=50, runs=1000)
+    assert -(-cfg.runs // _block_rows(cfg)) == 3
+    mc_null(cfg)
+    monkeypatch.setattr(simulation, "garch_fit", lambda x, kind: g)
+    fit_and_simulate(np.zeros(100), "garch_skew_t", 3, 7, 0)
+    assert len(calls) == 1
+    replace(g, xi=1.2)
+    assert calls[1:] == [("skew_t", 5.0, 1.2)]
+
+
+def test_garch_spec_pickles_and_replace_rebuilds_its_law():
+    g = _skewt_garch(5.0, 0.9)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and back.law == g.law
+    assert replace(g, xi=1.2).law == _unit_law("skew_t", 5.0, 1.2)
+    assert replace(g, innovation="normal", nu=None, xi=None).law == Normal()
+    # the law is derived from the fields: no JSON key and no repr of its own
+    assert "law" not in garch_to_json(g) and "law" not in repr(g)
+    with pytest.raises(ValueError, match=re.escape("unknown GARCH fields ['law']")):
+        garch_from_json({**garch_to_json(g), "law": None})
 
 
 @pytest.mark.parametrize("nu, xi", SKEWT_SHAPES)
