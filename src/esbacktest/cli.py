@@ -12,9 +12,9 @@ subcommand validates the files it wrote before it returns; a failed output
 self-check exits with code 3 and names the check on stderr, since the run
 cannot vouch for what it wrote under this configuration. An output path
 that cannot be written exits with code 3 too, and a missing output
-directory does so before any work is done. Every stochastic
-subcommand requires an explicit seed and is byte-reproducible for any
-worker count. ``--workers`` runs ``backtest``, ``compare`` and ``mc`` on
+directory or two outputs at one path do so before any work is done. Every
+stochastic subcommand requires an explicit seed and is byte-reproducible for
+any worker count. ``--workers`` runs ``backtest``, ``compare`` and ``mc`` on
 threads, as their numpy kernels release the GIL, and ``simulate``'s fits on
 processes (see ``simulation.simulate_batch``). Without ``--workers`` the
 count comes from ``ESBACKTEST_WORKERS`` (1 when unset), a positive integer.
@@ -138,18 +138,20 @@ def _load_panel(args) -> harness.ReturnPanel:
 
 
 def _require_output_dirs(*paths) -> None:
-    """Fail before any work when the directory of an output path is missing."""
+    """Fail before any work if an output's directory is missing or two outputs are one file."""
+    seen = set()
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.realpath(path) in seen:
+            raise ValueError(f"two outputs at one path: {path}")
+        seen.add(os.path.realpath(path))
 
 
-def _write_json(path, payload) -> None:
+def _write_json(path, payload):
+    """Write ``payload`` as JSON and return what the file then holds."""
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
 
@@ -182,8 +184,7 @@ def _write_report(args, config, samples, results, summary, expect_z: bool) -> No
         "results": [r.to_json_dict() for r in results],
         "summary": summary,
     }
-    _write_json(args.out, report)
-    report = _read_json(args.out)
+    report = _write_json(args.out, report)
     _check(
         len(report["samples"]) == len(report["results"]), "samples/results aligned"
     )
@@ -305,8 +306,7 @@ def cmd_mc(args) -> int:
         # the counts on either side of each zone bound
         points = [k for b in (th.green_upper, th.yellow_upper) for k in (b - 1, b)]
         summary[nd.metric.lower()] = {str(k): entry(nd, k) for k in points}
-    _write_json(summary_path, summary)
-    summary = _read_json(summary_path)
+    summary = _write_json(summary_path, summary)
     _check(list(summary) == [*params, "var", "es"], f"summary keys {list(summary)}")
     for metric in ("var", "es"):
         for e in summary[metric].values():
@@ -337,8 +337,7 @@ def cmd_simulate(args) -> int:
         for row in np.column_stack([sim for _, sims in outputs for sim in sims]):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     if args.fits_out:
-        _write_json(args.fits_out, {"model": model, "fits": fits})
-        written = _read_json(args.fits_out)
+        written = _write_json(args.fits_out, {"model": model, "fits": fits})
         _check(list(written) == ["model", "fits"], f"fits keys {list(written)}")
         _check(written["model"] == model, "fits model")
         _check([f["sample"] for f in written["fits"]] == [s.label for s in samples],

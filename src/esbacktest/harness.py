@@ -64,6 +64,7 @@ from .backtest import classify  # noqa: F401
 from .estimators import es_empirical, moments, var_empirical  # noqa: F401
 from .parallel import parallel_map
 from .secured import _finite_vector, build_normalized, build_secured
+from .simulation import FitError
 
 __all__ = [
     "DataError",
@@ -162,6 +163,16 @@ class Sample(NamedTuple):
     def label(self) -> str:
         return f"{self.column}[{self.start}:{self.start + self.values.size}]"
 
+    def run(self, fn, *args):
+        """``fn(self.values, *args)``, the one place a sample names itself in an
+        error: a ``ValueError`` or ``FitError`` that the call raises keeps its
+        class and traceback, and its message is prefixed ``"a[0:300]: "``."""
+        try:
+            return fn(self.values, *args)
+        except (ValueError, FitError) as exc:
+            exc.args = (f"{self.label}: {exc}",)
+            raise
+
 
 def _read_lines(path) -> list[str]:
     try:  # utf-8-sig drops a leading byte-order mark
@@ -185,6 +196,10 @@ def _parse_float(cell: str, lineno: int) -> float:
 
 def _is_dated(line: str) -> bool:
     return bool(_DATE_RE.match(line.split(",")[0].strip()))
+
+
+def _leads_digit(line: str) -> bool:
+    return line.split(",")[0].strip()[:1].isdigit()
 
 
 def _names(cells, lineno: int) -> tuple[str, ...]:
@@ -251,21 +266,22 @@ def _load_ff_daily(path) -> ReturnPanel:
     """Parse a daily panel whose rows start with a YYYYMMDD date.
 
     Returns are given in percent and converted to decimals; the sentinel
-    values -99.99 and -999 mark missing data and drop the whole row. Any
-    description lines before the first dated line are skipped. The block runs
-    from there to the first line whose first field, stripped, is blank or does
-    not start with a digit; every line in between is a data row, so a mistyped
-    date fails naming its line.
+    values -99.99 and -999 mark missing data and drop the whole row. The block
+    of data rows runs down from the first dated line until a first field,
+    stripped, is blank or starts with no digit, and up over lines as wide whose
+    first field starts with a digit; the line above is the header when as wide.
+    So a mistyped date fails naming its line, on the first row too.
     """
     lines = _read_lines(path)
     start = next((i for i, line in enumerate(lines) if _is_dated(line)), None)
     if start is None:
         raise DataError(f"{path}: no rows starting with a YYYYMMDD date")
     width = len(lines[start].split(","))
+    while start and _leads_digit(lines[start - 1]) and lines[start - 1].count(",") == width - 1:
+        start -= 1
     header = lines[start - 1].split(",") if start else []
     names = _names(header[1:] if len(header) == width else [""] * (width - 1), start)
-    rows = enumerate(lines[start:], start + 1)
-    block = takewhile(lambda n: n[1].split(",")[0].strip()[:1].isdigit(), rows)
+    block = takewhile(lambda n: _leads_digit(n[1]), enumerate(lines[start:], start + 1))
     raw = _parse_rows(block, names, dated=True)  # in percent
 
     missing = np.isin(raw.values, _FF_SENTINELS)
@@ -339,16 +355,10 @@ def split_samples(panel: ReturnPanel, window: int = LEARN + CALIBRATION.n) -> li
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
     if window > panel.n_rows:
-        raise ValueError(
-            f"window {window} exceeds panel length {panel.n_rows}"
-        )
-    per_col = panel.n_rows // window
-    out = []
-    for ci, name in enumerate(panel.names):
-        for w in range(per_col):
-            lo = w * window
-            out.append(Sample(name, lo, panel.values[lo : lo + window, ci]))
-    return out
+        raise ValueError(f"window {window} exceeds panel length {panel.n_rows}")
+    starts = range(0, panel.n_rows - window + 1, window)
+    return [Sample(name, lo, panel.values[lo : lo + window, ci])
+            for ci, name in enumerate(panel.names) for lo in starts]
 
 
 def _normal_moments(windows: np.ndarray, _) -> SampleMoments:
@@ -481,22 +491,17 @@ def _graded(
     """(nominal_t, nominal_g, z) of one sample, graded as ``compare_backtest`` says.
 
     Each (estimator, level) reserve series is estimated once; z is None
-    without ``alpha_z``. ``x`` holds the sample's values, or is a ``Sample``
-    whose label then prefixes any error that its values raise.
+    without ``alpha_z``. ``x`` holds the sample's values, or is a ``Sample``,
+    which labels the errors of its values (``Sample.run``).
     """
     if learn < 2 or test < 1:
         raise ValueError("need learn >= 2 and test >= 1")
     if isinstance(x, Sample):
         levels = (var_est, alpha_var, es_est, alpha_es, alpha_z)
-        try:
-            return _graded(x.values, learn, test, normalize, *levels)
-        except ValueError as exc:
-            raise ValueError(f"{x.label}: {exc}") from None
+        return x.run(_graded, learn, test, normalize, *levels)
     arr = _finite_vector(x, "sample")
     if arr.size != learn + test:
-        raise ValueError(
-            f"sample has {arr.size} observations, config needs {learn + test}"
-        )
+        raise ValueError(f"sample has {arr.size} observations, config needs {learn + test}")
     realized = arr[learn:]
     secure = build_normalized if normalize else build_secured
     pairs = [(var_est, alpha_var), (es_est, alpha_es)]

@@ -19,6 +19,7 @@ only the days after the burn-in.
 
 ``simulate_batch`` fits a model to each sample on processes, as Nelder-Mead
 holds the GIL, and draws pick p of sample s from stream (seed, s * picks + p).
+A ``harness.Sample`` labels the errors of its fit in ``Sample.run``.
 """
 
 from __future__ import annotations
@@ -555,17 +556,10 @@ def fit_and_simulate(
 
 
 def _fit_and_simulate_task(task):
-    # global lookups, so that a wrapper set on the module attribute runs too; a
-    # harness.Sample names itself in the error that its fit raises
+    # a global lookup, so that a wrapper set on the module attribute runs too;
+    # a harness.Sample labels the errors of its fit
     x, *args = task
-    if not hasattr(x, "label"):
-        return fit_and_simulate(x, *args)
-    try:
-        return fit_and_simulate(x.values, *args)
-    except FitError as exc:
-        raise FitError(f"{x.label}: {exc}", exc.best, exc.diagnostics) from None
-    except ValueError as exc:
-        raise ValueError(f"{x.label}: {exc}") from None
+    return x.run(fit_and_simulate, *args) if hasattr(x, "run") else fit_and_simulate(x, *args)
 
 
 def simulate_batch(
@@ -573,8 +567,8 @@ def simulate_batch(
 ) -> list[tuple[dict, list[np.ndarray]]]:
     """``fit_and_simulate`` per sample on up to ``workers`` processes; the scipy
     modules of the model's fit are imported here first, for forked workers to
-    inherit. A sample is an array or a ``harness.Sample``, whose label then
-    prefixes the error that its fit raises."""
+    inherit. A sample is an array or a ``harness.Sample``, which labels the
+    errors of its fit (``Sample.run``)."""
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     RngStream(seed, 0)  # a seed out of range fails the run, not one sample

@@ -624,6 +624,51 @@ def test_simulate_reads_back_its_fits(
     assert len(err) == 1 and err[0].startswith(f"output check failed: {check}")
 
 
+def test_an_ff_daily_typo_on_the_first_row_exits_2(tmp_path, capsys):
+    # the mistyped first row used to be read as the header, dropping both
+    path = tmp_path / "ff.csv"
+    path.write_text(",a\n2020-01-01,1.0\n20200102,1.0\n20200103,2.0\n")
+    out = tmp_path / "r.json"
+    argv = ["backtest", "--input", str(path), "--format", "ff_daily", "--estimator",
+            "var-hist", "--learn", "2", "--test", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: line 2: bad date '2020-01-01', expected YYYYMMDD"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, second",
+    [
+        (["backtest", "--estimator", "var-hist", "--out", "r.json", "--heatmap-out", "./r.json"],
+         "./r.json"),
+        (["backtest", "--estimator", "var-hist", "--out", "r.json", "--heatmap-out",
+          "link/r.json"], "link/r.json"),
+        (["simulate", "--model", "normal", "--seed", "1", "--out", "s.csv", "--fits-out",
+          "./s.csv"], "./s.csv"),
+    ],
+    ids=["backtest", "backtest-symlink", "simulate"],
+)
+def test_two_outputs_at_one_path_exit_3_before_any_work(
+    tmp_path, panel_csv, capsys, monkeypatch, argv, second
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "link").symlink_to(work)
+    monkeypatch.chdir(work)
+
+    def no_work(*args):
+        raise AssertionError("the panel was loaded")
+
+    monkeypatch.setattr(harness, "load_returns", no_work)
+    assert main(argv + ["--input", str(panel_csv)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: two outputs at one path: {second}"
+    ]
+    assert [p.name for p in work.iterdir()] == ["link"]
+
+
 def test_a_dated_panel_out_of_order_exits_2(tmp_path, capsys):
     path = tmp_path / "dated.csv"
     path.write_text("date,a\n20201231,0.01\n20200101,0.02\n20200101,0.01\n20200102,0.01\n")

@@ -4,6 +4,7 @@ import datetime as dt
 import inspect
 import math
 import tempfile
+import traceback
 import warnings
 from itertools import takewhile
 from pathlib import Path
@@ -48,6 +49,7 @@ from esbacktest.harness import (
     _reserves,
 )
 from esbacktest.secured import SecuredSample
+from esbacktest.simulation import FitError
 
 # ---------------------------------------------------------------------------
 # ingestion
@@ -95,6 +97,16 @@ def test_ff_daily_block_ends_at_the_blank_line_before_a_copyright(tmp_path):
     panel = load_returns(path, "ff_daily")
     assert panel.dates.tolist() == [20200101, 20200102]
     assert np.array_equal(panel.values, [[0.01], [0.01]])
+
+
+def test_ff_daily_block_does_not_run_up_over_a_narrower_line(tmp_path):
+    # a description line that starts with a digit is no data row unless it is
+    # as wide as the block
+    path = tmp_path / "ff.csv"
+    path.write_text("1 portfolio sorted\n20200101,1.0\n20200102,1.0\n")
+    panel = load_returns(path, "ff_daily")
+    assert panel.names == ("col1",)
+    assert panel.dates.tolist() == [20200101, 20200102]
 
 
 def test_ff_daily_all_missing_column_rejected(tmp_path):
@@ -323,12 +335,13 @@ def _faulty_panel(draw):
     cells = [[draw(st.sampled_from(["0.01", "-0.5", " 2e-3", "0"])) for _ in range(n_cols)]
              for _ in range(n_rows)]
     fault = draw(st.sampled_from(_FAULTS))
-    # an undated first line would make ff_daily read it as its header
-    i = draw(st.integers(fault == "pattern" and fmt == "ff_daily", n_rows - 1))
+    i = draw(st.integers(0, n_rows - 1))
     if fault == "fields":
         cells[i] = cells[i][1:] if draw(st.booleans()) else cells[i] + ["0.1"]
     elif fault == "pattern":
-        dates[i] = draw(st.sampled_from(["2020-01-02", "2020010", "202001011", "x", ""]))
+        # ff_daily reads a first line whose first field starts with no digit as its header
+        no_digit = ["x", ""] if i or fmt == "simple_csv" else []
+        dates[i] = draw(st.sampled_from(["2020-01-02", "2020010", "202001011", *no_digit]))
     elif fault == "calendar":
         dates[i] = draw(st.sampled_from(["20200230", "20210229", "20201301", "20200100"]))
     elif fault == "order":  # a repeated date, or one before its predecessor's
@@ -405,8 +418,12 @@ def test_simple_csv_names_the_first_bad_cell(tmp_path, text, message):
         # a first field that starts with a digit keeps a line in the block
         ("ff_daily", ",a\n20200101,1.0\n20200102,1.0\n2020-01-03,1.0\n20200106,1.0\n",
          "line 4: bad date '2020-01-03', expected YYYYMMDD"),
+        # ... on the first data row too, which is then no header
+        ("ff_daily", ",a\n2020-01-01,1.0\n20200102,1.0\n20200103,2.0\n",
+         "line 2: bad date '2020-01-01', expected YYYYMMDD"),
     ],
-    ids=["cell", "date", "header", "ragged", "crlf", "ff-cell", "ff-ragged", "ff-crlf", "ff-date"],
+    ids=["cell", "date", "header", "ragged", "crlf", "ff-cell", "ff-ragged", "ff-crlf", "ff-date",
+         "ff-first-date"],
 )
 def test_simple_csv_numbers_physical_lines(tmp_path, fmt, text, message):
     # blank lines are skipped, but still counted
@@ -833,6 +850,54 @@ def test_run_batch_names_the_first_of_two_failing_samples(workers):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^a\[0:500\]: var_norm reserve"):
             run_batch(samples, RollingConfig("var_norm"), workers=workers)
+
+
+@pytest.mark.parametrize("error", [DataError("bad"), FitError("bad", {"nll": 1.0}, {})])
+def test_sample_run_labels_the_error_object_that_its_call_raises(error):
+    def fail(values, *args):
+        assert values.tolist() == [0.0] * 4 and args == (1, 2)
+        raise error
+
+    with pytest.raises(type(error)) as info:
+        Sample("a", 3, np.zeros(4)).run(fail, 1, 2)
+    assert info.value is error and error.args == ("a[3:7]: bad",)
+    assert traceback.extract_tb(error.__traceback__)[-1].name == "fail"
+
+
+def test_sample_run_passes_other_errors_unlabelled():
+    error = TypeError("bad")
+
+    def fail(values):
+        raise error
+
+    with pytest.raises(TypeError) as info:
+        Sample("a", 0, np.zeros(4)).run(fail)
+    assert info.value is error and error.args == ("bad",)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sample_is_labelled_once_and_keeps_its_innermost_frame(workers):
+    # every grading path labels through Sample.run, which re-raises the
+    # reserve's own ValueError: its class and traceback reach the caller
+    sample = _huge_sample(1e298)
+    samples = [Sample(name, 0, sample.values) for name in ("a", "b", "c")]
+    cfg = RollingConfig("var_norm")
+    calls = [
+        lambda: rolling_backtest(sample, cfg),
+        lambda: compare_backtest(sample, "norm"),
+        lambda: run_batch(samples, cfg, workers=workers),
+        lambda: run_compare_batch(samples, workers=workers, family="norm"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
+            assert str(info.value) == (
+                "a[0:500]: var_norm reserve at level 0.01 overflows on day 0"
+            )
+            assert traceback.extract_tb(info.value.__traceback__)[-1].name == "_reserves"
 
 
 def test_overflowing_partial_sums_are_rejected_without_a_warning():

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import traceback
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -17,6 +18,7 @@ from esbacktest import backtest, simulation
 from esbacktest.backtest import CALIBRATION
 from esbacktest.dist import Normal, RngStream, SkewT, StudentT, _abs_t_mean
 from esbacktest.estimators import true_risk
+from esbacktest.harness import Sample
 from esbacktest.simulation import (
     GARCH_BURN_IN,
     FitError,
@@ -940,6 +942,25 @@ def test_simulate_batch_draws_sample_s_pick_p_from_stream_s_times_picks_plus_p(w
         assert all(np.array_equal(a, b) for a, b in zip(sims, one_sims, strict=True))
     with pytest.raises(ValueError, match="unknown model 'arch'"):
         simulate_batch(samples, "arch", 2, 9, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_batch_labels_a_fit_error_that_keeps_its_fields_and_frame(workers):
+    # the high-variance half drives the GARCH fit to a1 + b1 = 1; on a process
+    # pool the labelled FitError is pickled in a worker and raised in this one
+    rng = np.random.default_rng(18)
+    x = np.concatenate([rng.normal(0, 0.01, 150), rng.normal(0, 0.1, 150)])
+    samples = [Sample("a", 0, x), Sample("b", 0, x)]
+    with pytest.raises(FitError) as info:
+        simulate_batch(samples, "garch_normal", 1, 1, workers)
+    boundary = "need a1 + b1 < 1 for stationarity, got 1.0"
+    assert info.value.args == (f"a[0:300]: fit reached a parameter boundary: {boundary}",)
+    assert info.value.diagnostics == {"boundary": boundary}
+    assert list(info.value.best) == ["theta", "nll"] and len(info.value.best["theta"]) == 4
+    # the worker's traceback reaches this process as text, in the cause
+    frames = str(info.value.__cause__) if workers > 1 else "".join(
+        traceback.format_tb(info.value.__traceback__))
+    assert re.findall(r", in (\w+)\n", frames)[-1] == "garch_fit"
 
 
 def test_null_distribution_owns_a_copy_of_the_callers_counts():
