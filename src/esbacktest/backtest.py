@@ -132,8 +132,9 @@ def g_stat(y) -> StatResult:
     return StatResult(nominal / arr.size, nominal, arr.size)
 
 
-def _negative_sums(y: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Count of negative partial sums of ``sort(y) + shift`` along the last axis.
+def _negative_sums(y: np.ndarray) -> np.ndarray:
+    """Count of negative partial sums of ``sort(y)`` along the last axis: the
+    G count of ``g_stat`` and of each Monte Carlo row (``simulation._g_counts``).
 
     A partial sum of ``-inf`` or NaN raises ``ValueError``; ``+inf`` does not.
     Past the first non-negative sum every term is positive, so the sums rise
@@ -141,7 +142,7 @@ def _negative_sums(y: np.ndarray, shift: float = 0.0) -> np.ndarray:
     law, not on how many of its sorted values are read.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.cumsum(np.sort(y, -1) + shift, -1)
+        sums = np.cumsum(np.sort(y, -1), -1)
     if not (sums > -np.inf).all():
         raise ValueError("partial sums of the sorted sample overflow")
     return (sums < 0).sum(-1)

@@ -12,12 +12,13 @@ subcommand validates the files it wrote before it returns; a failed output
 self-check exits with code 3 and names the check on stderr, since the run
 cannot vouch for what it wrote under this configuration. An output path
 that cannot be written exits with code 3 too, and a missing output
-directory or two outputs at one path do so before any work is done. Every
-stochastic subcommand requires an explicit seed and is byte-reproducible for
-any worker count. ``--workers`` runs ``backtest``, ``compare`` and ``mc`` on
-threads, as their numpy kernels release the GIL, and ``simulate``'s fits on
-processes (see ``simulation.simulate_batch``). Without ``--workers`` the
-count comes from ``ESBACKTEST_WORKERS`` (1 when unset), a positive integer.
+directory, two outputs at one path or an output at the input's path do so
+before any work is done. Every stochastic subcommand requires an explicit
+seed and is byte-reproducible for any worker count. ``--workers`` runs
+``backtest``, ``compare`` and ``mc`` on threads, as their numpy kernels
+release the GIL, and ``simulate``'s fits on processes (see
+``simulation.simulate_batch``). Without ``--workers`` the count comes from
+``ESBACKTEST_WORKERS`` (1 when unset), a positive integer.
 """
 
 from __future__ import annotations
@@ -137,15 +138,17 @@ def _load_panel(args) -> harness.ReturnPanel:
     return panel
 
 
-def _require_output_dirs(*paths) -> None:
-    """Fail before any work if an output's directory is missing or two outputs are one file."""
-    seen = set()
+def _require_output_dirs(*paths, source: Optional[str] = None) -> None:
+    """Fail before any work if an output's directory is missing, or an output is
+    the input panel ``source`` or another output."""
+    seen = {os.path.realpath(source): "an output is the input panel"} if source else {}
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if os.path.realpath(path) in seen:
-            raise ValueError(f"two outputs at one path: {path}")
-        seen.add(os.path.realpath(path))
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]}: {path}")
+        seen[real] = "two outputs at one path"
 
 
 def _write_json(path, payload):
@@ -201,7 +204,7 @@ def _write_report(args, config, samples, results, summary, expect_z: bool) -> No
 
 def cmd_backtest(args) -> int:
     heatmap_path = args.heatmap_out or f"{args.out}.heatmap.csv"
-    _require_output_dirs(args.out, heatmap_path)
+    _require_output_dirs(args.out, heatmap_path, source=args.input)
     cfg = RollingConfig(
         estimator=args.estimator.replace("-", "_"),
         learn=args.learn,
@@ -233,7 +236,7 @@ def cmd_compare(args) -> int:
             "the z test needs reserves for both VAR and ES; "
             "pass --estimator hist or --estimator norm"
         )
-    _require_output_dirs(args.out)
+    _require_output_dirs(args.out, source=args.input)
     panel = _load_panel(args)
     samples = harness.split_samples(panel, args.learn + args.test)
     results = harness.run_compare_batch(
@@ -323,7 +326,7 @@ def cmd_mc(args) -> int:
 def cmd_simulate(args) -> int:
     if args.picks < 1:
         raise ValueError(f"need picks >= 1, got {args.picks}")
-    _require_output_dirs(args.out, args.fits_out)
+    _require_output_dirs(args.out, args.fits_out, source=args.input)
     panel = _load_panel(args)
     samples = harness.split_samples(panel, args.window)
     model = args.model.replace("-", "_")

@@ -4,8 +4,9 @@
 statistics: each run draws an n-day sample, secures it with the analytic
 reserve for the requested level, and tallies the resulting counts. Runs are
 cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
-innovations from stream (seed, b), and ``_mc_block`` counts exceptions on the
-draws and worst-case sums on a partial sort of each row. Worker threads
+innovations from stream (seed, b), and ``_mc_block`` counts, one way for every
+law, exceptions on the draws and worst-case sums on the rows plus their ES
+reserve, partially sorted (``_g_counts``). Worker threads
 receive contiguous chunks of blocks, since the sampling, partition and sort
 release the GIL, and integer counts add exactly, so the aggregate is
 identical under any worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
@@ -19,7 +20,8 @@ only the days after the burn-in.
 
 ``simulate_batch`` fits a model to each sample on processes, as Nelder-Mead
 holds the GIL, and draws pick p of sample s from stream (seed, s * picks + p).
-A ``harness.Sample`` labels the errors of its fit in ``Sample.run``.
+A ``harness.Sample`` labels the errors of its fit in ``Sample.run``; a fit scores
+the points it cannot use in ``_scored`` and picks its start in ``_multistart_minimize``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import csv
 import importlib
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import partial, wraps
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -229,26 +231,32 @@ def _garch_params(theta) -> tuple[float, float, float, float]:
     return float(theta[0]), math.exp(theta[1]), a1, b1
 
 
+def _scored(loglik):
+    """The one scoring rule of the fits: ``-loglik(theta, *args)``, or 1e12 where
+    ``loglik`` raises ``ValueError`` or ``OverflowError`` or is not finite."""
+    @wraps(loglik)
+    def nll(theta, *args) -> float:
+        try:
+            ll = float(loglik(theta, *args))
+        except (ValueError, OverflowError):  # a parameter leaves its law's range
+            ll = math.nan
+        return -ll if math.isfinite(ll) else 1e12
+    return nll
+
+
+@_scored
 def _garch_nll(theta: np.ndarray, x: np.ndarray, s0: float, kind: str) -> float:
-    try:
-        mu, omega, a1, b1 = _garch_params(theta)
-    except OverflowError:  # exp(theta[1]) leaves the float range
-        return 1e12
+    mu, omega, a1, b1 = _garch_params(theta)
     s2, e = _conditional_variance(x, s0, mu, omega, a1, b1)
     if not (s2.min() > 0 and s2.max() < math.inf):  # NaN fails too
-        return 1e12
+        return math.nan
     if kind == "normal":
-        ll = -0.5 * np.sum(np.log(2.0 * math.pi * s2) + e * e / s2)
-    else:
-        try:
-            law = _unit_law("skew_t", *_skewt_shape(theta[4:]))
-        except (ValueError, OverflowError):  # nu rounds to 2, or xi under- or overflows
-            return 1e12
-        sd = np.sqrt(s2)
-        ll = np.sum(law.logpdf(e / sd) - np.log(sd))
-    if not np.isfinite(ll):
-        return 1e12
-    return -float(ll)
+        if 2.0 * math.pi * float(s2.max()) == math.inf:  # a float overflows without a warning
+            return -math.inf
+        return -0.5 * np.sum(np.log(2.0 * math.pi * s2) + e * e / s2)
+    law = _unit_law("skew_t", *_skewt_shape(theta[4:]))
+    sd = np.sqrt(s2)
+    return np.sum(law.logpdf(e / sd) - np.log(sd))
 
 
 class FitError(RuntimeError):
@@ -269,30 +277,22 @@ class FitError(RuntimeError):
 
 
 def _multistart_minimize(fun, starts: Sequence[np.ndarray], args=()):
-    """Best converged (theta, objective) of Nelder-Mead runs from ``starts``."""
+    """Best converged (theta, objective) of Nelder-Mead runs from ``starts``: the one pick
+    of a start, and of a ``FitError``'s run. ``min`` keeps the first of equal objectives."""
     from scipy import optimize
-    best = None
-    best_converged = None
-    for x0 in starts:
-        res = optimize.minimize(
-            fun,
-            np.asarray(x0, dtype=float),
-            args=args,
-            method="Nelder-Mead",
-            options={"maxfev": _MAXFEV, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if res.success and (best_converged is None or res.fun < best_converged.fun):
-            best_converged = res
-    if best_converged is None:
+    options = {"maxfev": _MAXFEV, "xatol": 1e-8, "fatol": 1e-10}
+    results = [optimize.minimize(fun, np.asarray(x0, dtype=float), args=args,
+                                 method="Nelder-Mead", options=options) for x0 in starts]
+    converged = [res for res in results if res.success]
+    best = min(converged or results, key=lambda res: res.fun)
+    if not converged:
         raise FitError(
             f"optimizer did not converge within {_MAXFEV} evaluations per start: "
             f"{best.message}",
             best={"theta": best.x.tolist(), "nll": float(best.fun)},
             diagnostics={"nfev": int(best.nfev), "message": str(best.message)},
         )
-    return best_converged.x, float(best_converged.fun)
+    return best.x, float(best.fun)
 
 
 def garch_fit(returns, innovation: str = "normal") -> GarchSpec:
@@ -344,14 +344,10 @@ def _fit_input(returns, minimum: int) -> tuple[np.ndarray, float, float]:
     return x, float(np.mean(x)), v
 
 
+@_scored
 def _skewt_nll(theta: np.ndarray, x: np.ndarray) -> float:
-    try:
-        nu, xi = _skewt_shape(theta[2:])
-        d = SkewT(nu, xi, loc=theta[0], scale=math.exp(theta[1]))
-    except (ValueError, OverflowError):  # nu rounds to 2, or an exp under- or overflows
-        return 1e12
-    ll = float(np.sum(d.logpdf(x)))
-    return -ll if np.isfinite(ll) else 1e12
+    nu, xi = _skewt_shape(theta[2:])
+    return np.sum(SkewT(nu, xi, loc=theta[0], scale=math.exp(theta[1])).logpdf(x))
 
 
 def fit_iid(returns, kind: str) -> DistSpec:
@@ -457,20 +453,20 @@ def _block_rows(cfg: McConfig) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // _steps(cfg)))
 
 
-def _g_counts(y: np.ndarray, shift: float) -> np.ndarray:
-    """Per-row worst-case-sum counts of ``y + shift``, identical to a full sort.
+def _g_counts(y: np.ndarray) -> np.ndarray:
+    """Per-row worst-case-sum counts of ``y``, identical to a full sort.
 
-    sort(y) + shift equals sort(y + shift), as rounding is monotone, and the
-    negative partial sums of a sorted row form a prefix. So a row sorts only
+    The negative partial sums of a sorted row form a prefix, so a row sorts only
     its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
+    ``_mc_block`` adds the ES reserves before the partition, as rounding is monotone.
     A partial sum that overflows to ``-inf`` raises ``ValueError`` on either path.
     """
     if y.shape[1] <= _G_PREFIX + 1:
-        return _negative_sums(y, shift)
-    counts = _negative_sums(np.partition(y, _G_PREFIX, 1)[:, : _G_PREFIX + 1], shift)
+        return _negative_sums(y)
+    counts = _negative_sums(np.partition(y, _G_PREFIX, 1)[:, : _G_PREFIX + 1])
     longer = counts > _G_PREFIX
     if longer.any():
-        counts[longer] = _negative_sums(y[longer], shift)
+        counts[longer] = _negative_sums(y[longer])
     return counts
 
 
@@ -480,21 +476,19 @@ def _mc_block(cfg: McConfig, addons: tuple[float, float], b: int):
     m, steps = min(rows, cfg.runs - b * rows), _steps(cfg)
     stream = RngStream(cfg.seed, b)
     var_add, es_add = addons
-    # x + var_add < 0 exactly when x < -var_add: a rounded sum is negative
-    # exactly when the exact sum is, and negation is exact
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
         if isinstance(cfg.dist, GarchSpec):
-            # the per-day reserve is conditional: sigma_t scales the unit risk
             z = _innovations(cfg.dist, m * steps, stream).reshape(m, steps)
-            eps, sigma = _garch_paths(cfg.dist, z, GARCH_BURN_IN)
+            x, sigma = _garch_paths(cfg.dist, z, GARCH_BURN_IN)
             del z
-            eps -= cfg.dist.mu
-            t = (eps < -(sigma * var_add)).sum(1)
-            g = _g_counts(eps + sigma * es_add, 0.0)
+            x -= cfg.dist.mu
         else:
-            x = cfg.dist.sample(m * steps, stream).reshape(m, steps)
-            t = (x < -var_add).sum(1)
-            g = _g_counts(x, es_add)
+            x, sigma = cfg.dist.sample(m * steps, stream).reshape(m, steps), 1.0
+        # every law: x + sigma * var_add < 0 exactly when x < -(sigma * var_add), as a
+        # rounded sum is negative exactly when the exact sum is, and negation is exact
+        t = (x < -(sigma * var_add)).sum(1)
+        x += sigma * es_add
+        g = _g_counts(x)
     return np.bincount(t, minlength=cfg.n + 1), np.bincount(g, minlength=cfg.n + 1)
 
 

@@ -231,12 +231,12 @@ def test_overflowing_statistics_are_rejected_without_a_warning():
 
 def test_negative_sums_counts_each_row_as_g_stat_does():
     y = np.random.default_rng(5).standard_normal((20, 30))
-    assert _negative_sums(y, 0.5).tolist() == [g_stat(row + 0.5).nominal for row in y]
+    assert _negative_sums(y + 0.5).tolist() == [g_stat(row + 0.5).nominal for row in y]
     assert _negative_sums(y[0]) == g_stat(y[0]).nominal
     y[3, 0] = -1e308
     y[3, 1] = -1e308
     with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
-        _negative_sums(y, 0.5)
+        _negative_sums(y + 0.5)
 
 
 def test_g_stat_counts_past_a_sum_that_overflows_upwards():

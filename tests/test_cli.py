@@ -669,6 +669,60 @@ def test_two_outputs_at_one_path_exit_3_before_any_work(
     assert [p.name for p in work.iterdir()] == ["link"]
 
 
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["backtest", "--estimator", "var-hist", "--out", "in.csv"], "in.csv"),
+        (["backtest", "--estimator", "var-hist", "--out", "r.json", "--heatmap-out",
+          "./in.csv"], "./in.csv"),
+        (["compare", "--estimator", "hist", "--out", "in.csv"], "in.csv"),
+        (["simulate", "--model", "normal", "--seed", "1", "--out", "in.csv"], "in.csv"),
+        (["simulate", "--model", "normal", "--seed", "1", "--out", "s.csv", "--fits-out",
+          "in.csv"], "in.csv"),
+        (["backtest", "--estimator", "var-hist", "--out", "alias.csv"], "alias.csv"),
+    ],
+    ids=["backtest", "backtest-heatmap", "compare", "simulate", "simulate-fits", "symlink"],
+)
+def test_an_output_at_the_input_exits_3_before_any_work(
+    tmp_path, panel_csv, capsys, monkeypatch, argv, output
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "in.csv").write_bytes(panel_csv.read_bytes())
+    (work / "alias.csv").symlink_to(work / "in.csv")
+    monkeypatch.chdir(work)
+
+    def no_work(*args):
+        raise AssertionError("the panel was loaded")
+
+    monkeypatch.setattr(harness, "load_returns", no_work)
+    assert main(argv + ["--input", "in.csv"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: an output is the input panel: {output}"
+    ]
+    assert sorted(p.name for p in work.iterdir()) == ["alias.csv", "in.csv"]
+    assert (work / "in.csv").read_bytes() == panel_csv.read_bytes()
+
+
+@pytest.mark.parametrize("flag, text", [("--dist-json", "{bad"), ("--garch-json", "[1")])
+def test_mc_bad_json_argument_exits_3_with_one_line(tmp_path, capsys, flag, text):
+    argv = ["mc", flag, text, "--runs", "50", "--seed", "1", "--out-prefix", str(tmp_path / "j")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: bad JSON argument:")
+
+
+def test_ff_daily_sentinel_row_is_dropped_and_reported(tmp_path, capsys):
+    path = tmp_path / "ff.csv"
+    path.write_text(",A\n20050103,1.0\n20050104,-99.99\n20050105,2.0\n20050106,1.5\n")
+    out = tmp_path / "r.json"
+    argv = ["backtest", "--input", str(path), "--format", "ff_daily", "--estimator", "var-hist",
+            "--learn", "2", "--test", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == ["dropped 1 rows with missing values"]
+    assert json.loads(out.read_text())["summary"]["dropped_rows"] == 1
+
+
 def test_a_dated_panel_out_of_order_exits_2(tmp_path, capsys):
     path = tmp_path / "dated.csv"
     path.write_text("date,a\n20201231,0.01\n20200101,0.02\n20200101,0.01\n20200102,0.01\n")
@@ -751,6 +805,30 @@ def test_simulate_garch_on_huge_returns_keeps_the_exit_code_contract(tmp_path, c
             "--seed", "1", "--out", str(tmp_path / "sim.csv")]
     assert main(argv) in (0, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scale, code, err",
+    [(1e152, 0, []),
+     (1e150, 3, ["config error: x[0:600]: optimizer did not converge within 2000 "
+                 "evaluations per start: Maximum number of function evaluations has been "
+                 "exceeded."])],
+    ids=["2pi-s2-overflows", "no-start-converges"],
+)
+def test_simulate_garch_normal_on_huge_returns_exits_without_a_warning(
+    tmp_path, capsys, scale, code, err
+):
+    # at 1e152 some simplex points have a finite variance whose 2 pi s2
+    # overflows, scored as bad points without a warning; at 1e150 no start converges
+    path = tmp_path / "huge.csv"
+    x = np.random.default_rng(1).standard_normal(600) * scale
+    path.write_text("x\n" + "\n".join(repr(float(v)) for v in x) + "\n")
+    argv = ["simulate", "--input", str(path), "--model", "garch-normal", "--window", "600",
+            "--seed", "1", "--picks", "1", "--workers", "1", "--out", str(tmp_path / "sim.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    assert capsys.readouterr().err.splitlines() == err
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from esbacktest.simulation import (
     _garch_paths,
     _innovations,
     _mc_block,
+    _multistart_minimize,
     _skewt_nll,
     _skewt_shape,
     _steps,
@@ -246,11 +247,20 @@ def test_garch_nll_scores_a_shape_without_a_law_as_1e12(index, value):
     assert _garch_nll(theta, x, s0, "skew_t") == 1e12
 
 
-@pytest.mark.parametrize("kind, shape", [("normal", []), ("skew_t", [math.log(6.0), 0.0])])
-def test_garch_nll_scores_an_overflowing_omega_as_1e12(kind, shape):
-    # exp(710) leaves the float range before any variance is filtered
-    x = np.random.default_rng(87).standard_normal(300)
-    assert _garch_nll(np.array([0.0, 710.0, 0.0, 0.0, *shape]), x, float(np.var(x, ddof=1)), kind) == 1e12
+@pytest.mark.parametrize(
+    "kind, theta, scale",
+    [("normal", [0.0, 710.0, 0.0, 0.0], 1.0),
+     ("skew_t", [0.0, 710.0, 0.0, 0.0, math.log(6.0), 0.0], 1.0),
+     ("normal", [0.0, 709.0, 5.0, 0.0], 0.01)],
+    ids=["normal-shape0", "skew_t-shape1", "normal-2pi-s2"],
+)
+def test_garch_nll_scores_an_overflowing_omega_as_1e12(kind, theta, scale):
+    # exp(710) leaves the float range before any variance is filtered; at
+    # exp(709) the variance is finite but 2 pi s2 overflows, which must not warn
+    x = np.random.default_rng(87).standard_normal(300) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _garch_nll(np.array(theta), x, float(np.var(x, ddof=1)), kind) == 1e12
 
 
 def test_large_nu_keeps_the_skew_t_moments_finite():
@@ -264,6 +274,8 @@ def test_skewt_nll_scores_an_overflowing_shape_as_1e12():
     x = np.random.default_rng(86).standard_t(5.0, 200)
     assert _skewt_nll(np.array([0.0, 0.0, 1.0, 800.0]), x) == 1e12
     assert _skewt_nll(np.array([0.0, 0.0, 800.0, 0.0]), x) == 1e12
+    assert _skewt_nll(np.array([0.0, 710.0, 1.0, 0.0]), x) == 1e12  # the scale overflows
+    assert _skewt_nll(np.array([0.0, 0.0, -40.0, 0.0]), x) == 1e12  # nu rounds to 2
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
@@ -542,6 +554,38 @@ def test_garch_fit_on_a_parameter_boundary_raises_fit_error(
         garch_fit(x, innovation)
     assert info.value.best == {"theta": theta, "nll": -123.5}
     assert info.value.diagnostics["boundary"] in str(info.value)
+
+
+def _canned_minimize(runs):
+    """A ``scipy.optimize.minimize`` stand-in that returns the (success, fun)
+    of ``runs`` in turn, at theta = x0 + fun and nfev = the run's index."""
+    from scipy.optimize import OptimizeResult
+    results = iter(enumerate(runs))
+
+    def minimize(fun, x0, args=(), method=None, options=None):
+        i, (success, value) = next(results)
+        return OptimizeResult(x=x0 + value, fun=value, success=success, nfev=i,
+                              message=f"run {i}")
+    return minimize
+
+
+def test_multistart_minimize_takes_the_first_lowest_converged_start(monkeypatch):
+    from scipy import optimize
+    starts = [np.array([10.0 * i]) for i in range(4)]
+    # a converged start beats a non-converged one with a lower objective, and
+    # the first of equal objectives wins
+    runs = [(False, 1.0), (True, 3.0), (True, 2.0), (True, 2.0)]
+    monkeypatch.setattr(optimize, "minimize", _canned_minimize(runs))
+    theta, nll = _multistart_minimize(None, starts)
+    assert theta.tolist() == [22.0] and nll == 2.0
+    # with none converged, the error reports the first lowest run
+    runs = [(False, 5.0), (False, 4.0), (False, 4.0), (False, 6.0)]
+    monkeypatch.setattr(optimize, "minimize", _canned_minimize(runs))
+    with pytest.raises(FitError) as info:
+        _multistart_minimize(None, starts)
+    assert str(info.value) == "optimizer did not converge within 2000 evaluations per start: run 1"
+    assert info.value.best == {"theta": [14.0], "nll": 4.0}
+    assert info.value.diagnostics == {"nfev": 1, "message": "run 1"}
 
 
 def test_fit_error_survives_a_pickle_round_trip():
