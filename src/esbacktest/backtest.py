@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .estimators import _check_level, es_empirical, var_empirical
+from .estimators import _check_level, _run_sums, es_empirical, var_empirical
 from .secured import SecuredSample, _finite_vector, _same_length
 
 __all__ = [
@@ -113,8 +113,14 @@ def t_stat(y) -> StatResult:
     so it coincides for raw and reserve-normalized secured samples.
     """
     arr = _values(y)
-    nominal = int((arr < 0).sum())
+    nominal = int(_exceptions(arr))
     return StatResult(nominal / arr.size, nominal, arr.size)
+
+
+def _exceptions(y: np.ndarray) -> np.ndarray:
+    """Count of negative values along the last axis: the T count of ``t_stat``
+    and of each row that ``harness._graded`` grades."""
+    return (y < 0).sum(-1)
 
 
 def g_stat(y) -> StatResult:
@@ -191,13 +197,24 @@ def z_stat(realized, var_reserve, es_reserve, alpha: float) -> float:
     e = _finite_vector(es_reserve, "es_reserve")
     _same_length(realized=r, var_reserve=v, es_reserve=e)
     _check_level(alpha)
+    return float(_z_rows(r, v, e, alpha))
+
+
+def _z_rows(r: np.ndarray, v: np.ndarray, e: np.ndarray, alpha: float) -> np.ndarray:
+    """``z_stat`` along the last axis of finite equal-shape arrays, with its
+    errors; a day in a message is the day within its row.
+
+    Each row sums its breach days as the 1-D ``.sum()`` of those days does
+    (``_run_sums``): a sum over a zero-padded row would not.
+    """
     breach = r + v < 0
-    if np.any(e[breach] <= 0):
-        idx = int(np.flatnonzero(breach & (e <= 0))[0])
-        raise ValueError(f"breach day {idx} has nonpositive es_reserve {e[idx]}")
+    bad = np.flatnonzero(breach & (e <= 0))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"breach day {i % r.shape[-1]} has nonpositive es_reserve {e.flat[i]}")
     with np.errstate(all="ignore"):
-        core = float((r[breach] / (alpha * e[breach])).sum()) / r.size + 1.0
-    if not math.isfinite(core):
+        core = _run_sums(r[breach] / (alpha * e[breach]), breach.sum(-1)) / r.shape[-1] + 1.0
+    if not np.isfinite(core).all():
         raise ValueError("z statistic overflows")
     return -core
 

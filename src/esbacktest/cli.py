@@ -138,6 +138,17 @@ def _load_panel(args) -> harness.ReturnPanel:
     return panel
 
 
+def _report_rows_left(panel: harness.ReturnPanel, window: int, use: str) -> None:
+    """Name on stderr the rows at the end of each column that the split into
+    samples of ``window`` rows leaves over, if any."""
+    first = panel.n_rows - panel.n_rows % window
+    if first < panel.n_rows:
+        last = panel.n_rows - 1
+        rows = f"row {last} of each column is" if first == last else (
+            f"rows {first}-{last} of each column are")
+        print(f"{rows} not {use} (window {window})", file=sys.stderr)
+
+
 def _require_output_dirs(*paths, source: Optional[str] = None) -> None:
     """Fail before any work if an output's directory is missing, or an output is
     the input panel ``source`` or another output."""
@@ -226,6 +237,7 @@ def cmd_backtest(args) -> int:
     _write_report(args, config, samples, results, summary, expect_z=False)
     harness.write_heatmap_csv(harness.heatmap_table(results), heatmap_path)
     _validate_csv(heatmap_path, "nt_capped,ng_capped,count")
+    _report_rows_left(panel, cfg.window, "graded")
     print(f"backtested {len(results)} samples with {cfg.estimator}")
     return 0
 
@@ -262,6 +274,7 @@ def cmd_compare(args) -> int:
         "confusion_var_z": cm_z.to_json_dict(),
     }
     _write_report(args, config, samples, results, summary, expect_z=True)
+    _report_rows_left(panel, args.learn + args.test, "graded")
     print(
         f"compared {len(results)} samples: "
         f"VAR-vs-ES trace {cm_es.trace_ratio:.3f}, "
@@ -347,6 +360,7 @@ def cmd_simulate(args) -> int:
                "one fit per sample")
         _check(all(list(f) == ["sample", "params"] for f in written["fits"]), "fit keys")
     _validate_csv(args.out, ",".join(names))
+    _report_rows_left(panel, args.window, "fitted")
     print(f"simulated {len(names)} series from {len(samples)} fitted samples")
     return 0
 

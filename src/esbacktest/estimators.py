@@ -55,6 +55,23 @@ def _tail_index(n: int, alpha: float) -> int:
     return int(np.floor(n * alpha))
 
 
+def _run_sums(values: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of ``values``, one run per entry of ``size``
+    and as long as it, in the shape of ``size``.
+
+    numpy sums each row of a C-contiguous (rows, n) block with the pairwise
+    loop of a 1-D ``.sum()``, so the runs, grouped by length into such blocks,
+    sum bit for bit as each run alone.
+    """
+    lengths = size.ravel()
+    start = np.cumsum(lengths) - lengths
+    out = np.empty(lengths.size)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        out[rows] = values[start[rows, None] + np.arange(n)].sum(axis=1)
+    return out.reshape(size.shape)
+
+
 def var_empirical(x, alpha: float) -> float:
     """Historical VAR: the negated (floor(n*alpha)+1)-th smallest sample value.
 

@@ -16,29 +16,38 @@ the rows that hold a missing-data sentinel.
 
 Rolling reserves come from one table, ``_KERNELS``, that maps each name in
 ``ESTIMATORS`` to a statistic of the learning windows and a reserve read from
-it. ``_reserves`` takes the (test, learn) view of a sample's windows once
+it. Samples are graded in groups: a group is one (samples, learn + test)
+matrix, and every kernel reduces along the last axis only. ``_reserves``
+takes the (samples, test, learn) view of the group's windows once
 (``sliding_window_view``, no copy) and reduces it once per statistic and key:
-each row's mean and sd for the normal family at any level, and each row's
-order statistic at one tail index for the historical family, so VAR and ES
-at one level share a 2-D ``np.partition``. The historical family reads a
-narrower view, ``_low_tail``: each window's values at or below a bound tau,
-in time order, padded with ``+inf``. tau is the largest k-th smallest value
-of the aligned blocks of ``learn // 2`` values, k the largest tail index of
-the sample's pairs. Every window holds a whole block, so every value at or
-below its k-th smallest is in its row, and the boundaries, ties and ES tails
-are the same floats in the same order. The full windows are read instead
-when a block is shorter than k + 1 values, when the widest row would be
-wider than a block, or when a value in the view is a zero of either sign,
-whose sign a 1-D partition decides. Every (estimator, level) series is
+each window's mean and sd for the normal family at any level, the sd taken
+from that mean, and each window's order statistic at one tail index for the
+historical family, so VAR and ES at one level share one ``np.partition``.
+The historical family reads a narrower view, ``_low_tail``: each window's
+values at or below its sample's bound tau, in time order, padded with
+``+inf``. tau is the largest k-th smallest value of the sample's aligned
+blocks of ``learn // 2`` values, k the largest tail index of the pairs. Every
+window holds a whole block, so every value at or below its k-th smallest is
+in its row, and the boundaries, ties and ES tails are the same floats in the
+same order. The whole group reads the full windows instead when a block is
+shorter than k + 1 values, when the widest row would be wider than a block,
+or when a value in the view is a zero of either sign, whose sign a 1-D
+partition decides; either way is exact. Every (estimator, level) series is
 read from those reductions and equals the scalar estimator on each window
 bit for bit: the normal reads call ``Normal().quantile``/``pdf``
-(``scipy.special``) once per series, and the ES tails are gathered in time
-order, one block per tail length, for row means.
-A sample with a non-finite value is rejected before any kernel runs.
+(``scipy.special``) once per series, and the ES tails, like z's sums over
+breach days, are summed in time order, one block per run length
+(``_run_sums``).
 
 Both backtests grade through ``_graded``: ``rolling_backtest`` with one
 estimator in both roles, ``compare_backtest`` with the VAR and ES estimators
-of one family plus the z test. ``BacktestResult`` derives the zones.
+of one family plus the z test; each is a group of one sample. ``run_batch``
+and ``run_compare_batch`` cut their samples into contiguous groups of at most
+``_GROUP_CELLS`` window cells, mapped by ``parallel_map``. A group that
+raises is graded again one sample at a time, so the first failing sample
+raises its own error, labelled by ``Sample.run``. A sample with a non-finite
+value is rejected before any kernel runs. ``BacktestResult`` derives the
+zones.
 """
 
 from __future__ import annotations
@@ -54,16 +63,18 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backtest import CALIBRATION, ZONES, BacktestResult, g_stat, t_stat, z_stat
-from .estimators import SampleMoments, _check_level, _tail_index
+from .backtest import CALIBRATION, ZONES, BacktestResult, _exceptions, _negative_sums, _z_rows
+from .estimators import SampleMoments, _check_level, _run_sums, _tail_index
 from .estimators import es_normal, var_normal
 
 # bench/spans.py wraps these names in this module to attribute traced time to
-# layers; the rolling kernels and BacktestResult's zones no longer call them.
-from .backtest import classify  # noqa: F401
+# layers; the rolling kernels, the grader and BacktestResult's zones no longer
+# call them.
+from .backtest import classify, g_stat, t_stat, z_stat  # noqa: F401
 from .estimators import es_empirical, moments, var_empirical  # noqa: F401
 from .parallel import parallel_map
-from .secured import _finite_vector, build_normalized, build_secured
+from .secured import _finite_vector, _require_finite, _secured
+from .secured import build_normalized, build_secured  # noqa: F401
 from .simulation import FitError
 
 __all__ = [
@@ -362,28 +373,35 @@ def split_samples(panel: ReturnPanel, window: int = LEARN + CALIBRATION.n) -> li
 
 
 def _normal_moments(windows: np.ndarray, _) -> SampleMoments:
-    return SampleMoments(
-        windows.mean(axis=1), windows.std(axis=1, ddof=1), windows.shape[1]
-    )
+    """Each window's mean and sd along the last axis. The sd is taken from that
+    mean, sqrt(sum((w - mean)**2) / (n - 1)): ``np.std(ddof=1)`` bit for bit,
+    without its second pass for the mean.
+
+    One sample's (test, learn) windows are copied at a time: the deviations
+    are then reduced along contiguous rows, and the temporary is one
+    sample's, not the group's."""
+    n = windows.shape[-1]
+    mean, ss = np.empty(windows.shape[:-1]), np.empty(windows.shape[:-1])
+    for i in np.ndindex(windows.shape[:-2]):
+        dev = windows[i].copy()
+        mean[i] = dev.mean(-1)
+        dev -= mean[i][:, None]
+        dev *= dev
+        ss[i] = dev.sum(-1)
+    return SampleMoments(mean, np.sqrt(ss / (n - 1)), n)
 
 
 def _boundary(windows: np.ndarray, k: int) -> np.ndarray:
     # the column alone: a partitioned block held beside another slows the next
     # partition down
-    return np.partition(windows, k, axis=1)[:, k].copy()
+    return np.partition(windows, k, axis=-1)[..., k].copy()
 
 
 def _es_hist(windows: np.ndarray, boundary: np.ndarray, _alpha) -> np.ndarray:
-    mask = windows <= boundary[:, None]
-    tails, size = windows[mask], mask.sum(axis=1)  # tails in time order, row by row
-    start = np.cumsum(size) - size
-    out = np.empty(len(windows))
-    # numpy means each row of a C-contiguous (rows, n) block with the pairwise
-    # loop of es_empirical's 1-D tail.mean(), so grouping by length is exact
-    for n in np.unique(size):
-        rows = np.flatnonzero(size == n)
-        out[rows] = -tails[start[rows, None] + np.arange(n)].mean(axis=1)
-    return out
+    mask = windows <= boundary[..., None]
+    size = mask.sum(-1)
+    # the tails in time order, window by window: each mean is es_empirical's
+    return -(_run_sums(windows[mask], size) / size)
 
 
 # A statistic is (key, reduce): reduce(windows, key(learn, alpha)) gives one
@@ -439,33 +457,40 @@ class RollingConfig:
 
 
 def _low_tail(x: np.ndarray, windows: np.ndarray, k: int) -> np.ndarray:
-    """Each window's values at or below tau, in time order, padded with +inf,
-    where tau bounds every window's k-th smallest value; ``windows`` where the
-    bound saves nothing or a zero's sign would depend on the row."""
-    half = windows.shape[1] // 2
+    """Each window's values at or below its row's tau, in time order, padded
+    with +inf, where a row's tau bounds the k-th smallest value of each of its
+    windows; ``windows`` where the bound saves nothing or a zero's sign would
+    depend on the row. The rows of ``x`` share one answer."""
+    learn, test = windows.shape[-1], windows.shape[-2]
+    half = learn // 2
     if half < k + 1:
         return windows
-    # every window holds a whole aligned block, whose k-th smallest bounds its own
-    blocks = x[: x.size // half * half].reshape(-1, half)
-    at = np.flatnonzero(x <= np.partition(blocks, k, axis=1)[:, k].max())
-    start = np.arange(len(windows))
-    first = np.searchsorted(at, start)  # each window's first index into at
-    size = np.searchsorted(at, start + windows.shape[1]) - first
-    width, low = size.max(), x[at]
-    if width > half or (low == 0).any():
+    # every window holds a whole aligned block of its row, whose k-th smallest
+    # bounds its own
+    lead, n = x.shape[:-1], x.shape[-1]
+    blocks = x[..., : n // half * half].reshape(*lead, -1, half)
+    low = x <= np.partition(blocks, k, axis=-1)[..., k].max(-1)[..., None]
+    counts = np.zeros((*lead, n + 1), dtype=np.intp)  # low values before each index
+    np.cumsum(low, axis=-1, out=counts[..., 1:])
+    total = counts[..., -1].ravel()
+    first = (np.cumsum(total) - total).reshape(lead)[..., None] + counts[..., :test]
+    size = counts[..., learn : learn + test] - counts[..., :test]
+    values = x[low]
+    width = size.max()
+    if width > half or (values == 0).any():
         return windows
     cols = np.arange(width)
-    rows = np.take(low, first[:, None] + cols, mode="clip")
-    rows[cols >= size[:, None]] = np.inf
+    rows = np.take(values, first[..., None] + cols, mode="clip")
+    rows[cols >= size[..., None]] = np.inf
     return rows
 
 
 def _reserves(x: np.ndarray, learn: int, test: int, pairs) -> dict:
     """Reserve series per (estimator, level) pair, one per test day from the
-    ``learn`` observations before it; in ``pairs`` order, so that the first
-    series to overflow raises."""
-    x = x[: learn + test - 1]
-    windows = sliding_window_view(x, learn)
+    ``learn`` observations before it, for each row of ``x`` (or for ``x``
+    alone); in ``pairs`` order, so that the first series to overflow raises."""
+    x = x[..., : learn + test - 1]
+    windows = sliding_window_view(x, learn, axis=-1)
     ks = [_tail_index(learn, alpha) for e, alpha in pairs if _KERNELS[e][0] is _BOUNDARY]
     low = _low_tail(x, windows, max(ks)) if ks else windows
     reduced, series = {}, {}
@@ -480,44 +505,86 @@ def _reserves(x: np.ndarray, learn: int, test: int, pairs) -> dict:
             reserves = series[estimator, alpha] = reserve(rows, reduced[at], alpha)
         finite = np.isfinite(reserves)  # the sample is finite, so only overflow fails
         if not finite.all():
-            day = int(np.argmin(finite))
+            day = int(np.argmin(finite)) % test
             raise ValueError(f"{estimator} reserve at level {alpha} overflows on day {day}")
     return series
 
 
 def _graded(
     x, learn, test, normalize, var_est, alpha_var, es_est, alpha_es, alpha_z=None
-) -> tuple[int, int, Optional[float]]:
-    """(nominal_t, nominal_g, z) of one sample, graded as ``compare_backtest`` says.
+) -> list[tuple[int, int, Optional[float]]]:
+    """(nominal_t, nominal_g, z) of each row of the finite matrix ``x``, graded
+    as ``compare_backtest`` says.
 
-    Each (estimator, level) reserve series is estimated once; z is None
-    without ``alpha_z``. ``x`` holds the sample's values, or is a ``Sample``,
-    which labels the errors of its values (``Sample.run``).
+    Each (estimator, level) reserve series is estimated once for all rows; z
+    is None without ``alpha_z``. A one-row ``x`` raises the errors of its
+    sample; a larger one raises at the first fault of any of its rows.
     """
-    if learn < 2 or test < 1:
-        raise ValueError("need learn >= 2 and test >= 1")
-    if isinstance(x, Sample):
-        levels = (var_est, alpha_var, es_est, alpha_es, alpha_z)
-        return x.run(_graded, learn, test, normalize, *levels)
-    arr = _finite_vector(x, "sample")
-    if arr.size != learn + test:
-        raise ValueError(f"sample has {arr.size} observations, config needs {learn + test}")
-    realized = arr[learn:]
-    secure = build_normalized if normalize else build_secured
+    if x.shape[-1] != learn + test:
+        raise ValueError(f"sample has {x.shape[-1]} observations, config needs {learn + test}")
+    realized = x[:, learn:]
     pairs = [(var_est, alpha_var), (es_est, alpha_es)]
     if alpha_z is not None:
         pairs += [(var_est, alpha_z), (es_est, alpha_z)]
-    series = _reserves(arr, learn, test, pairs)
+    series = _reserves(x, learn, test, pairs)
 
-    y = secure(realized, series[var_est, alpha_var])
-    nt = t_stat(y).nominal
+    y = _secured(realized, series[var_est, alpha_var], normalize)
+    nt = _exceptions(y).tolist()
     if (es_est, alpha_es) != (var_est, alpha_var):
-        y = secure(realized, series[es_est, alpha_es])
-    ng = g_stat(y).nominal
+        y = _secured(realized, series[es_est, alpha_es], normalize)
+    ng = _negative_sums(y).tolist()
     if alpha_z is None:
-        return nt, ng, None
-    z = z_stat(realized, series[var_est, alpha_z], series[es_est, alpha_z], alpha_z)
-    return nt, ng, z
+        return [(t, g, None) for t, g in zip(nt, ng)]
+    z = _z_rows(realized, series[var_est, alpha_z], series[es_est, alpha_z], alpha_z)
+    return list(zip(nt, ng, z.tolist()))
+
+
+def _grade_group(items, grading, result) -> list[BacktestResult]:
+    """``result(nominal_t, nominal_g, z)`` of each item, a ``Sample`` or the
+    values of one, graded by ``_graded`` with the settings ``grading``.
+
+    The items are graded as one matrix. If that raises, they are graded again
+    one at a time, each a one-row matrix, in order: the first that fails
+    raises its own error, which ``Sample.run`` labels, with the class, message
+    and innermost frame that it raises alone.
+    """
+    try:
+        values = [item.values if isinstance(item, Sample) else item for item in items]
+        x = np.array(values, dtype=float).reshape(len(items), -1)
+        _require_finite(x, "sample")
+        return [result(*row) for row in _graded(x, *grading)]
+    except Exception:
+        pass  # graded again outside the handler, so that no error chains to the group's
+
+    def alone(values):
+        return _graded(_finite_vector(values, "sample")[None], *grading)
+
+    return [result(*row) for item in items
+            for row in (item.run(alone) if isinstance(item, Sample) else alone(item))]
+
+
+# Window cells (samples x test x learn) that one graded group holds at most,
+# so that its temporaries stay near 2 MB: 4 samples at 250/250
+_GROUP_CELLS = 2**18
+
+
+def _grade_batch(samples, workers, grading, result) -> list[BacktestResult]:
+    """``_grade_group`` over contiguous groups of at most ``_GROUP_CELLS``
+    window cells and at least one sample, as even as a group count that is a
+    multiple of ``workers`` allows; ordering follows the input."""
+    learn, test = grading[:2]
+    n, step = len(samples), max(1, workers)  # parallel_map rejects workers < 1
+    count = min(n, -(-n // (max(1, _GROUP_CELLS // (learn * test)) * step)) * step)
+    groups = [samples[n * i // count : n * (i + 1) // count] for i in range(count)]
+    parts = parallel_map(partial(_grade_group, grading=grading, result=result), groups, workers)
+    return [r for part in parts for r in part]
+
+
+def _rolling(cfg: RollingConfig) -> tuple:
+    """(grading, result) of ``rolling_backtest``: one estimator in both roles."""
+    alpha, est = cfg.resolved_alpha, cfg.estimator
+    grading = (cfg.learn, cfg.test, cfg.normalize, est, alpha, est, alpha)
+    return grading, partial(BacktestResult, cfg.test, alpha, est, cfg.normalize)
 
 
 def rolling_backtest(x, cfg: RollingConfig) -> BacktestResult:
@@ -528,17 +595,31 @@ def rolling_backtest(x, cfg: RollingConfig) -> BacktestResult:
     computed on the resulting secured sample. ``x`` may be a ``Sample``,
     whose label then names it in any error that its values raise.
     """
-    alpha = cfg.resolved_alpha
-    est = cfg.estimator
-    nt, ng, _ = _graded(x, cfg.learn, cfg.test, cfg.normalize, est, alpha, est, alpha)
-    return BacktestResult(
-        n=cfg.test,
-        alpha=alpha,
-        estimator=cfg.estimator,
-        normalized=cfg.normalize,
-        nominal_t=nt,
-        nominal_g=ng,
-    )
+    return _grade_group([x], *_rolling(cfg))[0]
+
+
+def _comparing(
+    family: str,
+    learn: int = LEARN,
+    test: int = CALIBRATION.n,
+    alpha_var: float = CALIBRATION.alpha_var,
+    alpha_es: float = CALIBRATION.alpha_es,
+    alpha_z: Optional[float] = None,
+    normalize: bool = False,
+) -> tuple:
+    """(grading, result) of ``compare_backtest``, its arguments checked."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if alpha_z is None:
+        alpha_z = alpha_es
+    for alpha in (alpha_var, alpha_es, alpha_z):
+        _check_level(alpha)
+    if learn < 2 or test < 1:
+        raise ValueError("need learn >= 2 and test >= 1")
+    grading = (learn, test, normalize, f"var_{family}", alpha_var, f"es_{family}", alpha_es,
+               alpha_z)
+    alphas = {"var": alpha_var, "es": alpha_es, "z": alpha_z}
+    return grading, partial(BacktestResult, test, alphas, family, normalize)
 
 
 def compare_backtest(
@@ -560,39 +641,24 @@ def compare_backtest(
     ``alpha_z`` (defaulting to ``alpha_es``); normalization never applies
     to it. ``x`` may be a ``Sample``, as in ``rolling_backtest``.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    if alpha_z is None:
-        alpha_z = alpha_es
-    for alpha in (alpha_var, alpha_es, alpha_z):
-        _check_level(alpha)
-    var_est, es_est = f"var_{family}", f"es_{family}"
-    nt, ng, z = _graded(
-        x, learn, test, normalize, var_est, alpha_var, es_est, alpha_es, alpha_z
-    )
-    return BacktestResult(
-        n=test,
-        alpha={"var": alpha_var, "es": alpha_es, "z": alpha_z},
-        estimator=family,
-        normalized=normalize,
-        nominal_t=nt,
-        nominal_g=ng,
-        z=z,
-    )
+    grading = _comparing(family, learn, test, alpha_var, alpha_es, alpha_z, normalize)
+    return _grade_group([x], *grading)[0]
 
 
 def run_batch(
     samples: Sequence[Sample], cfg: RollingConfig, workers: int = 1
 ) -> list[BacktestResult]:
-    """Map ``rolling_backtest`` over samples; ordering follows the input."""
-    return parallel_map(partial(rolling_backtest, cfg=cfg), samples, workers)
+    """``rolling_backtest`` of each sample, graded in groups; ordering follows
+    the input."""
+    return _grade_batch(samples, workers, *_rolling(cfg))
 
 
 def run_compare_batch(
     samples: Sequence[Sample], workers: int = 1, **kwargs
 ) -> list[BacktestResult]:
-    """Map ``compare_backtest`` over samples; ordering follows the input."""
-    return parallel_map(partial(compare_backtest, **kwargs), samples, workers)
+    """``compare_backtest`` of each sample, graded in groups; ordering follows
+    the input."""
+    return _grade_batch(samples, workers, *_comparing(**kwargs))
 
 
 @dataclass(frozen=True)

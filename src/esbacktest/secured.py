@@ -33,10 +33,11 @@ class SecuredSample:
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
+    """Raise at the first non-finite value; its index is the one along the last axis."""
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"{name} has non-finite value {arr[i]} at index {i}")
+        raise ValueError(f"{name} has non-finite value {arr.flat[i]} at index {i % arr.shape[-1]}")
 
 
 def _finite_vector(x, name: str) -> np.ndarray:
@@ -57,11 +58,28 @@ def _same_length(**named) -> list[np.ndarray]:
     return arrays
 
 
+def _secured(pnl: np.ndarray, reserve: np.ndarray, normalized: bool) -> np.ndarray:
+    """The secured positions of ``build_secured`` or ``build_normalized``, row by
+    row along the last axis of equal-shape arrays, with the same errors; an
+    index in a message is the day within its row."""
+    if normalized:
+        # an infinite reserve would map its day to exactly 1 and hide the fault
+        _require_finite(reserve, "reserve")
+        bad = np.flatnonzero(reserve <= 0)
+        if bad.size:
+            raise ValueError(
+                f"reserve must be strictly positive to normalize; "
+                f"found {reserve.flat[bad[0]]} at index {bad[0] % reserve.shape[-1]}"
+            )
+    with np.errstate(over="ignore"):  # an overflowing position fails the finite check
+        y = pnl / reserve + 1.0 if normalized else pnl + reserve
+    _require_finite(y, "secured sample")
+    return y
+
+
 def build_secured(pnl, reserve) -> SecuredSample:
     """Componentwise sum y_i = pnl_i + reserve_i."""
-    p, r = _same_length(pnl=pnl, reserve=reserve)
-    with np.errstate(over="ignore"):  # an overflowing sum fails the finite check
-        return SecuredSample(p + r, normalized=False)
+    return SecuredSample(_secured(*_same_length(pnl=pnl, reserve=reserve), False))
 
 
 def build_normalized(pnl, reserve) -> SecuredSample:
@@ -72,13 +90,4 @@ def build_normalized(pnl, reserve) -> SecuredSample:
     length, so the offending index is reported instead.
     """
     p, r = _same_length(pnl=pnl, reserve=reserve)
-    # an infinite reserve would map its day to exactly 1 and hide the fault
-    _require_finite(r, "reserve")
-    bad = np.flatnonzero(r <= 0)
-    if bad.size:
-        raise ValueError(
-            f"reserve must be strictly positive to normalize; "
-            f"found {r[bad[0]]} at index {bad[0]}"
-        )
-    with np.errstate(over="ignore"):  # as in build_secured
-        return SecuredSample(p / r + 1.0, normalized=True)
+    return SecuredSample(_secured(p, r, True), normalized=True)

@@ -723,6 +723,42 @@ def test_ff_daily_sentinel_row_is_dropped_and_reported(tmp_path, capsys):
     assert json.loads(out.read_text())["summary"]["dropped_rows"] == 1
 
 
+@pytest.mark.parametrize("argv, use", [
+    (["backtest", "--estimator", "var-hist", "--out", "{out}/r.json",
+      "--heatmap-out", "{out}/h.csv"], "graded"),
+    (["compare", "--estimator", "norm", "--out", "{out}/c.json"], "graded"),
+    (["simulate", "--model", "normal", "--seed", "1", "--out", "{out}/s.csv",
+      "--fits-out", "{out}/f.json"], "fitted"),
+])
+def test_rows_that_the_split_leaves_over_are_named_on_stderr(tmp_path, capsys, argv, use):
+    # 749 rows in 500-row samples: the last 249 rows of each column are not
+    # used, which one stderr line says; every file is that of the first 500 rows
+    x = np.random.default_rng(69).standard_t(4, (749, 2)) * 0.01
+    outputs = {}
+    for rows in (749, 500):
+        panel = tmp_path / f"p{rows}.csv"
+        panel.write_text("a,b\n" + "".join(f"{u!r},{v!r}\n" for u, v in x[:rows].tolist()))
+        out = tmp_path / f"out{rows}"
+        out.mkdir()
+        assert main([a.replace("{out}", str(out)) for a in argv] + ["--input", str(panel)]) == 0
+        outputs[rows] = {p.name: p.read_bytes() for p in out.iterdir()}
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([f"rows 500-748 of each column are not {use} (window 500)"]
+                       if rows == 749 else [])
+    assert outputs[749] == outputs[500]
+
+
+def test_one_row_left_over_is_named_on_stderr(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("a\n" + "".join(f"{v}\n" for v in range(1, 8)))
+    argv = ["backtest", "--input", str(path), "--estimator", "var-hist", "--learn", "2",
+            "--test", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "row 6 of each column is not graded (window 3)"
+    ]
+
+
 def test_a_dated_panel_out_of_order_exits_2(tmp_path, capsys):
     path = tmp_path / "dated.csv"
     path.write_text("date,a\n20201231,0.01\n20200101,0.02\n20200101,0.01\n20200102,0.01\n")

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from esbacktest.backtest import CALIBRATION, BacktestResult
+from esbacktest import harness
+from esbacktest.backtest import CALIBRATION, BacktestResult, g_stat, t_stat, z_stat
 from esbacktest.estimators import (
     es_empirical,
     es_normal,
@@ -25,6 +26,7 @@ from esbacktest.estimators import (
 )
 from esbacktest.harness import (
     ESTIMATORS,
+    FAMILIES,
     FORMATS,
     LEARN,
     ConfusionMatrix,
@@ -48,7 +50,7 @@ from esbacktest.harness import (
     _parse_rows,
     _reserves,
 )
-from esbacktest.secured import SecuredSample
+from esbacktest.secured import SecuredSample, build_normalized, build_secured
 from esbacktest.simulation import FitError
 
 # ---------------------------------------------------------------------------
@@ -1097,6 +1099,141 @@ def test_compare_backtest_matches_per_window_loop(
     assert nt >= 1 and ng >= nt  # the planted crash is breached
     assert result.z == pytest.approx(z, rel=1e-12)
     assert result.alpha == {"var": 0.01, "es": 0.025, "z": level_z}
+
+
+# ---------------------------------------------------------------------------
+# grading in groups
+# ---------------------------------------------------------------------------
+
+
+def _grade_loop(samples, learn, test, normalize, var_est, alpha_var, es_est, alpha_es, alpha_z):
+    """Per-sample oracle of the grouped grader: each window's reserve from the
+    scalar estimators, each sample secured and counted by the public functions.
+    (nominal_t, nominal_g, bits of z or None) per sample; the first sample that
+    fails raises its error, labelled."""
+    secure = build_normalized if normalize else build_secured
+    rows = []
+    for s in samples:
+        x, realized = s.values, s.values[learn:]
+        try:
+            nt = t_stat(secure(realized, _reserve_loop(x, learn, test, var_est, alpha_var))).nominal
+            ng = g_stat(secure(realized, _reserve_loop(x, learn, test, es_est, alpha_es))).nominal
+            z = None
+            if alpha_z is not None:
+                var_z = _reserve_loop(x, learn, test, var_est, alpha_z)
+                es_z = _reserve_loop(x, learn, test, es_est, alpha_z)
+                z = _bits(z_stat(realized, var_z, es_z, alpha_z))
+        except ValueError as exc:
+            raise ValueError(f"{s.label}: {exc}") from None
+        rows.append((nt, ng, z))
+    return rows
+
+
+def _bits(z):
+    return None if z is None else int(np.float64(z).view(np.int64))
+
+
+@st.composite
+def _grading_case(draw):
+    """(samples, learn, test, group): a t4 panel split into samples, with ties,
+    and with crashes, runs of signed zeros or volatility steps in single
+    columns, so that some samples of a group read the full windows and others
+    the low tails; group is a bound of 1 to 3 samples per group, or None for
+    the default."""
+    learn, test = draw(st.integers(2, 60)), draw(st.integers(1, 30))
+    window = learn + test
+    cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4)) * window + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_t(4, (rows, cols)) * 0.01
+    if draw(st.booleans()):
+        x = np.round(x, draw(st.sampled_from([2, 3])))  # ties at the boundary
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        end = min(rows, i + draw(st.integers(1, window)))
+        fault = draw(st.sampled_from(["crash", "zeros", "step"]))
+        if fault == "crash":
+            x[i, j] = draw(st.sampled_from([-0.4, -50.0]))
+        elif fault == "zeros":
+            x[i:end, j] = np.where(rng.random(end - i) < 0.5, 0.0, -0.0)
+        else:
+            x[i:end, j] *= 50.0
+    samples = split_samples(ReturnPanel(tuple("abc"[:cols]), x), window)
+    return samples, learn, test, draw(st.sampled_from([None, 1, 2, 3]))
+
+
+_GRADING_LEVELS = st.one_of(st.sampled_from([0.01, 0.025, 0.05, 0.1, 0.3]), st.floats(0.01, 0.3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_grading_case(), estimator=st.sampled_from(ESTIMATORS),
+       family=st.sampled_from(FAMILIES), normalize=st.booleans(),
+       levels=st.tuples(_GRADING_LEVELS, _GRADING_LEVELS, _GRADING_LEVELS))
+def test_grouped_grading_equals_the_per_sample_loop(case, estimator, family, normalize, levels):
+    samples, learn, test, group = case
+    alpha_var, alpha_es, alpha_z = levels
+    cfg = RollingConfig(estimator, learn, test, alpha_var, normalize)
+    compare = dict(family=family, learn=learn, test=test, alpha_var=alpha_var,
+                   alpha_es=alpha_es, alpha_z=alpha_z, normalize=normalize)
+    batches = [
+        (lambda workers: run_batch(samples, cfg, workers),
+         (estimator, alpha_var, estimator, alpha_var, None)),
+        (lambda workers: run_compare_batch(samples, workers, **compare),
+         (f"var_{family}", alpha_var, f"es_{family}", alpha_es, alpha_z)),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        if group:
+            mp.setattr(harness, "_GROUP_CELLS", group * learn * test)
+        for batch, levels in batches:
+            try:
+                expected = _grade_loop(samples, learn, test, normalize, *levels)
+            except ValueError as exc:
+                expected = str(exc)
+            for workers in (1, 2):
+                try:
+                    got = [(r.nominal_t, r.nominal_g, _bits(r.z)) for r in batch(workers)]
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_failing_sample_of_a_group_raises_its_own_error(workers):
+    # four samples, one group at one worker and two at two; the normal sd of
+    # the 2nd and the 3rd overflows
+    x = np.random.default_rng(61).standard_normal((2000, 1)) * 0.01
+    x[500:1500] *= 1e300
+    samples = split_samples(ReturnPanel(("a",), x), 500)
+    calls = [lambda: run_batch(samples, RollingConfig("var_norm"), workers=workers),
+             lambda: run_compare_batch(samples, workers=workers, family="norm")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
+            assert str(info.value) == "a[500:1000]: var_norm reserve at level 0.01 overflows on day 0"
+            assert traceback.extract_tb(info.value.__traceback__)[-1].name == "_reserves"
+
+
+@pytest.mark.parametrize("n, learn, test, workers", [
+    (10, 250, 250, 1), (10, 250, 250, 2), (120, 250, 250, 2), (3, 250, 250, 4),
+    (7, 20, 10, 1), (5, 600, 500, 2)])
+def test_groups_are_contiguous_and_bounded_in_window_cells(monkeypatch, n, learn, test, workers):
+    x = np.random.default_rng(62).standard_normal((n * (learn + test), 1)) * 0.01
+    samples = split_samples(ReturnPanel(("a",), x), learn + test)
+    cfg = RollingConfig("es_hist", learn, test)
+    expected = [rolling_backtest(s, cfg) for s in samples]
+    sizes, graded = [], harness._graded
+
+    def spy(x, *grading):
+        sizes.append(len(x))
+        return graded(x, *grading)
+
+    monkeypatch.setattr(harness, "_graded", spy)
+    assert run_batch(samples, cfg, workers) == expected
+    assert sum(sizes) == n and max(sizes) <= max(1, 2**18 // (learn * test))
+    assert len(sizes) % workers == 0 or len(sizes) == n
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_confusion_orientation_and_trace():
