@@ -459,8 +459,8 @@ class RollingConfig:
 def _low_tail(x: np.ndarray, windows: np.ndarray, k: int) -> np.ndarray:
     """Each window's values at or below its row's tau, in time order, padded
     with +inf, where a row's tau bounds the k-th smallest value of each of its
-    windows; ``windows`` where the bound saves nothing or a zero's sign would
-    depend on the row. The rows of ``x`` share one answer."""
+    windows; ``windows`` for every row of ``x`` when, for any row, the bound
+    saves nothing or a zero's sign would depend on the row."""
     learn, test = windows.shape[-1], windows.shape[-2]
     half = learn // 2
     if half < k + 1:
