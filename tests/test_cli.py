@@ -483,6 +483,44 @@ def test_desk_reports_are_pinned_to_their_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_every_csv_the_cli_writes_is_pinned_to_its_bytes(tmp_path, capsys):
+    # mc's tables end their lines with \r\n, the heatmap and the simulated panel
+    # with \n; the heatmap's top cell holds the clamped counts (15, 35)
+    argv = ["mc", "--dist", "t3", "--runs", "8", "--n", "5", "--alpha-var", "0.2",
+            "--alpha-es", "0.3", "--seed", "1", "--out-prefix", str(tmp_path / "m")]
+    assert main(argv) == 0
+    assert (tmp_path / "m_var.csv").read_bytes() == (
+        b"nominal_value,pmf,cdf\r\n0,0.25,0.25\r\n1,0.5,0.75\r\n2,0.25,1.0\r\n"
+        b"3,0.0,1.0\r\n4,0.0,1.0\r\n5,0.0,1.0\r\n"
+    )
+    assert (tmp_path / "m_es.csv").read_bytes() == (
+        b"nominal_value,pmf,cdf\r\n0,0.25,0.25\r\n1,0.375,0.625\r\n2,0.375,1.0\r\n"
+        b"3,0.0,1.0\r\n4,0.0,1.0\r\n5,0.0,1.0\r\n"
+    )
+
+    rng = np.random.default_rng(5)
+    # column a: 20 quiet days, then 40 losses each deeper than the last
+    a = np.r_[rng.standard_normal(20) * 0.001, -0.001 * np.arange(1, 41)]
+    b = rng.standard_normal(60) * 0.01
+    panel = tmp_path / "p.csv"
+    panel.write_text("a,b\n" + "".join(f"{x:.4f},{y:.4f}\n" for x, y in zip(a, b)))
+    heatmap = tmp_path / "h.csv"
+    argv = ["backtest", "--input", str(panel), "--estimator", "var-hist", "--learn", "20",
+            "--test", "40", "--out", str(tmp_path / "r.json"), "--heatmap-out", str(heatmap)]
+    assert main(argv) == 0
+    assert heatmap.read_bytes() == b"nt_capped,ng_capped,count\n2,6,1\n15,35,1\n"
+
+    sim = tmp_path / "s.csv"
+    argv = ["simulate", "--input", str(panel), "--model", "normal", "--window", "30",
+            "--picks", "1", "--seed", "1", "--out", str(sim)]
+    assert main(argv) == 0
+    data = sim.read_bytes()
+    assert data.startswith(b"a[0:30].p0,a[30:60].p0,b[0:30].p0,b[30:60].p0\n")
+    assert data.count(b"\n") == 31 and b"\r" not in data
+    assert hashlib.sha256(data).hexdigest()[:16] == "350e0fb410856ac5"
+    capsys.readouterr()
+
+
 def test_worker_default_comes_from_environment(tmp_path, panel_csv, capsys, monkeypatch):
     monkeypatch.setenv("ESBACKTEST_WORKERS", "2")
     out = tmp_path / "env.json"
