@@ -16,7 +16,8 @@ directory, two outputs at one path or an output at the input's path do so
 before any work is done. Every stochastic subcommand requires an explicit
 seed and is byte-reproducible for any worker count. ``--workers`` runs
 ``backtest``, ``compare`` and ``mc`` on threads, as their numpy kernels
-release the GIL, and ``simulate``'s fits on processes (see
+release the GIL (``mc``'s GARCH recursion, a Python loop over the days, mostly
+holds it), and ``simulate``'s fits on processes (see
 ``simulation.simulate_batch``). Without ``--workers`` the count comes from
 ``ESBACKTEST_WORKERS`` (1 when unset), a positive integer.
 """
@@ -170,6 +171,15 @@ def _write_json(path, payload):
         return json.load(fh)
 
 
+def _write_csv(path, header, rows, newline="\n") -> list[list[str]]:
+    """Write ``header`` and ``rows`` as UTF-8 CSV lines that end in ``newline``
+    and return what the file then holds, each line split at its commas."""
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.writelines(",".join(map(str, cells)) + "\n" for cells in (header, *rows))
+    with open(path, encoding="utf-8") as fh:
+        return [line.split(",") for line in fh.read().splitlines()]
+
+
 class OutputCheckError(Exception):
     """Raised when a file the command wrote fails its self-check."""
 
@@ -179,12 +189,10 @@ def _check(cond: bool, message: str) -> None:
         raise OutputCheckError(message)
 
 
-def _validate_csv(path, header: str) -> None:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    _check(bool(lines) and lines[0] == header, f"csv header of {path}")
-    for line in lines[1:]:
-        _check(len(line.split(",")) == len(header.split(",")), f"csv row in {path}")
+def _check_csv(path, header: list, table: list) -> None:
+    """The checks of a CSV's read-back ``table``: its header, then its row widths."""
+    _check(bool(table) and table[0] == header, f"csv header of {path}")
+    _check(all(len(row) == len(header) for row in table), f"csv row in {path}")
 
 
 def _write_report(args, config, samples, results, summary, expect_z: bool) -> None:
@@ -235,8 +243,9 @@ def cmd_backtest(args) -> int:
         "dropped_rows": panel.dropped_rows,
     }
     _write_report(args, config, samples, results, summary, expect_z=False)
-    harness.write_heatmap_csv(harness.heatmap_table(results), heatmap_path)
-    _validate_csv(heatmap_path, "nt_capped,ng_capped,count")
+    header = ["nt_capped", "ng_capped", "count"]
+    rows = harness.heatmap_table(results)
+    _check_csv(heatmap_path, header, _write_csv(heatmap_path, header, rows))
     _report_rows_left(panel, cfg.window, "graded")
     print(f"backtested {len(results)} samples with {cfg.estimator}")
     return 0
@@ -307,9 +316,10 @@ def cmd_mc(args) -> int:
     params = {k: getattr(args, k) for k in ("runs", "n", "seed", "alpha_var", "alpha_es")}
     cfg = McConfig(dist=_mc_dist(args), **params)
     nulls = simulation.mc_null(cfg, workers=args.workers)
+    header = ["nominal_value", "pmf", "cdf"]
     for nd, path in zip(nulls, (var_csv, es_csv)):
-        nd.to_csv(path)
-        _validate_csv(path, "nominal_value,pmf,cdf")
+        rows = zip(range(nd.n + 1), nd.pmf.tolist(), nd.cdf.tolist())
+        _check_csv(path, header, _write_csv(path, header, rows, newline="\r\n"))
 
     def entry(nd, k):
         p_le = nd.prob_at_most(k)
@@ -347,11 +357,8 @@ def cmd_simulate(args) -> int:
 
     fits = [{"sample": s.label, "params": params} for s, (params, _) in zip(samples, outputs)]
     names = [f"{s.label}.p{p}" for s in samples for p in range(args.picks)]
-
-    with open(args.out, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in np.column_stack([sim for _, sims in outputs for sim in sims]):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = np.column_stack([sim for _, sims in outputs for sim in sims]).tolist()
+    _check_csv(args.out, names, _write_csv(args.out, names, rows))
     if args.fits_out:
         written = _write_json(args.fits_out, {"model": model, "fits": fits})
         _check(list(written) == ["model", "fits"], f"fits keys {list(written)}")
@@ -359,7 +366,6 @@ def cmd_simulate(args) -> int:
         _check([f["sample"] for f in written["fits"]] == [s.label for s in samples],
                "one fit per sample")
         _check(all(list(f) == ["sample", "params"] for f in written["fits"]), "fit keys")
-    _validate_csv(args.out, ",".join(names))
     _report_rows_left(panel, args.window, "fitted")
     print(f"simulated {len(names)} series from {len(samples)} fitted samples")
     return 0

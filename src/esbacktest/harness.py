@@ -96,7 +96,6 @@ __all__ = [
     "run_compare_batch",
     "confusion",
     "heatmap_table",
-    "write_heatmap_csv",
 ]
 
 FAMILIES = ("hist", "norm")
@@ -186,11 +185,15 @@ class Sample(NamedTuple):
 
 
 def _read_lines(path) -> list[str]:
-    try:  # utf-8-sig drops a leading byte-order mark
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read().splitlines()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(b"\xef\xbb\xbf")  # a leading byte-order mark
+        return data.decode().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # "?" stands for the bad byte, numbered as splitlines does
+        line, byte = len((data[: exc.start].decode() + "?").splitlines()), data[exc.start]
+        raise DataError(f"{path}: line {line}: cannot decode byte {byte:#04x} as UTF-8") from None
 
 
 def _parse_float(cell: str, lineno: int) -> float:
@@ -719,10 +722,3 @@ def heatmap_table(results: Sequence[BacktestResult]) -> list[tuple[int, int, int
         (min(r.nominal_t, _CAP_T), min(r.nominal_g, _CAP_G)) for r in results
     )
     return [(t, g, cells[(t, g)]) for (t, g) in sorted(cells)]
-
-
-def write_heatmap_csv(rows: Sequence[tuple[int, int, int]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("nt_capped,ng_capped,count\n")
-        for nt, ng, count in rows:
-            fh.write(f"{nt},{ng},{count}\n")

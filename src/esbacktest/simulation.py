@@ -6,10 +6,12 @@ reserve for the requested level, and tallies the resulting counts. Runs are
 cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
 innovations from stream (seed, b), and ``_mc_block`` counts, one way for every
 law, exceptions on the draws and worst-case sums on the rows plus their ES
-reserve, partially sorted (``_g_counts``). Worker threads
-receive contiguous chunks of blocks, since the sampling, partition and sort
-release the GIL, and integer counts add exactly, so the aggregate is
-identical under any worker count (stream contract 3, ``dist.STREAM_CONTRACT``).
+reserve, partially sorted (``_g_counts``). Worker threads receive contiguous
+chunks of blocks, since the sampling, partition and sort release the GIL; the
+GARCH recursion mostly holds it, as it steps each block day by day in Python,
+so GARCH tables gain little from a second thread. Integer counts add exactly,
+so the aggregate is identical under any worker count (stream contract 3,
+``dist.STREAM_CONTRACT``).
 As the threads share one address space, a block keeps its temporaries small.
 
 ``_unit_law`` alone checks a GARCH innovation and builds its unit-variance
@@ -26,7 +28,6 @@ the points it cannot use in ``_scored`` and picks its start in ``_multistart_min
 
 from __future__ import annotations
 
-import csv
 import importlib
 import math
 from dataclasses import dataclass, field, fields
@@ -427,14 +428,6 @@ class NullDistribution:
     def prob_below(self, k: int) -> float:
         """P(nominal < k); the zone probabilities are of this form."""
         return self.prob_at_most(k - 1)
-
-    def to_csv(self, path) -> None:
-        pmf, cdf = self.pmf, self.cdf
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["nominal_value", "pmf", "cdf"])
-            for k in range(self.counts.size):
-                writer.writerow([k, repr(float(pmf[k])), repr(float(cdf[k]))])
 
 
 def _addons(cfg: McConfig) -> tuple[float, float]:

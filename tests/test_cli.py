@@ -173,16 +173,48 @@ def test_backtest_short_panel_exits_3(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_failed_output_self_check_exits_3(tmp_path, panel_csv, capsys, monkeypatch):
-    def failing_check(path, header):
-        cli._check(False, f"forced failure for {header}")
+def _csv_writer_that(change):
+    """``cli._write_csv`` that applies ``change`` to the table it reads back."""
+    original = cli._write_csv
+    return lambda *args, **kwargs: change(original(*args, **kwargs))
 
-    monkeypatch.setattr(cli, "_validate_csv", failing_check)
+
+def _rename_first_column(table):
+    return [["renamed", *table[0][1:]], *table[1:]]
+
+
+def _drop_last_cell(table):
+    return [*table[:-1], table[-1][:-1]]
+
+
+def test_failed_output_self_check_exits_3(tmp_path, panel_csv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_write_csv", _csv_writer_that(_rename_first_column))
     argv = ["backtest", "--input", str(panel_csv), "--estimator", "var-hist"]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
     err = capsys.readouterr().err
-    assert "output check failed: forced failure for nt_capped" in err
-    assert "Traceback" not in err
+    assert err == f"output check failed: csv header of {tmp_path / 'r.json'}.heatmap.csv\n"
+
+
+@pytest.mark.parametrize(
+    "change, check", [(_rename_first_column, "csv header of"), (_drop_last_cell, "csv row in")]
+)
+@pytest.mark.parametrize("command", ["backtest", "mc", "simulate"])
+def test_every_command_checks_the_read_back_of_its_csv(
+    tmp_path, panel_csv, capsys, monkeypatch, command, change, check
+):
+    monkeypatch.setattr(cli, "_write_csv", _csv_writer_that(change))
+    out = str(tmp_path / "out")
+    argv = {
+        "backtest": ["backtest", "--input", str(panel_csv), "--estimator", "var-hist",
+                     "--out", out, "--heatmap-out", str(tmp_path / "h.csv")],
+        "mc": ["mc", "--dist", "normal", "--runs", "100", "--seed", "1", "--out-prefix", out],
+        "simulate": ["simulate", "--input", str(panel_csv), "--model", "normal", "--picks",
+                     "1", "--window", "250", "--seed", "1", "--out", out],
+    }[command]
+    assert main(argv) == 3
+    # the first CSV each command writes: the heatmap, the VAR table, the panel
+    first = {"backtest": tmp_path / "h.csv", "mc": f"{out}_var.csv", "simulate": out}[command]
+    assert capsys.readouterr().err == f"output check failed: {check} {first}\n"
 
 
 def test_report_self_check_rejects_reordered_result_fields(
@@ -519,6 +551,57 @@ def test_every_csv_the_cli_writes_is_pinned_to_its_bytes(tmp_path, capsys):
     assert data.count(b"\n") == 31 and b"\r" not in data
     assert hashlib.sha256(data).hexdigest()[:16] == "350e0fb410856ac5"
     capsys.readouterr()
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path, capsys):
+    # the loader reads UTF-8 whatever the locale, and so does every writer:
+    # non-ASCII column names reach the simulated panel's header as UTF-8
+    rng = np.random.default_rng(8)
+    panel = tmp_path / "p.csv"
+    rows = rng.standard_normal((100, 2)) * 0.01
+    panel.write_text("α,β\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()),
+                     encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    for where in ("ascii", "here"):
+        argv = ["simulate", "--input", str(panel), "--model", "normal", "--window", "100",
+                "--seed", "1", "--picks", "1", "--out", str(tmp_path / f"{where}.csv"),
+                "--fits-out", str(tmp_path / f"{where}.json")]
+        if where == "here":
+            assert main(argv) == 0
+            continue
+        proc = subprocess.run([sys.executable, "-m", "esbacktest.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    sim = (tmp_path / "ascii.csv").read_bytes()
+    assert sim.startswith("α[0:100].p0,β[0:100].p0\n".encode())
+    assert sim == (tmp_path / "here.csv").read_bytes()
+    assert (tmp_path / "ascii.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "fmt, data, line",
+    [
+        ("simple_csv", b"\xe9,b\n0.01,0.02\n", 1),
+        ("simple_csv", b"a,b\r\n0.01,0.02\r0.03,\xe90.04\n", 3),
+        ("ff_daily", b"\xef\xbb\xbfReturns\n\n,x\n20200101,1.0\n20200102,\xe9\n", 5),
+    ],
+)
+def test_a_panel_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, fmt, data, line):
+    panel = tmp_path / "latin1.csv"
+    panel.write_bytes(data)
+    out = tmp_path / "r.json"
+    argv = ["backtest", "--input", str(panel), "--format", fmt, "--estimator", "var-hist",
+            "--learn", "2", "--test", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {panel}: line {line}: cannot decode byte 0xe9 as UTF-8"
+    ]
+    assert not out.exists()
 
 
 def test_worker_default_comes_from_environment(tmp_path, panel_csv, capsys, monkeypatch):

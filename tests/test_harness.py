@@ -43,7 +43,6 @@ from esbacktest.harness import (
     run_batch,
     run_compare_batch,
     split_samples,
-    write_heatmap_csv,
     _calendar,
     _low_tail,
     _parse_lines,
@@ -1281,8 +1280,3 @@ def test_heatmap_caps_are_module_constants():
     with pytest.raises(TypeError):
         heatmap_table([_result(22, 40)], cap_t=20)
 
-
-def test_heatmap_csv_format(tmp_path):
-    path = tmp_path / "heat.csv"
-    write_heatmap_csv([(3, 35, 2), (15, 35, 1)], path)
-    assert path.read_text() == "nt_capped,ng_capped,count\n3,35,2\n15,35,1\n"

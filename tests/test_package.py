@@ -25,6 +25,8 @@ EXPORTED_BEFORE = {
     "run_compare_batch", "split_samples", "t_stat", "true_risk", "var_empirical",
     "var_normal", "write_heatmap_csv", "z_stat",
 }
+# names taken out of the public API on purpose: the cli writes the heatmap itself
+REMOVED = {"write_heatmap_csv"}
 
 
 def _module(name):
@@ -45,7 +47,8 @@ def test_each_exported_name_is_its_defining_modules_own_object():
 
 
 def test_no_name_exported_before_is_lost():
-    assert EXPORTED_BEFORE <= set(esbacktest.__all__)
+    assert EXPORTED_BEFORE - REMOVED <= set(esbacktest.__all__)
+    assert not REMOVED & set(dir(esbacktest))
     newly = set(esbacktest.__all__) - EXPORTED_BEFORE
     assert newly == {
         "simulate_batch", "MODELS", "GARCH_BURN_IN", "CALIBRATION", "CalibrationPoint",

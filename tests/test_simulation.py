@@ -916,7 +916,7 @@ def test_mc_config_validation():
                 McConfig(dist=Normal(), seed=1, **{level: value})
 
 
-def test_null_distribution_invariants_and_csv(tmp_path):
+def test_null_distribution_invariants():
     cfg = McConfig(dist=Normal(), seed=94, n=100, runs=2000)
     nd_var, nd_es = mc_null(cfg)
     for nd in (nd_var, nd_es):
@@ -926,14 +926,6 @@ def test_null_distribution_invariants_and_csv(tmp_path):
         assert nd.prob_below(0) == 0.0
         assert nd.prob_at_most(nd.n) == 1.0
         assert nd.prob_below(5) == nd.prob_at_most(4)
-    path = tmp_path / "null.csv"
-    nd_es.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "nominal_value,pmf,cdf"
-    assert len(lines) == nd_es.n + 2
-    last = lines[-1].split(",")
-    assert int(last[0]) == nd_es.n
-    assert float(last[2]) == 1.0
 
 
 def test_null_distribution_rejects_inconsistent_counts():
