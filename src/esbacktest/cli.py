@@ -171,13 +171,15 @@ def _write_json(path, payload):
         return json.load(fh)
 
 
-def _write_csv(path, header, rows, newline="\n") -> list[list[str]]:
-    """Write ``header`` and ``rows`` as UTF-8 CSV lines that end in ``newline``
-    and return what the file then holds, each line split at its commas."""
+def _write_csv(path, header, rows, newline="\n") -> list[str]:
+    """Write ``header`` and then each of ``rows`` as a UTF-8 CSV line that ends
+    in ``newline``, and return the lines the file then holds. The lines stay
+    whole: a list of every cell would take several times the file's size."""
     with open(path, "w", encoding="utf-8", newline=newline) as fh:
-        fh.writelines(",".join(map(str, cells)) + "\n" for cells in (header, *rows))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, cells)) + "\n" for cells in rows)
     with open(path, encoding="utf-8") as fh:
-        return [line.split(",") for line in fh.read().splitlines()]
+        return fh.read().splitlines()
 
 
 class OutputCheckError(Exception):
@@ -189,10 +191,10 @@ def _check(cond: bool, message: str) -> None:
         raise OutputCheckError(message)
 
 
-def _check_csv(path, header: list, table: list) -> None:
-    """The checks of a CSV's read-back ``table``: its header, then its row widths."""
-    _check(bool(table) and table[0] == header, f"csv header of {path}")
-    _check(all(len(row) == len(header) for row in table), f"csv row in {path}")
+def _check_csv(path, header: list, lines: list) -> None:
+    """The checks of a CSV's read-back ``lines``: the header, then the row widths."""
+    _check(bool(lines) and lines[0] == ",".join(header), f"csv header of {path}")
+    _check(all(line.count(",") == len(header) - 1 for line in lines), f"csv row in {path}")
 
 
 def _write_report(args, config, samples, results, summary, expect_z: bool) -> None:
@@ -357,7 +359,7 @@ def cmd_simulate(args) -> int:
 
     fits = [{"sample": s.label, "params": params} for s, (params, _) in zip(samples, outputs)]
     names = [f"{s.label}.p{p}" for s in samples for p in range(args.picks)]
-    rows = np.column_stack([sim for _, sims in outputs for sim in sims]).tolist()
+    rows = map(np.ndarray.tolist, np.column_stack([sim for _, sims in outputs for sim in sims]))
     _check_csv(args.out, names, _write_csv(args.out, names, rows))
     if args.fits_out:
         written = _write_json(args.fits_out, {"model": model, "fits": fits})

@@ -174,17 +174,17 @@ def test_backtest_short_panel_exits_3(tmp_path, capsys):
 
 
 def _csv_writer_that(change):
-    """``cli._write_csv`` that applies ``change`` to the table it reads back."""
+    """``cli._write_csv`` that applies ``change`` to the lines it reads back."""
     original = cli._write_csv
     return lambda *args, **kwargs: change(original(*args, **kwargs))
 
 
-def _rename_first_column(table):
-    return [["renamed", *table[0][1:]], *table[1:]]
+def _rename_first_column(lines):
+    return ["renamed" + lines[0][lines[0].index(","):], *lines[1:]]
 
 
-def _drop_last_cell(table):
-    return [*table[:-1], table[-1][:-1]]
+def _drop_last_cell(lines):
+    return [*lines[:-1], lines[-1].rpartition(",")[0]]
 
 
 def test_failed_output_self_check_exits_3(tmp_path, panel_csv, capsys, monkeypatch):

@@ -1279,4 +1279,3 @@ def test_heatmap_caps_are_module_constants():
     assert list(inspect.signature(heatmap_table).parameters) == ["results"]
     with pytest.raises(TypeError):
         heatmap_table([_result(22, 40)], cap_t=20)
-
