@@ -72,7 +72,7 @@ from .estimators import es_normal, var_normal
 # call them.
 from .backtest import classify, g_stat, t_stat, z_stat  # noqa: F401
 from .estimators import es_empirical, moments, var_empirical  # noqa: F401
-from .parallel import parallel_map
+from .parallel import contiguous_groups, parallel_map
 from .secured import _finite_vector, _require_finite, _secured
 from .secured import build_normalized, build_secured  # noqa: F401
 from .simulation import FitError
@@ -576,9 +576,7 @@ def _grade_batch(samples, workers, grading, result) -> list[BacktestResult]:
     window cells and at least one sample, as even as a group count that is a
     multiple of ``workers`` allows; ordering follows the input."""
     learn, test = grading[:2]
-    n, step = len(samples), max(1, workers)  # parallel_map rejects workers < 1
-    count = min(n, -(-n // (max(1, _GROUP_CELLS // (learn * test)) * step)) * step)
-    groups = [samples[n * i // count : n * (i + 1) // count] for i in range(count)]
+    groups = contiguous_groups(samples, max(1, _GROUP_CELLS // (learn * test)), workers)
     parts = parallel_map(partial(_grade_group, grading=grading, result=result), groups, workers)
     return [r for part in parts for r in part]
 

@@ -32,3 +32,11 @@ def parallel_map(fn, items, workers: int, *, processes: bool = False) -> list:
     with executor(max_workers=len(chunks)) as pool:
         parts = pool.map(_run_chunk, [fn] * len(chunks), chunks)
         return [result for part in parts for result in part]
+
+
+def contiguous_groups(items, size: int, workers: int) -> list:
+    """``items`` cut into contiguous groups of at most ``size`` items and at least
+    one, as even as a group count that is a multiple of ``workers`` allows."""
+    n, step = len(items), max(1, workers)  # parallel_map rejects workers < 1
+    count = min(n, -(-n // (size * step)) * step)
+    return [items[n * i // count : n * (i + 1) // count] for i in range(count)]

@@ -4,19 +4,21 @@
 statistics: each run draws an n-day sample, secures it with the analytic
 reserve for the requested level, and tallies the resulting counts. Runs are
 cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
-innovations from stream (seed, b), and ``_mc_block`` counts, one way for every
-law, exceptions on the draws and worst-case sums on the rows plus their ES
-reserve, partially sorted (``_g_counts``). Worker threads receive contiguous
-chunks of blocks, since the sampling, partition and sort release the GIL; the
-GARCH recursion mostly holds it, as it steps each block day by day in Python,
-so GARCH tables gain little from a second thread. Integer counts add exactly,
-so the aggregate is identical under any worker count (stream contract 3,
-``dist.STREAM_CONTRACT``).
-As the threads share one address space, a block keeps its temporaries small.
+innovations from stream (seed, b). A task is one block of an i.i.d. law, or a
+group of consecutive GARCH blocks of at most ``_GARCH_GROUP_CELLS`` draws, and
+``_mc_blocks`` counts, one way for every law, exceptions on the draws and
+worst-case sums on the rows plus their ES reserve, partially sorted
+(``_g_counts``). Worker threads receive contiguous chunks of tasks, since the
+sampling, partition and sort release the GIL; the GARCH recursion steps day
+by day in Python, and a group's 698 rows (at n = 250) make each of its numpy
+calls long enough to release the GIL too. Integer counts add exactly, so the
+aggregate is identical under any worker count (stream contract 3,
+``dist.STREAM_CONTRACT``). As the threads share one address space, a task's
+peak memory stays within three times its draws.
 
 ``_unit_law`` alone checks a GARCH innovation and builds its unit-variance
 law, which each ``GarchSpec`` keeps as ``law``. The GARCH recursion
-``_garch_paths`` steps once per day across the rows of a Monte Carlo block, or
+``_garch_paths`` steps once per day across the rows of a Monte Carlo group, or
 the one path of ``garch_simulate`` that draws each simulated pick; it keeps
 only the days after the burn-in.
 
@@ -32,6 +34,7 @@ import importlib
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial, wraps
+from itertools import chain, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 from .backtest import CALIBRATION, _negative_sums
 from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json, special
 from .estimators import _check_level, true_risk
-from .parallel import parallel_map
+from .parallel import contiguous_groups, parallel_map
 from .secured import _finite_vector
 
 __all__ = [
@@ -65,6 +68,9 @@ _MAXFEV = 2000
 # runs and this many draws per block
 _BLOCK_ROWS = 512
 _BLOCK_CELLS = 2**18
+# GARCH cells (runs x steps) that one Monte Carlo task steps through at most,
+# in whole consecutive blocks: two blocks of 349 runs at n = 250
+_GARCH_GROUP_CELLS = 2**19
 # a worst-case-sum count above this falls back to a full sort of its row
 _G_PREFIX = 48
 
@@ -170,29 +176,40 @@ def _garch_paths(
     Every row starts from the stationary variance, and the recursion steps
     once per column across all rows; the first ``burn_in`` days of each path
     are stepped but not kept. One row steps over Python floats, where
-    numpy's per-call cost would be most of the time. Each step is
-    elementwise IEEE arithmetic in the same order either way, so every row
-    equals the one-path scalar loop bit for bit.
+    numpy's per-call cost would be most of the time; more rows step in place
+    in preallocated buffers, each kept day's sd written straight into its
+    row of sigma. Each step is elementwise IEEE arithmetic in the same order
+    either way, ``((a1 * eps) * eps + omega) + b1 * s2`` up to commuted
+    operands, so every row equals the one-path scalar loop bit for bit.
     """
     m, steps = z.shape
-    if m == 1:
-        sqrt, columns, s2 = math.sqrt, z[0].tolist(), g.stationary_variance()
-    else:
-        sqrt, columns, s2 = np.sqrt, z.T, np.full(m, g.stationary_variance())
     omega, a1, b1 = g.omega, g.a1, g.b1
-    for zt in columns[:burn_in]:
-        eps = sqrt(s2) * zt
-        s2 = omega + a1 * eps * eps + b1 * s2
-    path = []
-    for zt in columns[burn_in:]:
-        sd = sqrt(s2)
-        path.append(sd)
-        eps = sd * zt
-        s2 = omega + a1 * eps * eps + b1 * s2
-    if not np.isfinite(path[-1]).all():  # an inf or nan variance persists
+    if m == 1:
+        sqrt, columns, s2, path = math.sqrt, z[0].tolist(), g.stationary_variance(), []
+        for zt in columns[:burn_in]:
+            eps = sqrt(s2) * zt
+            s2 = omega + a1 * eps * eps + b1 * s2
+        for zt in columns[burn_in:]:
+            sd = sqrt(s2)
+            path.append(sd)
+            eps = sd * zt
+            s2 = omega + a1 * eps * eps + b1 * s2
+        sigma = np.array(path)[np.newaxis]
+    else:
+        s2, sigma = np.full(m, g.stationary_variance()), np.empty((steps - burn_in, m))
+        eps, term = np.empty(m), np.empty(m)
+        # a burn-in day's sd goes to eps, which its product then overwrites
+        for zt, sd in zip(z.T, chain(repeat(eps, burn_in), sigma)):
+            np.sqrt(s2, out=sd)
+            np.multiply(sd, zt, out=eps)
+            np.multiply(eps, a1, out=term)
+            term *= eps
+            term += omega
+            s2 *= b1
+            s2 += term
+        sigma = sigma.T
+    if not np.isfinite(sigma[:, -1]).all():  # an inf or nan variance persists
         raise ValueError("GARCH conditional variance overflows")
-    sigma = np.array(path).reshape(steps - burn_in, m).T
-    del path  # before the returns are built, to lower the peak
     returns = sigma * z[:, burn_in:]
     returns += g.mu
     return returns, sigma
@@ -451,7 +468,7 @@ def _g_counts(y: np.ndarray) -> np.ndarray:
 
     The negative partial sums of a sorted row form a prefix, so a row sorts only
     its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
-    ``_mc_block`` adds the ES reserves before the partition, as rounding is monotone.
+    ``_mc_blocks`` adds the ES reserves before the partition, as rounding is monotone.
     A partial sum that overflows to ``-inf`` raises ``ValueError`` on either path.
     """
     if y.shape[1] <= _G_PREFIX + 1:
@@ -463,20 +480,28 @@ def _g_counts(y: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _mc_block(cfg: McConfig, addons: tuple[float, float], b: int):
-    """Counts over 0..n of the exception and worst-case-sum counts of block b."""
-    rows = _block_rows(cfg)
-    m, steps = min(rows, cfg.runs - b * rows), _steps(cfg)
-    stream = RngStream(cfg.seed, b)
+def _mc_blocks(cfg: McConfig, addons: tuple[float, float], blocks: range):
+    """Counts over 0..n of the exception and worst-case-sum counts of the runs of
+    the consecutive ``blocks``, tallied as one matrix; each block draws its rows
+    from its own stream, and the GARCH rows go through one recursion."""
+    rows, steps = _block_rows(cfg), _steps(cfg)
+    m = min(cfg.runs, blocks.stop * rows) - blocks.start * rows
+    garch = isinstance(cfg.dist, GarchSpec)
+    draw = partial(_innovations, cfg.dist) if garch else cfg.dist.sample
     var_add, es_add = addons
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
-        if isinstance(cfg.dist, GarchSpec):
-            z = _innovations(cfg.dist, m * steps, stream).reshape(m, steps)
-            x, sigma = _garch_paths(cfg.dist, z, GARCH_BURN_IN)
-            del z
+        if len(blocks) == 1:
+            x = draw(m * steps, RngStream(cfg.seed, blocks.start)).reshape(m, steps)
+        else:  # each block's draws fill its rows of the group in turn
+            x = np.empty((m, steps))
+            for lo, b in zip(range(0, m, rows), blocks):
+                hi = min(m, lo + rows)
+                x[lo:hi] = draw((hi - lo) * steps, RngStream(cfg.seed, b)).reshape(-1, steps)
+        if garch:
+            x, sigma = _garch_paths(cfg.dist, x, GARCH_BURN_IN)
             x -= cfg.dist.mu
         else:
-            x, sigma = cfg.dist.sample(m * steps, stream).reshape(m, steps), 1.0
+            sigma = 1.0
         # every law: x + sigma * var_add < 0 exactly when x < -(sigma * var_add), as a
         # rounded sum is negative exactly when the exact sum is, and negation is exact
         t = (x < -(sigma * var_add)).sum(1)
@@ -493,12 +518,16 @@ def mc_null(
     Each run secures its sample with the analytic reserve (conditional,
     sigma_t-scaled, for GARCH inputs) and tallies both counts. Block b holds
     runs [b * rows, (b + 1) * rows) and draws them from stream (seed, b),
-    one run per row. The result depends only on (cfg, seed), not on
-    ``workers``.
+    one run per row. A task tallies one block of an i.i.d. law, or a group of
+    consecutive GARCH blocks of at most ``_GARCH_GROUP_CELLS`` cells. The
+    result depends only on (cfg, seed), not on ``workers``.
     """
     addons = _addons(cfg)
-    blocks = -(-cfg.runs // _block_rows(cfg))
-    parts = parallel_map(partial(_mc_block, cfg, addons), range(blocks), workers)
+    rows = _block_rows(cfg)
+    garch = isinstance(cfg.dist, GarchSpec)
+    per_task = max(1, _GARCH_GROUP_CELLS // (rows * _steps(cfg))) if garch else 1
+    groups = contiguous_groups(range(-(-cfg.runs // rows)), per_task, workers)
+    parts = parallel_map(partial(_mc_blocks, cfg, addons), groups, workers)
     counts_t, counts_g = map(sum, zip(*parts))
     return (
         NullDistribution("VAR", counts_t, cfg.runs, cfg.seed),

@@ -32,7 +32,7 @@ from esbacktest.simulation import (
     _garch_params,
     _garch_paths,
     _innovations,
-    _mc_block,
+    _mc_blocks,
     _multistart_minimize,
     _skewt_nll,
     _skewt_shape,
@@ -84,6 +84,49 @@ def test_block_recursion_equals_scalar_loop_oracle(g):
         one_r, one_s = _garch_paths(g, z[:1], burn_in)
         assert np.array_equal(one_r[0], expect[0][0])
         assert np.array_equal(one_s[0], expect[0][1])
+
+
+def _garch_paths_per_block(g, z, burn_in):
+    """The former block kernel: a new array per operation, the kept sds in a list."""
+    m, steps = z.shape
+    sqrt, columns, s2 = np.sqrt, z.T, np.full(m, g.stationary_variance())
+    for zt in columns[:burn_in]:
+        eps = sqrt(s2) * zt
+        s2 = g.omega + g.a1 * eps * eps + g.b1 * s2
+    path = []
+    for zt in columns[burn_in:]:
+        sd = sqrt(s2)
+        path.append(sd)
+        eps = sd * zt
+        s2 = g.omega + g.a1 * eps * eps + g.b1 * s2
+    sigma = np.array(path).reshape(steps - burn_in, m).T
+    return g.mu + sigma * z[:, burn_in:], sigma
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("sizes", [(6,), (6, 6), (6, 6, 2), (6, 6, 6, 1), (1, 6), (1,)])
+@pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
+def test_stacked_blocks_equal_each_block_on_the_old_kernel_and_the_loop(g, sizes):
+    # blocks of 6 rows, a short last block and a one-row block, each on its own stream
+    steps, burn_in = 300, 200
+    blocks = [_innovations(g, m * steps, RngStream(88, b)).reshape(m, steps)
+              for b, m in enumerate(sizes)]
+    returns, sigma = _garch_paths(g, np.concatenate(blocks), burn_in)
+    first = 0
+    for z in blocks:
+        rows = slice(first, first + len(z))
+        first += len(z)
+        if len(z) > 1:
+            old_r, old_s = _garch_paths_per_block(g, z, burn_in)
+            assert np.array_equal(_bits(returns[rows]), _bits(old_r))
+            assert np.array_equal(_bits(sigma[rows]), _bits(old_s))
+        for got_r, got_s, row in zip(returns[rows], sigma[rows], z):
+            want_r, want_s = _garch_loop_oracle(g, row)
+            assert np.array_equal(_bits(got_r), _bits(want_r[burn_in:]))
+            assert np.array_equal(_bits(got_s), _bits(want_s[burn_in:]))
 
 
 @pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
@@ -320,6 +363,20 @@ def test_garch_paths_reject_a_variance_that_overflows_without_a_warning():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="GARCH conditional variance overflows"):
                 _garch_paths(g, np.full((3, 20), 3.0), 10)  # rows: numpy arrays
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_group_whose_variance_overflows_is_rejected_without_a_warning(monkeypatch, workers):
+    g = GarchSpec(mu=0.0, omega=5e306, a1=0.1, b1=0.85)
+    cfg = McConfig(dist=g, seed=1, n=10, runs=40)
+    # blocks of 8 runs, so that every task steps a group of several blocks
+    monkeypatch.setattr(simulation, "_BLOCK_CELLS", 8 * _steps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^GARCH conditional variance overflows$"):
+            _mc_blocks(cfg, _addons(cfg), range(1, 4))
+        with pytest.raises(ValueError, match="^GARCH conditional variance overflows$"):
+            mc_null(cfg, workers)
 
 
 @pytest.mark.parametrize(
@@ -730,7 +787,7 @@ def test_block_tally_equals_per_run_oracle_with_ties():
         for reserve, b in itertools.product((0.0, 1.0, 0.5), range(-(-runs // rows))):
             addons = (reserve, reserve)
             m = min(rows, runs - b * rows)
-            got = _mc_block(cfg, addons, b)
+            got = _mc_blocks(cfg, addons, range(b, b + 1))
             expect = _tally_oracle(*_secured_block(cfg, addons, m, RngStream(cfg.seed, b)))
             for counts, want in zip(got, expect):
                 assert counts.shape == (n + 1,)
@@ -761,7 +818,7 @@ def test_block_kernel_equals_secured_block_tally(dist, levels):
         cfg = replace(cfg, runs=_block_rows(cfg) + 37)
         addons = _addons(cfg)
         expect = _tally(*_secured_block(cfg, addons, 37, RngStream(cfg.seed, 1)))
-        for counts, want in zip(_mc_block(cfg, addons, 1), expect):
+        for counts, want in zip(_mc_blocks(cfg, addons, range(1, 2)), expect):
             assert np.array_equal(counts, want)
 
 
@@ -774,36 +831,78 @@ def test_block_overflow_is_rejected_without_a_warning(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
-            _mc_block(cfg, _addons(cfg), 0)
+            _mc_blocks(cfg, _addons(cfg), range(1))
         # sigma = 1e306 overflows only in the positive tail, which the prefix never reads
         big = replace(cfg, dist=Normal(0.0, 1e306), n=250)
-        counts_t, counts_g = _mc_block(big, _addons(big), 0)
+        counts_t, counts_g = _mc_blocks(big, _addons(big), range(1))
     assert counts_t.sum() == counts_g.sum() == 512
 
 
 @pytest.mark.parametrize(
-    "dist",
+    "dist, blocks",
     [
-        Normal(),
-        StudentT(3.0),
-        SkewT(5.0, 0.8),
-        GarchSpec(mu=0.0, omega=0.05, a1=0.1, b1=0.85),
-        GarchSpec(0.0, 0.05, 0.1, 0.85, "skew_t", 5.0, 0.85),
+        (Normal(), 1),
+        (StudentT(3.0), 1),
+        (SkewT(5.0, 0.8), 1),
+        (GarchSpec(mu=0.0, omega=0.05, a1=0.1, b1=0.85), 1),
+        (GarchSpec(0.0, 0.05, 0.1, 0.85, "skew_t", 5.0, 0.85), 1),
+        (GarchSpec(mu=0.0, omega=0.05, a1=0.1, b1=0.85), 2),
+        (GarchSpec(0.0, 0.05, 0.1, 0.85, "skew_t", 5.0, 0.85), 2),
     ],
-    ids=["normal", "t3", "skewt", "garch", "garch-skewt"],
+    ids=["normal", "t3", "skewt", "garch", "garch-skewt", "garch-group", "garch-skewt-group"],
 )
-def test_block_peak_memory_is_at_most_three_times_its_draws(dist):
-    # worker threads hold one block each in a shared address space
-    cfg = McConfig(dist=dist, seed=87, n=250, runs=1024)
+def test_block_peak_memory_is_at_most_three_times_its_draws(dist, blocks):
+    # worker threads hold one block, or one GARCH group, each in a shared address space
+    cfg = McConfig(dist=dist, seed=87, n=250, runs=2048)  # blocks 1 and 2 are full
     addons = _addons(cfg)
-    draw_bytes = _block_rows(cfg) * _steps(cfg) * 8
+    draw_bytes = blocks * _block_rows(cfg) * _steps(cfg) * 8
     tracemalloc.start()
     try:
-        _mc_block(cfg, addons, 1)
+        _mc_blocks(cfg, addons, range(1, 1 + blocks))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3 * draw_bytes
+
+
+@pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
+def test_a_group_tallies_as_its_blocks_do_one_at_a_time(monkeypatch, g):
+    cfg = McConfig(dist=g, seed=89, n=40, runs=25)
+    # blocks of 6, 6, 6, 6 and 1 runs
+    monkeypatch.setattr(simulation, "_BLOCK_CELLS", 6 * _steps(cfg))
+    addons = _addons(cfg)
+    for start, stop in ((0, 1), (0, 2), (1, 4), (1, 5), (4, 5), (2, 5)):
+        expect = [_tally(*_secured_block(cfg, addons, min(6, cfg.runs - 6 * b),
+                                         RngStream(cfg.seed, b))) for b in range(start, stop)]
+        for counts, want in zip(_mc_blocks(cfg, addons, range(start, stop)), zip(*expect)):
+            assert np.array_equal(counts, sum(want))
+
+
+@pytest.mark.parametrize(
+    "g", [GarchSpec(0.0, 0.05, 0.1, 0.85), GarchSpec(0.0, 0.05, 0.1, 0.85, "skew_t", 5.0, 0.85)],
+    ids=["normal", "skew_t"],
+)
+def test_mc_null_garch_groups_sum_the_per_block_tallies(monkeypatch, g):
+    # 2500 runs at n = 250: blocks of 349 runs and a last one of 57, in groups of two
+    cfg = McConfig(dist=g, seed=90, n=250, runs=2500)
+    addons = _addons(cfg)
+    blocks = [_mc_blocks(cfg, addons, range(b, b + 1)) for b in range(8)]
+    expect_t, expect_g = (sum(part) for part in zip(*blocks))
+    tasks, original = [], simulation._mc_blocks
+
+    def spy(cfg, addons, group):
+        tasks.append(group)
+        return original(cfg, addons, group)
+
+    monkeypatch.setattr(simulation, "_mc_blocks", spy)
+    for workers in (1, 2, 3):
+        tasks.clear()
+        nd_var, nd_es = mc_null(cfg, workers)
+        assert np.array_equal(nd_var.counts, expect_t)
+        assert np.array_equal(nd_es.counts, expect_g)
+        assert sorted(b for group in tasks for b in group) == list(range(8))
+        assert all(len(group) in (1, 2) and group.step == 1 for group in tasks)
+        assert len(tasks) % workers == 0
 
 
 def test_block_rows_follow_the_stream_contract():
