@@ -289,8 +289,10 @@ class StudentT(SkewT):
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         _check_count(n)
-        gen = stream.generator()
-        return self.loc + self.scale * gen.standard_t(self.nu, n)
+        z = stream.generator().standard_t(self.nu, n)
+        z *= self.scale
+        z += self.loc
+        return z
 
 
 DistSpec = Union[Normal, StudentT, SkewT]

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -566,6 +567,22 @@ def test_normal_and_t_draws_are_the_stream_scaled_and_shifted():
     assert np.array_equal(Normal(0.2, 1.5).sample(500, RngStream(2024, 6)), expect)
     expect = -0.3 + 0.01 * gen().standard_t(4.0, 500)
     assert np.array_equal(StudentT(4.0, -0.3, 0.01).sample(500, RngStream(2024, 6)), expect)
+
+
+@pytest.mark.parametrize("nu, loc, scale", [(3.0, -0.3, 0.01), (4.0, 1e-3, 0.02),
+                                             (5.0, 7.25, 3.1), (10.0, -1e5, 1e-7)])
+def test_student_t_draws_scale_and_shift_in_place_bit_for_bit(nu, loc, scale):
+    # in place, z *= scale; z += loc, as loc + scale * z: each operation commutes
+    draws = RngStream(2024, 7).generator().standard_t(nu, 100_000)
+    tracemalloc.start()
+    try:
+        got = StudentT(nu, loc, scale).sample(100_000, RngStream(2024, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.view(np.int64), (loc + scale * draws).view(np.int64))
+    # the draws alone: no temporary of their size
+    assert peak < 1.5 * draws.nbytes
 
 
 def test_skew_t_quantile_draws_are_inverse_cdf_of_open_uniforms():
