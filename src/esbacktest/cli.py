@@ -13,13 +13,15 @@ self-check exits with code 3 and names the check on stderr, since the run
 cannot vouch for what it wrote under this configuration. An output path
 that cannot be written exits with code 3 too, and a missing output
 directory, two outputs at one path or an output at the input's path do so
-before any work is done. Every stochastic subcommand requires an explicit
+before any work is done. A run that exits non-zero removes the outputs it
+opened, and no other file. Every stochastic subcommand requires an explicit
 seed and is byte-reproducible for any worker count. ``--workers`` runs
 ``backtest``, ``compare`` and ``mc`` on threads, as their numpy kernels
-release the GIL (``mc``'s GARCH recursion, a Python loop over the days, mostly
-holds it), and ``simulate``'s fits on processes (see
-``simulation.simulate_batch``). Without ``--workers`` the count comes from
-``ESBACKTEST_WORKERS`` (1 when unset), a positive integer.
+release the GIL (``mc``'s GARCH recursion, a Python loop over the days, steps
+groups of blocks, whose numpy calls are long enough to release it too), and
+``simulate``'s fits on processes (see ``simulation.simulate_batch``). Without
+``--workers`` the count comes from ``ESBACKTEST_WORKERS`` (1 when unset), a
+positive integer.
 """
 
 from __future__ import annotations
@@ -163,9 +165,21 @@ def _require_output_dirs(*paths, source: Optional[str] = None) -> None:
         seen[real] = "two outputs at one path"
 
 
+# the files this run has opened for writing, as their real paths; main removes
+# them if the run fails
+_written: list[str] = []
+
+
+def _open_output(path, **kwargs):
+    """``open(path, "w", **kwargs)``, noting the file it opens as this run's."""
+    fh = open(path, "w", **kwargs)
+    _written.append(os.path.realpath(path))
+    return fh
+
+
 def _write_json(path, payload):
     """Write ``payload`` as JSON and return what the file then holds."""
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     with open(path) as fh:
         return json.load(fh)
@@ -175,7 +189,7 @@ def _write_csv(path, header, rows, newline="\n") -> list[str]:
     """Write ``header`` and then each of ``rows`` as a UTF-8 CSV line that ends
     in ``newline``, and return the lines the file then holds. The lines stay
     whole: a list of every cell would take several times the file's size."""
-    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+    with _open_output(path, encoding="utf-8", newline=newline) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, cells)) + "\n" for cells in rows)
     with open(path, encoding="utf-8") as fh:
@@ -392,20 +406,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    _written.clear()
+    code = 1  # an uncaught error
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except OutputCheckError as exc:
         print(f"output check failed: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (ValueError, simulation.FitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except OSError as exc:  # inputs fail as DataError, so this is an output file
         print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 3
+        code = 3
+    finally:
+        if code:  # a failed run leaves none of its outputs
+            for path in filter(os.path.isfile, _written):
+                os.remove(path)
+        _written.clear()
+    return code
 
 
 if __name__ == "__main__":

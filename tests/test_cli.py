@@ -745,6 +745,75 @@ def test_simulate_reads_back_its_fits(
     assert len(err) == 1 and err[0].startswith(f"output check failed: {check}")
 
 
+@pytest.mark.parametrize("command", ["backtest", "mc", "simulate"])
+def test_a_failed_run_removes_every_output_it_wrote(tmp_path, panel_csv, capsys, monkeypatch,
+                                                    command):
+    # the last check fails, after every output is written: the heatmap's, the
+    # summary's, the fits'
+    out = str(tmp_path / "left")
+    argv, writer = {
+        "backtest": (["backtest", "--input", str(panel_csv), "--estimator", "var-hist",
+                      "--out", f"{out}.json", "--heatmap-out", f"{out}.csv"],
+                     ("_write_csv", _csv_writer_that(_rename_first_column))),
+        "mc": (["mc", "--dist", "normal", "--runs", "100", "--seed", "1", "--out-prefix", out],
+               ("_write_json", _json_writer_that(_drop_seed))),
+        "simulate": (["simulate", "--input", str(panel_csv), "--model", "normal", "--picks",
+                      "1", "--window", "250", "--seed", "1", "--out", f"{out}.csv",
+                      "--fits-out", f"{out}.json"],
+                     ("_write_json", _json_writer_that(_add_key))),
+    }[command]
+    opened, open_output = [], cli._open_output
+
+    def recording(path, **kwargs):
+        opened.append(os.path.basename(path))
+        return open_output(path, **kwargs)
+
+    monkeypatch.setattr(cli, "_open_output", recording)
+    monkeypatch.setattr(cli, *writer)
+    before = panel_csv.read_bytes()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("output check failed: ")
+    assert opened == {"backtest": ["left.json", "left.csv"],
+                      "mc": ["left_var.csv", "left_es.csv", "left_summary.json"],
+                      "simulate": ["left.csv", "left.json"]}[command]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+    assert panel_csv.read_bytes() == before
+
+
+def test_a_failed_run_leaves_the_files_it_did_not_write(tmp_path, panel_csv, capsys,
+                                                        monkeypatch):
+    # a write that fails midway, as the ASCII locale once failed simulate's panel
+    original = cli._write_csv
+
+    def failing(path, header, rows, newline="\n"):
+        def rows_then_error():
+            yield next(iter(rows))
+            raise UnicodeEncodeError("ascii", "\u03b1", 0, 1, "ordinal not in range(128)")
+        return original(path, header, rows_then_error(), newline)
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
+    sim, fits = tmp_path / "sim.csv", tmp_path / "fits.json"
+    fits.write_text("an earlier run's fits\n")
+    argv = ["simulate", "--input", str(panel_csv), "--model", "normal", "--picks", "1",
+            "--window", "250", "--seed", "1", "--out", str(sim), "--fits-out", str(fits)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("config error: 'ascii' codec can't encode")
+    assert not sim.exists()
+    assert fits.read_text() == "an earlier run's fits\n"
+    # a report whose check fails is removed; the heatmap path is never opened
+    monkeypatch.setattr(cli, "_write_csv", original)
+    monkeypatch.setattr(cli.harness.BacktestResult, "to_json_dict",
+                        lambda self: {"n": self.n})
+    heatmap = tmp_path / "h.csv"
+    heatmap.write_text("an earlier heatmap\n")
+    argv = ["backtest", "--input", str(panel_csv), "--estimator", "var-hist",
+            "--out", str(tmp_path / "r.json"), "--heatmap-out", str(heatmap)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "output check failed: result fields ['n']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fits.json", "h.csv", "panel.csv"]
+    assert heatmap.read_text() == "an earlier heatmap\n"
+
+
 def test_an_ff_daily_typo_on_the_first_row_exits_2(tmp_path, capsys):
     # the mistyped first row used to be read as the header, dropping both
     path = tmp_path / "ff.csv"
