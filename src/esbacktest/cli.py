@@ -165,31 +165,27 @@ def _require_output_dirs(*paths, source: Optional[str] = None) -> None:
         seen[real] = "two outputs at one path"
 
 
-# the files this run has opened for writing, as their real paths; main removes
-# them if the run fails
-_written: list[str] = []
-
-
-def _open_output(path, **kwargs):
-    """``open(path, "w", **kwargs)``, noting the file it opens as this run's."""
+def _open_output(path, opened: list, **kwargs):
+    """``open(path, "w", **kwargs)``, adding the file's real path to ``opened``,
+    the run's list of the files it wrote, which ``main`` removes if it fails."""
     fh = open(path, "w", **kwargs)
-    _written.append(os.path.realpath(path))
+    opened.append(os.path.realpath(path))
     return fh
 
 
-def _write_json(path, payload):
+def _write_json(path, payload, opened: list):
     """Write ``payload`` as JSON and return what the file then holds."""
-    with _open_output(path) as fh:
+    with _open_output(path, opened) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     with open(path) as fh:
         return json.load(fh)
 
 
-def _write_csv(path, header, rows, newline="\n") -> list[str]:
+def _write_csv(path, header, rows, opened: list, newline="\n") -> list[str]:
     """Write ``header`` and then each of ``rows`` as a UTF-8 CSV line that ends
     in ``newline``, and return the lines the file then holds. The lines stay
     whole: a list of every cell would take several times the file's size."""
-    with _open_output(path, encoding="utf-8", newline=newline) as fh:
+    with _open_output(path, opened, encoding="utf-8", newline=newline) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, cells)) + "\n" for cells in rows)
     with open(path, encoding="utf-8") as fh:
@@ -222,7 +218,7 @@ def _write_report(args, config, samples, results, summary, expect_z: bool) -> No
         "results": [r.to_json_dict() for r in results],
         "summary": summary,
     }
-    report = _write_json(args.out, report)
+    report = _write_json(args.out, report, args.opened)
     _check(
         len(report["samples"]) == len(report["results"]), "samples/results aligned"
     )
@@ -261,7 +257,7 @@ def cmd_backtest(args) -> int:
     _write_report(args, config, samples, results, summary, expect_z=False)
     header = ["nt_capped", "ng_capped", "count"]
     rows = harness.heatmap_table(results)
-    _check_csv(heatmap_path, header, _write_csv(heatmap_path, header, rows))
+    _check_csv(heatmap_path, header, _write_csv(heatmap_path, header, rows, args.opened))
     _report_rows_left(panel, cfg.window, "graded")
     print(f"backtested {len(results)} samples with {cfg.estimator}")
     return 0
@@ -335,7 +331,7 @@ def cmd_mc(args) -> int:
     header = ["nominal_value", "pmf", "cdf"]
     for nd, path in zip(nulls, (var_csv, es_csv)):
         rows = zip(range(nd.n + 1), nd.pmf.tolist(), nd.cdf.tolist())
-        _check_csv(path, header, _write_csv(path, header, rows, newline="\r\n"))
+        _check_csv(path, header, _write_csv(path, header, rows, args.opened, newline="\r\n"))
 
     def entry(nd, k):
         p_le = nd.prob_at_most(k)
@@ -348,7 +344,7 @@ def cmd_mc(args) -> int:
         # the counts on either side of each zone bound
         points = [k for b in (th.green_upper, th.yellow_upper) for k in (b - 1, b)]
         summary[nd.metric.lower()] = {str(k): entry(nd, k) for k in points}
-    summary = _write_json(summary_path, summary)
+    summary = _write_json(summary_path, summary, args.opened)
     _check(list(summary) == [*params, "var", "es"], f"summary keys {list(summary)}")
     for metric in ("var", "es"):
         for e in summary[metric].values():
@@ -374,9 +370,9 @@ def cmd_simulate(args) -> int:
     fits = [{"sample": s.label, "params": params} for s, (params, _) in zip(samples, outputs)]
     names = [f"{s.label}.p{p}" for s in samples for p in range(args.picks)]
     rows = map(np.ndarray.tolist, np.column_stack([sim for _, sims in outputs for sim in sims]))
-    _check_csv(args.out, names, _write_csv(args.out, names, rows))
+    _check_csv(args.out, names, _write_csv(args.out, names, rows, args.opened))
     if args.fits_out:
-        written = _write_json(args.fits_out, {"model": model, "fits": fits})
+        written = _write_json(args.fits_out, {"model": model, "fits": fits}, args.opened)
         _check(list(written) == ["model", "fits"], f"fits keys {list(written)}")
         _check(written["model"] == model, "fits model")
         _check([f["sample"] for f in written["fits"]] == [s.label for s in samples],
@@ -406,7 +402,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _written.clear()
+    args.opened = []  # the real paths of the files the run writes (_open_output)
     code = 1  # an uncaught error
     try:
         code = _COMMANDS[args.command](args)
@@ -424,9 +420,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = 3
     finally:
         if code:  # a failed run leaves none of its outputs
-            for path in filter(os.path.isfile, _written):
+            for path in filter(os.path.isfile, args.opened):
                 os.remove(path)
-        _written.clear()
     return code
 
 

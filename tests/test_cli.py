@@ -669,7 +669,8 @@ def test_a_bad_worker_default_is_read_only_without_workers(
 def _json_writer_that(change):
     """``cli._write_json`` that applies ``change`` to the payload it writes."""
     original = cli._write_json
-    return lambda path, payload: original(path, change(json.loads(json.dumps(payload))))
+    return lambda path, payload, opened: original(
+        path, change(json.loads(json.dumps(payload))), opened)
 
 
 def _drop_seed(summary):
@@ -762,18 +763,18 @@ def test_a_failed_run_removes_every_output_it_wrote(tmp_path, panel_csv, capsys,
                       "--fits-out", f"{out}.json"],
                      ("_write_json", _json_writer_that(_add_key))),
     }[command]
-    opened, open_output = [], cli._open_output
+    names, open_output = [], cli._open_output
 
-    def recording(path, **kwargs):
-        opened.append(os.path.basename(path))
-        return open_output(path, **kwargs)
+    def recording(path, opened, **kwargs):
+        names.append(os.path.basename(path))
+        return open_output(path, opened, **kwargs)
 
     monkeypatch.setattr(cli, "_open_output", recording)
     monkeypatch.setattr(cli, *writer)
     before = panel_csv.read_bytes()
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("output check failed: ")
-    assert opened == {"backtest": ["left.json", "left.csv"],
+    assert names == {"backtest": ["left.json", "left.csv"],
                       "mc": ["left_var.csv", "left_es.csv", "left_summary.json"],
                       "simulate": ["left.csv", "left.json"]}[command]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
@@ -785,11 +786,11 @@ def test_a_failed_run_leaves_the_files_it_did_not_write(tmp_path, panel_csv, cap
     # a write that fails midway, as the ASCII locale once failed simulate's panel
     original = cli._write_csv
 
-    def failing(path, header, rows, newline="\n"):
+    def failing(path, header, rows, opened, newline="\n"):
         def rows_then_error():
             yield next(iter(rows))
             raise UnicodeEncodeError("ascii", "\u03b1", 0, 1, "ordinal not in range(128)")
-        return original(path, header, rows_then_error(), newline)
+        return original(path, header, rows_then_error(), opened, newline)
 
     monkeypatch.setattr(cli, "_write_csv", failing)
     sim, fits = tmp_path / "sim.csv", tmp_path / "fits.json"
@@ -812,6 +813,19 @@ def test_a_failed_run_leaves_the_files_it_did_not_write(tmp_path, panel_csv, cap
     assert capsys.readouterr().err == "output check failed: result fields ['n']\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fits.json", "h.csv", "panel.csv"]
     assert heatmap.read_text() == "an earlier heatmap\n"
+
+
+def test_an_uncaught_error_propagates_and_removes_the_outputs_written(tmp_path, panel_csv,
+                                                                      monkeypatch):
+    def broken(path, header, lines):
+        raise RuntimeError("a fault in the program")
+
+    monkeypatch.setattr(cli, "_check_csv", broken)
+    argv = ["mc", "--dist", "normal", "--runs", "100", "--seed", "1",
+            "--out-prefix", str(tmp_path / "m")]
+    with pytest.raises(RuntimeError, match="a fault in the program"):
+        main(argv)
+    assert not list(tmp_path.glob("m_*"))
 
 
 def test_an_ff_daily_typo_on_the_first_row_exits_2(tmp_path, capsys):
