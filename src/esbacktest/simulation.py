@@ -470,10 +470,12 @@ def _g_counts(y: np.ndarray) -> np.ndarray:
     its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
     ``_mc_blocks`` adds the ES reserves before the partition, as rounding is monotone.
     A partial sum that overflows to ``-inf`` raises ``ValueError`` on either path.
+    The partition reorders each row of ``y`` in place, which the counts ignore.
     """
     if y.shape[1] <= _G_PREFIX + 1:
         return _negative_sums(y)
-    counts = _negative_sums(np.partition(y, _G_PREFIX, 1)[:, : _G_PREFIX + 1])
+    y.partition(_G_PREFIX, axis=1)
+    counts = _negative_sums(y[:, : _G_PREFIX + 1])
     longer = counts > _G_PREFIX
     if longer.any():
         counts[longer] = _negative_sums(y[longer])

@@ -1,9 +1,11 @@
 """Estimator layer: empirical and normal VAR/ES, moments, analytic risk."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, stats
 
 from esbacktest.dist import Normal, RngStream, SkewT, StudentT
@@ -15,6 +17,7 @@ from esbacktest.estimators import (
     true_risk,
     var_empirical,
     var_normal,
+    _normal_moments,
 )
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,22 @@ def test_normal_estimators_match_scipy_stats_formulas_bit_for_bit(alpha):
         assert np.array_equal(var_normal(m, alpha), -(m.mean + m.sd * z))
         es = -m.mean + m.sd * float(stats.norm.pdf(z)) / alpha
         assert np.array_equal(es_normal(m, alpha), es)
+
+
+def test_normal_moments_hold_one_sample_of_windows_at_a_time():
+    # a group of four 250/250 samples: one buffer of one sample's windows serves
+    # every sample, so no second copy is alive while the next one is made
+    x = np.random.default_rng(93).standard_normal((4, 499))
+    windows = sliding_window_view(x, 250, axis=-1)
+    one_sample = windows[0].size * windows.itemsize
+    tracemalloc.start()
+    try:
+        m = _normal_moments(windows, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.mean.shape == m.sd.shape == (4, 250)
+    assert peak <= 1.5 * one_sample
 
 
 # ---------------------------------------------------------------------------

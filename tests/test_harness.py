@@ -23,6 +23,8 @@ from esbacktest.estimators import (
     moments,
     var_empirical,
     var_normal,
+    _low_tail,
+    _reserves,
 )
 from esbacktest.harness import (
     ESTIMATORS,
@@ -44,10 +46,8 @@ from esbacktest.harness import (
     run_compare_batch,
     split_samples,
     _calendar,
-    _low_tail,
     _parse_lines,
     _parse_rows,
-    _reserves,
 )
 from esbacktest.secured import SecuredSample, build_normalized, build_secured
 from esbacktest.simulation import FitError

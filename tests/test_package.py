@@ -1,6 +1,6 @@
 """The package entry point: one declaration of the public names per module."""
 
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -73,3 +73,42 @@ def test_fresh_package_import_loads_numpy_and_the_standard_library_only():
     # numpy's compiled extensions register Cython's runtime as modules too
     cython = {r for r in roots if r == "cython_runtime" or r.startswith("_cython_")}
     assert roots - cython - set(sys.stdlib_module_names) == {"esbacktest", "numpy"}
+
+
+def test_estimators_load_neither_harness_nor_simulation():
+    # the package's __init__ loads every module, so a bare package stands in for
+    # it: what loads is what estimators itself imports
+    pkg = str(Path(esbacktest.__file__).resolve().parent)
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('esbacktest')\n"
+        f"package.__path__ = [{pkg!r}]\n"
+        "sys.modules['esbacktest'] = package\n"
+        "import esbacktest.estimators\n"
+        "print(' '.join(m for m in sorted(sys.modules) if m.startswith('esbacktest.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["esbacktest.dist", "esbacktest.estimators",
+                                   "esbacktest.secured"]
+
+
+def test_every_name_the_bench_wraps_is_an_attribute_of_its_owner():
+    spec = importlib.util.spec_from_file_location(
+        "spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    class Recorder:
+        def __init__(self):
+            self.wrapped = []
+
+        def wrap(self, owner, attr, units=None):
+            self.wrapped.append((owner, attr))
+
+    recorder = Recorder()
+    spans.instrument(recorder)
+    assert [attr for owner, attr in recorder.wrapped if owner is esbacktest.harness]
+    for owner, attr in recorder.wrapped:
+        # Tracer.wrap reads the attribute from the owner's own namespace
+        assert attr in vars(owner), (owner.__name__, attr)

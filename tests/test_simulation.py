@@ -865,6 +865,21 @@ def test_block_peak_memory_is_at_most_three_times_its_draws(dist, blocks):
     assert peak <= 3 * draw_bytes
 
 
+def test_g_counts_partition_their_block_in_place():
+    # _mc_blocks owns the block, so the prefix partition reorders its rows and
+    # copies none of them
+    y = np.random.default_rng(92).standard_normal((512, 250)) + 2.0
+    expect = backtest._negative_sums(y)  # the full sort
+    tracemalloc.start()
+    try:
+        got = simulation._g_counts(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expect)
+    assert peak <= 0.5 * y.nbytes
+
+
 @pytest.mark.parametrize("g", GARCH_ORACLE_SPECS, ids=["normal", "skew_t"])
 def test_a_group_tallies_as_its_blocks_do_one_at_a_time(monkeypatch, g):
     cfg = McConfig(dist=g, seed=89, n=40, runs=25)
