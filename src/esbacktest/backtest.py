@@ -11,6 +11,10 @@ corresponding historical estimator (VAR for t, ES for g) signs off on the
 sample; ``dual_t`` and ``dual_g`` evaluate that reading directly and agree
 with the counting forms exactly. ``z_stat`` implements the tail-magnitude
 comparison test that needs reserve series for both VAR and ES.
+
+The rolling grader and the Monte Carlo count T with ``_exceptions``, against an
+optional reserve, and G with ``_g_counts``, per row of a matrix from a partially
+sorted prefix, falling back on ``g_stat``'s kernel ``_negative_sums``.
 """
 
 from __future__ import annotations
@@ -92,6 +96,8 @@ VAR_THRESHOLDS = ZoneThresholds("VAR", 5, 10)
 ES_THRESHOLDS = ZoneThresholds("ES", 12, 25)
 # Magnitude statistic: positive values flag underestimated risk.
 Z_THRESHOLDS = ZoneThresholds("Z", 0.7, 1.8)
+# a worst-case-sum count above this falls back to a full sort of its row
+_G_PREFIX = 48
 
 
 class StatResult(NamedTuple):
@@ -117,10 +123,10 @@ def t_stat(y) -> StatResult:
     return StatResult(nominal / arr.size, nominal, arr.size)
 
 
-def _exceptions(y: np.ndarray) -> np.ndarray:
-    """Count of negative values along the last axis: the T count of ``t_stat``
-    and of each row that ``harness._graded`` grades."""
-    return (y < 0).sum(-1)
+def _exceptions(x: np.ndarray, reserve=0.0) -> np.ndarray:
+    """Count of days with ``x + reserve < 0`` along the last axis, as ``x < -reserve``:
+    a rounded sum is negative exactly when the exact sum is, and negation is exact."""
+    return (x < -reserve).sum(-1)
 
 
 def g_stat(y) -> StatResult:
@@ -140,7 +146,7 @@ def g_stat(y) -> StatResult:
 
 def _negative_sums(y: np.ndarray) -> np.ndarray:
     """Count of negative partial sums of ``sort(y)`` along the last axis: the
-    G count of ``g_stat`` and of each Monte Carlo row (``simulation._g_counts``).
+    G count of ``g_stat``, and ``_g_counts``' fallback and oracle.
 
     A partial sum of ``-inf`` or NaN raises ``ValueError``; ``+inf`` does not.
     Past the first non-negative sum every term is positive, so the sums rise
@@ -152,6 +158,24 @@ def _negative_sums(y: np.ndarray) -> np.ndarray:
     if not (sums > -np.inf).all():
         raise ValueError("partial sums of the sorted sample overflow")
     return (sums < 0).sum(-1)
+
+
+def _g_counts(y: np.ndarray) -> np.ndarray:
+    """Per-row worst-case-sum counts of the matrix ``y``, equal to ``_negative_sums(y)``.
+
+    The negative partial sums of a sorted row form a prefix, so a row sorts only
+    its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
+    A partial sum that overflows to ``-inf`` raises ``ValueError`` on either path.
+    The partition reorders each row of ``y`` in place, which the counts ignore.
+    """
+    if y.shape[1] <= _G_PREFIX + 1:
+        return _negative_sums(y)
+    y.partition(_G_PREFIX, axis=1)
+    counts = _negative_sums(y[:, : _G_PREFIX + 1])
+    longer = counts > _G_PREFIX
+    if longer.any():
+        counts[longer] = _negative_sums(y[longer])
+    return counts
 
 
 def _dual(y, estimator) -> float:

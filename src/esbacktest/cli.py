@@ -412,7 +412,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OutputCheckError as exc:
         print(f"output check failed: {exc}", file=sys.stderr)
         code = 3
-    except (ValueError, simulation.FitError) as exc:
+    except ValueError as exc:  # simulation.FitError included
         print(f"config error: {exc}", file=sys.stderr)
         code = 3
     except OSError as exc:  # inputs fail as DataError, so this is an output file

@@ -15,15 +15,15 @@ first bad line. ``ff_daily`` checks its whole percent block before it drops
 the rows that hold a missing-data sentinel.
 
 Both backtests grade through ``_graded``, which reads every reserve series of
-a group from the rolling kernels of ``estimators`` (``_reserves``):
-``rolling_backtest`` with one estimator in both roles, ``compare_backtest``
-with the VAR and ES estimators of one family plus the z test; each is a group
-of one sample. ``run_batch`` and ``run_compare_batch`` cut their samples into
-contiguous groups of at most ``_GROUP_CELLS`` window cells, mapped by
-``parallel_map``. A group that raises is graded again one sample at a time,
-so the first failing sample raises its own error, labelled by ``Sample.run``.
-A sample with a non-finite value is rejected before any kernel runs.
-``BacktestResult`` derives the zones.
+a group from the rolling kernels of ``estimators`` (``_reserves``) and counts
+T and G with ``backtest``'s kernels, as ``mc`` does: ``rolling_backtest`` with
+one estimator in both roles, ``compare_backtest`` with the VAR and ES
+estimators of one family plus the z test; each is a group of one sample.
+``run_batch`` and ``run_compare_batch`` cut their samples into contiguous
+groups of at most ``_GROUP_CELLS`` window cells, mapped by ``parallel_map``. A
+group that raises is graded again one sample at a time, so the first failing
+sample raises its own ``ValueError``, labelled by ``Sample.run``. A sample with
+a non-finite value is rejected first. ``BacktestResult`` derives the zones.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .backtest import CALIBRATION, ZONES, BacktestResult, _exceptions, _negative_sums, _z_rows
+from .backtest import CALIBRATION, ZONES, BacktestResult, _exceptions, _g_counts, _z_rows
 from .estimators import ESTIMATORS, _check_level, _reserves
 
 # bench/spans.py wraps these names in this module to attribute traced time to
@@ -49,7 +49,6 @@ from .estimators import es_empirical, es_normal, moments, var_empirical, var_nor
 from .parallel import contiguous_groups, parallel_map
 from .secured import _finite_vector, _require_finite, _secured
 from .secured import build_normalized, build_secured  # noqa: F401
-from .simulation import FitError
 
 __all__ = [
     "DataError",
@@ -149,11 +148,11 @@ class Sample(NamedTuple):
 
     def run(self, fn, *args):
         """``fn(self.values, *args)``, the one place a sample names itself in an
-        error: a ``ValueError`` or ``FitError`` that the call raises keeps its
-        class and traceback, and its message is prefixed ``"a[0:300]: "``."""
+        error: a ``ValueError`` that the call raises (``simulation.FitError`` is one)
+        keeps its class and traceback, and its message is prefixed ``"a[0:300]: "``."""
         try:
             return fn(self.values, *args)
-        except (ValueError, FitError) as exc:
+        except ValueError as exc:
             exc.args = (f"{self.label}: {exc}",)
             raise
 
@@ -407,7 +406,7 @@ def _graded(
     nt = _exceptions(y).tolist()
     if (es_est, alpha_es) != (var_est, alpha_var):
         y = _secured(realized, series[es_est, alpha_es], normalize)
-    ng = _negative_sums(y).tolist()
+    ng = _g_counts(y).tolist()
     if alpha_z is None:
         return [(t, g, None) for t, g in zip(nt, ng)]
     z = _z_rows(realized, series[var_est, alpha_z], series[es_est, alpha_z], alpha_z)

@@ -2,19 +2,19 @@
 
 ``mc_null`` reproduces the null distributions of the nominal backtest
 statistics: each run draws an n-day sample, secures it with the analytic
-reserve for the requested level, and tallies the resulting counts. Runs are
-cut into blocks of ``_block_rows(cfg)`` rows; block b draws all of its
-innovations from stream (seed, b). A task is one block of an i.i.d. law, or a
-group of consecutive GARCH blocks of at most ``_GARCH_GROUP_CELLS`` draws, and
-``_mc_blocks`` counts, one way for every law, exceptions on the draws and
-worst-case sums on the rows plus their ES reserve, partially sorted
-(``_g_counts``). Worker threads receive contiguous chunks of tasks, since the
-sampling, partition and sort release the GIL; the GARCH recursion steps day
-by day in Python, and a group's 698 rows (at n = 250) make each of its numpy
-calls long enough to release the GIL too. Integer counts add exactly, so the
-aggregate is identical under any worker count (stream contract 3,
-``dist.STREAM_CONTRACT``). As the threads share one address space, a task's
-peak memory stays within three times its draws.
+reserve for the requested level, and tallies the resulting counts. Runs are cut
+into blocks of ``_block_rows(cfg)`` rows; block b draws all of its innovations
+from stream (seed, b). A task is one block of an i.i.d. law, or a group of
+consecutive GARCH blocks of at most ``_GARCH_GROUP_CELLS`` draws, and
+``_mc_blocks`` counts every law one way, with the kernels of
+``harness._graded`` (``backtest._exceptions``, ``_g_counts``): exceptions on
+the draws, worst-case sums on the rows plus their ES reserve. Worker threads
+receive contiguous chunks of tasks, since the sampling, partition and sort
+release the GIL; the GARCH recursion steps day by day in Python, and a group's
+698 rows (at n = 250) make each of its numpy calls long enough to release the
+GIL too. Integer counts add exactly, so the aggregate is identical under any
+worker count (stream contract 3, ``dist.STREAM_CONTRACT``). In the threads'
+shared address space a task's peak memory stays within three times its draws.
 
 ``_unit_law`` alone checks a GARCH innovation and builds its unit-variance
 law, which each ``GarchSpec`` keeps as ``law``. The GARCH recursion
@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .backtest import CALIBRATION, _negative_sums
+from .backtest import CALIBRATION, _exceptions, _g_counts
 from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json, special
 from .estimators import _check_level, true_risk
 from .parallel import contiguous_groups, parallel_map
@@ -71,8 +71,6 @@ _BLOCK_CELLS = 2**18
 # GARCH cells (runs x steps) that one Monte Carlo task steps through at most,
 # in whole consecutive blocks: two blocks of 349 runs at n = 250
 _GARCH_GROUP_CELLS = 2**19
-# a worst-case-sum count above this falls back to a full sort of its row
-_G_PREFIX = 48
 
 
 @dataclass(frozen=True)
@@ -277,8 +275,8 @@ def _garch_nll(theta: np.ndarray, x: np.ndarray, s0: float, kind: str) -> float:
     return np.sum(law.logpdf(e / sd) - np.log(sd))
 
 
-class FitError(RuntimeError):
-    """Raised when a fit does not converge or converges onto a boundary.
+class FitError(ValueError):
+    """A ``ValueError`` raised when a fit does not converge or reaches a boundary.
 
     Carries the best parameter point seen (``best``) and the optimizer
     diagnostics (``diagnostics``) for post-mortems.
@@ -463,25 +461,6 @@ def _block_rows(cfg: McConfig) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // _steps(cfg)))
 
 
-def _g_counts(y: np.ndarray) -> np.ndarray:
-    """Per-row worst-case-sum counts of ``y``, identical to a full sort.
-
-    The negative partial sums of a sorted row form a prefix, so a row sorts only
-    its _G_PREFIX + 1 smallest values unless all their partial sums are negative.
-    ``_mc_blocks`` adds the ES reserves before the partition, as rounding is monotone.
-    A partial sum that overflows to ``-inf`` raises ``ValueError`` on either path.
-    The partition reorders each row of ``y`` in place, which the counts ignore.
-    """
-    if y.shape[1] <= _G_PREFIX + 1:
-        return _negative_sums(y)
-    y.partition(_G_PREFIX, axis=1)
-    counts = _negative_sums(y[:, : _G_PREFIX + 1])
-    longer = counts > _G_PREFIX
-    if longer.any():
-        counts[longer] = _negative_sums(y[longer])
-    return counts
-
-
 def _mc_blocks(cfg: McConfig, addons: tuple[float, float], blocks: range):
     """Counts over 0..n of the exception and worst-case-sum counts of the runs of
     the consecutive ``blocks``, tallied as one matrix; each block draws its rows
@@ -504,10 +483,8 @@ def _mc_blocks(cfg: McConfig, addons: tuple[float, float], blocks: range):
             x -= cfg.dist.mu
         else:
             sigma = 1.0
-        # every law: x + sigma * var_add < 0 exactly when x < -(sigma * var_add), as a
-        # rounded sum is negative exactly when the exact sum is, and negation is exact
-        t = (x < -(sigma * var_add)).sum(1)
-        x += sigma * es_add
+        t = _exceptions(x, sigma * var_add)
+        x += sigma * es_add  # before the partition of _g_counts, as rounding is monotone
         g = _g_counts(x)
     return np.bincount(t, minlength=cfg.n + 1), np.bincount(g, minlength=cfg.n + 1)
 

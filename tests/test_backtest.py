@@ -22,6 +22,7 @@ from esbacktest.backtest import (
     g_stat,
     t_stat,
     z_stat,
+    _exceptions,
     _negative_sums,
 )
 from esbacktest.estimators import true_risk
@@ -227,6 +228,34 @@ def test_overflowing_statistics_are_rejected_without_a_warning():
             z_stat([-1e300, 1.0], [1.0, 1.0], [1e-300, 1.0], 0.5)
         with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
             g_stat([-1e308, -1e308, 1e308])
+
+
+def _t_identity(x, r):
+    with np.errstate(over="ignore"):  # a sum past the float range is an exact +-inf
+        added = x + r
+    got = _exceptions(x, r)
+    assert np.array_equal(got, _exceptions(added))
+    assert np.array_equal(got, (added < 0).sum(-1))
+    return got
+
+
+def test_exceptions_against_a_reserve_count_as_the_secured_sum_does():
+    # the Monte Carlo compares x < -r where the grader counts x + r < 0
+    x = np.random.default_rng(9).standard_t(4, size=(30, 250))
+    for sign in (1.0, -1.0):
+        for r in (sign * 2.5, sign * np.abs(x[:, :1]), sign * np.abs(x[0]),
+                  sign * np.abs(np.random.default_rng(10).standard_t(4, size=x.shape))):
+            _t_identity(x, r)
+    # days exactly at -r are not exceptions, in the Monte Carlo as in the grader
+    r = np.abs(x)
+    assert _t_identity(-r, r).tolist() == [0] * 30
+    assert _t_identity(np.nextafter(-r, -np.inf), r).tolist() == [250] * 30
+    # signed zeros: -0.0 + 0.0, 0.0 + -0.0 and -0.0 + -0.0 are all zero
+    zeros = np.array([[-0.0, 0.0, -0.0, 0.0]])
+    assert _t_identity(zeros, np.array([0.0, -0.0, -0.0, 0.0])).tolist() == [0]
+    # sums that overflow to -inf are exceptions and sums that overflow to +inf are not
+    big = np.array([1e308, -1e308, 1.7e308, -1.7e308])
+    assert _t_identity(big, big).tolist() == 2
 
 
 def test_negative_sums_counts_each_row_as_g_stat_does():

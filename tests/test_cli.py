@@ -379,6 +379,25 @@ def test_compare_command_and_family_validation(tmp_path, panel_csv, capsys):
     assert "both VAR and ES" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("estimator", cli._ESTIMATOR_CHOICES)
+@pytest.mark.parametrize("present", [True, False], ids=["input", "no-input"])
+def test_compare_rejects_a_single_metric_estimator_before_reading(
+    tmp_path, panel_csv, capsys, monkeypatch, estimator, present
+):
+    loads = []
+    monkeypatch.setattr(harness, "load_returns", lambda *args: loads.append(args))
+    source = panel_csv if present else tmp_path / "absent.csv"
+    out = tmp_path / "cmp.json"
+    argv = ["compare", "--input", str(source), "--estimator", estimator, "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: the z test needs reserves for both VAR and ES; "
+        "pass --estimator hist or --estimator norm"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+    assert loads == []
+
+
 def test_simulate_command_deterministic_across_workers(tmp_path, panel_csv, capsys):
     base = [
         "simulate",
@@ -463,6 +482,91 @@ def test_backtest_reports_are_byte_reproducible(tmp_path, panel_csv, capsys):
     a = (tmp_path / "r1.json.heatmap.csv").read_bytes()
     b = (tmp_path / "r2.json.heatmap.csv").read_bytes()
     assert a == b
+    capsys.readouterr()
+
+
+# Metamorphic relations of the panel commands: a sample's result depends on its
+# own values only, so the report follows its columns
+_PANEL_RUNS = [["backtest", "--estimator", e] for e in cli._ESTIMATOR_CHOICES] + [
+    ["compare", "--estimator", family, *normalize]
+    for family in harness.FAMILIES for normalize in ([], ["--normalize"])]
+
+
+def _panel_columns() -> dict:
+    """Three t4 columns of two samples each; c's second halves are three times
+    as volatile, so that its results reach the yellow and red zones."""
+    x = np.random.default_rng(31).standard_t(4, (1000, 3)) * 0.01
+    x[250:500, 2] *= 3.0
+    x[750:, 2] *= 3.0
+    return dict(zip("abc", x.T.tolist()))
+
+
+def _panel_report(tmp_path, argv, workers, columns, names) -> tuple:
+    """(report, heatmap lines or None) of ``argv`` on the panel of ``names``."""
+    stem = tmp_path / "".join(names)
+    panel = stem.with_suffix(".csv")
+    rows = zip(*(columns[n] for n in names))
+    panel.write_text(",".join(names) + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    out = stem.with_suffix(".json")
+    assert main([*argv, "--input", str(panel), "--out", str(out), "--workers", workers]) == 0
+    heatmap = Path(f"{out}.heatmap.csv")
+    return json.loads(out.read_text()), heatmap.read_text() if heatmap.exists() else None
+
+
+def _added_confusions(first: dict, second: dict) -> dict:
+    counts = np.add(first["counts"], second["counts"])
+    total = int(counts.sum())
+    return {"zones": first["zones"], "counts": counts.tolist(), "total": total,
+            "trace_ratio": float(np.trace(counts)) / total}
+
+
+def _added_heatmaps(first: str, second: str) -> str:
+    cells = {}
+    for text in (first, second):
+        for line in text.splitlines()[1:]:
+            t, g, count = map(int, line.split(","))
+            cells[t, g] = cells.get((t, g), 0) + count
+    return "".join(["nt_capped,ng_capped,count\n"] +
+                   [f"{t},{g},{cells[t, g]}\n" for t, g in sorted(cells)])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv", _PANEL_RUNS, ids=" ".join)
+def test_permuting_columns_permutes_the_report(tmp_path, capsys, argv, workers):
+    columns = _panel_columns()
+    report, heatmap = _panel_report(tmp_path, argv, workers, columns, "abc")
+    permuted, permuted_heatmap = _panel_report(tmp_path, argv, workers, columns, "cab")
+    by_label = dict(zip(report["samples"], report["results"]))
+    order = [label for name in "cab" for label in report["samples"] if label[0] == name]
+    assert permuted["samples"] == order
+    assert permuted["results"] == [by_label[label] for label in order]
+    assert permuted["config"] == report["config"]
+    assert permuted["summary"] == report["summary"]
+    assert permuted_heatmap == heatmap
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv", _PANEL_RUNS, ids=" ".join)
+def test_the_report_on_joined_columns_joins_their_reports(tmp_path, capsys, argv, workers):
+    columns = _panel_columns()
+    whole, whole_heatmap = _panel_report(tmp_path, argv, workers, columns, "abc")
+    first, first_heatmap = _panel_report(tmp_path, argv, workers, columns, "a")
+    second, second_heatmap = _panel_report(tmp_path, argv, workers, columns, "bc")
+    assert whole["config"] == first["config"] == second["config"]
+    assert whole["samples"] == first["samples"] + second["samples"]
+    assert whole["results"] == first["results"] + second["results"]
+    summary = {key: _added_confusions(value, second["summary"][key])
+               for key, value in first["summary"].items() if key.startswith("confusion")}
+    if argv[0] == "backtest":
+        summary["trace_ratio"] = summary["confusion"]["trace_ratio"]
+        assert first["summary"]["dropped_rows"] == second["summary"]["dropped_rows"] == 0
+        summary["dropped_rows"] = 0
+        assert whole_heatmap == _added_heatmaps(first_heatmap, second_heatmap)
+    assert whole["summary"] == summary
+    # the joined panel spans every zone, so the additions are not vacuous
+    zones = {r[key] for r in whole["results"] for key in ("zone_var", "zone_es")}
+    assert zones == {"green", "yellow", "red"}
     capsys.readouterr()
 
 

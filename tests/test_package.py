@@ -75,22 +75,34 @@ def test_fresh_package_import_loads_numpy_and_the_standard_library_only():
     assert roots - cython - set(sys.stdlib_module_names) == {"esbacktest", "numpy"}
 
 
-def test_estimators_load_neither_harness_nor_simulation():
-    # the package's __init__ loads every module, so a bare package stands in for
-    # it: what loads is what estimators itself imports
+def _loaded_by(module):
+    """The package's modules that ``import esbacktest.<module>`` loads in a fresh
+    interpreter. The package's __init__ loads every module, so a bare package
+    stands in for it: what loads is what the module itself imports."""
     pkg = str(Path(esbacktest.__file__).resolve().parent)
     code = (
         "import sys, types\n"
         "package = types.ModuleType('esbacktest')\n"
         f"package.__path__ = [{pkg!r}]\n"
         "sys.modules['esbacktest'] = package\n"
-        "import esbacktest.estimators\n"
+        f"import esbacktest.{module}\n"
         "print(' '.join(m for m in sorted(sys.modules) if m.startswith('esbacktest.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.split() == ["esbacktest.dist", "esbacktest.estimators",
-                                   "esbacktest.secured"]
+    return proc.stdout.split()
+
+
+def test_estimators_load_neither_harness_nor_simulation():
+    assert _loaded_by("estimators") == ["esbacktest.dist", "esbacktest.estimators",
+                                        "esbacktest.secured"]
+
+
+def test_harness_and_simulation_load_each_other_not():
+    # siblings over backtest, estimators, secured, dist and parallel: both count
+    # through backtest's kernels, and a FitError is a ValueError to Sample.run
+    assert "esbacktest.simulation" not in _loaded_by("harness")
+    assert "esbacktest.harness" not in _loaded_by("simulation")
 
 
 def test_every_name_the_bench_wraps_is_an_attribute_of_its_owner():

@@ -792,7 +792,7 @@ def test_block_tally_equals_per_run_oracle_with_ties():
             for counts, want in zip(got, expect):
                 assert counts.shape == (n + 1,)
                 assert np.array_equal(counts, want)
-            beyond_prefix += int(expect[1][simulation._G_PREFIX + 1 :].sum())
+            beyond_prefix += int(expect[1][backtest._G_PREFIX + 1 :].sum())
     # rows whose worst-case-sum count passes the sorted prefix take the full sort
     assert beyond_prefix > 0
 
@@ -824,8 +824,8 @@ def test_block_kernel_equals_secured_block_tally(dist, levels):
 
 @pytest.mark.parametrize("n", [40, 250])  # the full sort and the partial sort
 def test_block_overflow_is_rejected_without_a_warning(n):
-    # G is counted by g_stat's helper, with its overflow check
-    assert simulation._negative_sums is backtest._negative_sums
+    # G is counted by backtest's kernel, which keeps g_stat's overflow check
+    assert simulation._g_counts is backtest._g_counts
     # the negative partial sums overflow to -inf; G used to read 0.9707 at 24
     cfg = McConfig(dist=Normal(0.0, 5e307), seed=1, n=n, runs=512)
     with warnings.catch_warnings():
@@ -872,7 +872,7 @@ def test_g_counts_partition_their_block_in_place():
     expect = backtest._negative_sums(y)  # the full sort
     tracemalloc.start()
     try:
-        got = simulation._g_counts(y)
+        got = backtest._g_counts(y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
