@@ -12,9 +12,9 @@ sample; ``dual_t`` and ``dual_g`` evaluate that reading directly and agree
 with the counting forms exactly. ``z_stat`` implements the tail-magnitude
 comparison test that needs reserve series for both VAR and ES.
 
-The rolling grader and the Monte Carlo count T with ``_exceptions``, against an
-optional reserve, and G with ``_g_counts``, per row of a matrix from a partially
-sorted prefix, falling back on ``g_stat``'s kernel ``_negative_sums``.
+The rolling grader and the Monte Carlo secure and count per row of a matrix with
+``_grade``: T with ``_exceptions`` against the VAR reserve, and G with ``_g_counts``
+from a partially sorted prefix, falling back on ``g_stat``'s ``_negative_sums``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .estimators import _check_level, _run_sums, es_empirical, var_empirical
-from .secured import SecuredSample, _finite_vector, _same_length
+from .secured import SecuredSample, _finite_vector, _same_length, _secured
 
 __all__ = [
     "CALIBRATION",
@@ -176,6 +176,14 @@ def _g_counts(y: np.ndarray) -> np.ndarray:
     if longer.any():
         counts[longer] = _negative_sums(y[longer])
     return counts
+
+
+def _grade(x, var_reserve, es_reserve, normalize=False, out=None):
+    """Per-row (T, G) of ``x`` secured by the reserves, which broadcast against it:
+    T by sign against the VAR reserve, exactly, or on the normalized sample; G on
+    the ES-secured sample, with ``_secured``'s errors, written to ``out`` if given."""
+    t = _exceptions(_secured(x, var_reserve, True)) if normalize else _exceptions(x, var_reserve)
+    return t, _g_counts(_secured(x, es_reserve, normalize, out=out))
 
 
 def _dual(y, estimator) -> float:

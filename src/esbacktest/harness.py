@@ -15,8 +15,8 @@ first bad line. ``ff_daily`` checks its whole percent block before it drops
 the rows that hold a missing-data sentinel.
 
 Both backtests grade through ``_graded``, which reads every reserve series of
-a group from the rolling kernels of ``estimators`` (``_reserves``) and counts
-T and G with ``backtest``'s kernels, as ``mc`` does: ``rolling_backtest`` with
+a group from the rolling kernels of ``estimators`` (``_reserves``) and secures
+and counts with ``backtest._grade``, as ``mc`` does: ``rolling_backtest`` with
 one estimator in both roles, ``compare_backtest`` with the VAR and ES
 estimators of one family plus the z test; each is a group of one sample.
 ``run_batch`` and ``run_compare_batch`` cut their samples into contiguous
@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .backtest import CALIBRATION, ZONES, BacktestResult, _exceptions, _g_counts, _z_rows
+from .backtest import CALIBRATION, ZONES, BacktestResult, _grade, _z_rows
 from .estimators import ESTIMATORS, _check_level, _reserves
 
 # bench/spans.py wraps these names in this module to attribute traced time to
@@ -47,7 +47,7 @@ from .estimators import ESTIMATORS, _check_level, _reserves
 from .backtest import classify, g_stat, t_stat, z_stat  # noqa: F401
 from .estimators import es_empirical, es_normal, moments, var_empirical, var_normal  # noqa: F401
 from .parallel import contiguous_groups, parallel_map
-from .secured import _finite_vector, _require_finite, _secured
+from .secured import _finite_vector, _require_finite
 from .secured import build_normalized, build_secured  # noqa: F401
 
 __all__ = [
@@ -401,16 +401,11 @@ def _graded(
     if alpha_z is not None:
         pairs += [(var_est, alpha_z), (es_est, alpha_z)]
     series = _reserves(x, learn, test, pairs)
-
-    y = _secured(realized, series[var_est, alpha_var], normalize)
-    nt = _exceptions(y).tolist()
-    if (es_est, alpha_es) != (var_est, alpha_var):
-        y = _secured(realized, series[es_est, alpha_es], normalize)
-    ng = _g_counts(y).tolist()
+    nt, ng = _grade(realized, series[var_est, alpha_var], series[es_est, alpha_es], normalize)
     if alpha_z is None:
-        return [(t, g, None) for t, g in zip(nt, ng)]
+        return [(t, g, None) for t, g in zip(nt.tolist(), ng.tolist())]
     z = _z_rows(realized, series[var_est, alpha_z], series[es_est, alpha_z], alpha_z)
-    return list(zip(nt, ng, z.tolist()))
+    return list(zip(nt.tolist(), ng.tolist(), z.tolist()))
 
 
 def _grade_group(items, grading, result) -> list[BacktestResult]:

@@ -58,10 +58,10 @@ def _same_length(**named) -> list[np.ndarray]:
     return arrays
 
 
-def _secured(pnl: np.ndarray, reserve: np.ndarray, normalized: bool) -> np.ndarray:
+def _secured(pnl: np.ndarray, reserve, normalized: bool, out=None) -> np.ndarray:
     """The secured positions of ``build_secured`` or ``build_normalized``, row by
-    row along the last axis of equal-shape arrays, with the same errors; an
-    index in a message is the day within its row."""
+    row along the last axis of ``pnl``, with the same errors, written to ``out``
+    if given; ``reserve`` broadcasts, and a message's index is the day in its row."""
     if normalized:
         # an infinite reserve would map its day to exactly 1 and hide the fault
         _require_finite(reserve, "reserve")
@@ -72,7 +72,7 @@ def _secured(pnl: np.ndarray, reserve: np.ndarray, normalized: bool) -> np.ndarr
                 f"found {reserve.flat[bad[0]]} at index {bad[0] % reserve.shape[-1]}"
             )
     with np.errstate(over="ignore"):  # an overflowing position fails the finite check
-        y = pnl / reserve + 1.0 if normalized else pnl + reserve
+        y = np.add(pnl / reserve, 1.0, out=out) if normalized else np.add(pnl, reserve, out=out)
     _require_finite(y, "secured sample")
     return y
 

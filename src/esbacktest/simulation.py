@@ -6,9 +6,8 @@ reserve for the requested level, and tallies the resulting counts. Runs are cut
 into blocks of ``_block_rows(cfg)`` rows; block b draws all of its innovations
 from stream (seed, b). A task is one block of an i.i.d. law, or a group of
 consecutive GARCH blocks of at most ``_GARCH_GROUP_CELLS`` draws, and
-``_mc_blocks`` counts every law one way, with the kernels of
-``harness._graded`` (``backtest._exceptions``, ``_g_counts``): exceptions on
-the draws, worst-case sums on the rows plus their ES reserve. Worker threads
+``_mc_blocks`` grades every law one way, with ``harness._graded``'s grader
+``backtest._grade``, which secures the block in place. Worker threads
 receive contiguous chunks of tasks, since the sampling, partition and sort
 release the GIL; the GARCH recursion steps day by day in Python, and a group's
 698 rows (at n = 250) make each of its numpy calls long enough to release the
@@ -39,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .backtest import CALIBRATION, _exceptions, _g_counts
+from .backtest import CALIBRATION, _grade
 from .dist import DistSpec, Normal, RngStream, SkewT, dist_to_json, special
 from .estimators import _check_level, true_risk
 from .parallel import contiguous_groups, parallel_map
@@ -481,11 +480,9 @@ def _mc_blocks(cfg: McConfig, addons: tuple[float, float], blocks: range):
         if garch:
             x, sigma = _garch_paths(cfg.dist, x, GARCH_BURN_IN)
             x -= cfg.dist.mu
-        else:
-            sigma = 1.0
-        t = _exceptions(x, sigma * var_add)
-        x += sigma * es_add  # before the partition of _g_counts, as rounding is monotone
-        g = _g_counts(x)
+            # sigma_t scales both reserves; the ES one reuses sigma, holding peak memory
+            var_add, es_add = sigma * var_add, np.multiply(sigma, es_add, out=sigma)
+        t, g = _grade(x, var_add, es_add, out=x)
     return np.bincount(t, minlength=cfg.n + 1), np.bincount(g, minlength=cfg.n + 1)
 
 

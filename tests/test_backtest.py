@@ -23,6 +23,7 @@ from esbacktest.backtest import (
     t_stat,
     z_stat,
     _exceptions,
+    _grade,
     _negative_sums,
 )
 from esbacktest.estimators import true_risk
@@ -256,6 +257,40 @@ def test_exceptions_against_a_reserve_count_as_the_secured_sum_does():
     # sums that overflow to -inf are exceptions and sums that overflow to +inf are not
     big = np.array([1e308, -1e308, 1.7e308, -1.7e308])
     assert _t_identity(big, big).tolist() == 2
+
+
+def _grade_oracle(x, var_reserve, es_reserve, normalize):
+    """Per-row (T, G) from the public builders and statistics, one row at a time."""
+    build = build_normalized if normalize else build_secured
+    v, e = (np.broadcast_to(r, x.shape) for r in (var_reserve, es_reserve))
+    return ([t_stat(build(row, r)).nominal for row, r in zip(x, v)],
+            [g_stat(build(row, r)).nominal for row, r in zip(x, e)])
+
+
+@pytest.mark.parametrize("n", [5, 60])  # the full sort and the partial sort
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("shape", ["scalar", "column", "matrix"])
+def test_grade_counts_each_row_as_t_stat_and_g_stat_do(n, normalize, shape):
+    rng = np.random.default_rng(11)
+    # half-integers in -2..2: tied values, partial sums of exactly zero, days at -r
+    x = rng.integers(-4, 5, (8, n)) * 0.5
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[0] = -2.0  # every partial sum negative: G counts past the prefix
+    x[1] = np.abs(x[1])  # no exception at a nonnegative reserve
+    # a normalized sample needs strictly positive reserves; a raw one takes any sign
+    levels = [0.5, 1.0, 1.5] if normalize else [-0.5, -0.0, 0.0, 0.5, 1.0, 1.5]
+    size = {"scalar": (), "column": (8, 1), "matrix": (8, n)}[shape]
+    var_reserve, es_reserve = (rng.choice(levels, size) for _ in range(2))
+    want = _grade_oracle(x, var_reserve, es_reserve, normalize)
+    before = x.copy()
+    t, g = _grade(x, var_reserve, es_reserve, normalize)
+    assert np.array_equal(x, before)
+    assert (t.tolist(), g.tolist()) == want
+    t, g = _grade(x, var_reserve, es_reserve, normalize, out=x)
+    assert (t.tolist(), g.tolist()) == want
+    # out= received the ES-secured sample, each row reordered by the count
+    secured = before / es_reserve + 1.0 if normalize else before + es_reserve
+    assert np.array_equal(np.sort(x, -1), np.sort(secured, -1))
 
 
 def test_negative_sums_counts_each_row_as_g_stat_does():

@@ -1319,9 +1319,16 @@ def test_mc_skew_t_garch_with_infinite_variance_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "source, runs, message",
     [
-        # the negative partial sums overflow; ES cdf@24 used to read 0.9707
+        # draws overflow, and the secured sample's finite check rejects them;
+        # ES cdf@24 used to read 0.9707
         ('--dist-json={"kind":"normal","mu":0,"sigma":5e307}', "512",
-         "partial sums of the sorted sample overflow"),
+         "secured sample has non-finite value inf at index 9"),
+        # infinite draws exceed every reserve and used to count as covered days
+        ('--dist-json={"kind":"normal","mu":1.5e308,"sigma":1e307}', "512",
+         "secured sample has non-finite value inf at index 108"),
+        # finite draws whose ES-secured values overflow; this used to exit 0
+        ('--dist-json={"kind":"normal","mu":0,"sigma":3e307}', "512",
+         "secured sample has non-finite value inf at index 33"),
         # every VAR cdf used to read 1.0000
         ('--garch-json={"mu":0,"omega":1e307,"a1":0.1,"b1":0.85}', "349",
          "stationary variance omega / (1 - a1 - b1) is not finite at "
@@ -1335,7 +1342,8 @@ def test_mc_skew_t_garch_with_infinite_variance_exits_3(tmp_path, capsys):
          '"innovation":"skew_t","nu":2.5,"xi":1}', "349",
          "GARCH conditional variance overflows"),
     ],
-    ids=["normal", "garch-spec", "garch-burn-in", "garch-window"],
+    ids=["normal", "infinite-draws", "infinite-secured", "garch-spec", "garch-burn-in",
+         "garch-window"],
 )
 def test_mc_overflow_exits_3_without_a_warning(tmp_path, capsys, source, runs, message):
     for workers in (1, 2, 3):

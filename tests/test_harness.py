@@ -916,6 +916,20 @@ def test_overflowing_partial_sums_are_rejected_without_a_warning():
         assert run_batch([_huge_sample(1e298)], RollingConfig("es_hist"))
 
 
+def test_compare_is_scale_exact_where_only_a_var_secured_day_overflows():
+    # T counts the VAR-secured days by sign, so the day whose VAR-secured value
+    # overflows is covered, as it is at 2^-4 times the scale; the ES-secured
+    # sample, which G reads, stays finite. This used to raise at day 50.
+    x = np.random.default_rng(5).standard_normal(500) * 1e306
+    x[[260, 270, 280]] = -5e307
+    x[300] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [compare_backtest(np.ldexp(x, e), "hist") for e in (0, -4)]
+    assert results[0] == results[1]
+    assert (results[0].nominal_t, results[0].nominal_g, results[0].z) == (3, 23, 4.2241485567523)
+
+
 def test_rolling_constant_series_is_fully_covered():
     for estimator in ("var_norm", "es_norm", "var_hist", "es_hist"):
         cfg = RollingConfig(estimator=estimator)

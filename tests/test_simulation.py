@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from esbacktest import backtest, simulation
+from esbacktest import backtest, harness, simulation
 from esbacktest.backtest import CALIBRATION
 from esbacktest.dist import Normal, RngStream, SkewT, StudentT, _abs_t_mean
 from esbacktest.estimators import true_risk
@@ -824,14 +824,20 @@ def test_block_kernel_equals_secured_block_tally(dist, levels):
 
 @pytest.mark.parametrize("n", [40, 250])  # the full sort and the partial sort
 def test_block_overflow_is_rejected_without_a_warning(n):
-    # G is counted by backtest's kernel, which keeps g_stat's overflow check
-    assert simulation._g_counts is backtest._g_counts
-    # the negative partial sums overflow to -inf; G used to read 0.9707 at 24
+    # a block is graded by backtest's grader, as the rolling backtest is
+    assert simulation._grade is backtest._grade is harness._grade
+    # draws overflow, and the secured sample's finite check rejects them;
+    # G used to read 0.9707 at 24
     cfg = McConfig(dist=Normal(0.0, 5e307), seed=1, n=n, runs=512)
+    # a finite block whose negative partial sums overflow to -inf
+    x = np.ones((3, n))
+    x[:, :3] = -8e307
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
+        with pytest.raises(ValueError, match="secured sample has non-finite value inf"):
             _mc_blocks(cfg, _addons(cfg), range(1))
+        with pytest.raises(ValueError, match="partial sums of the sorted sample overflow"):
+            backtest._grade(x, 0.0, 0.0, out=x)
         # sigma = 1e306 overflows only in the positive tail, which the prefix never reads
         big = replace(cfg, dist=Normal(0.0, 1e306), n=250)
         counts_t, counts_g = _mc_blocks(big, _addons(big), range(1))
