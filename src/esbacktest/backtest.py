@@ -12,6 +12,9 @@ sample; ``dual_t`` and ``dual_g`` evaluate that reading directly and agree
 with the counting forms exactly. ``z_stat`` implements the tail-magnitude
 comparison test that needs reserve series for both VAR and ES.
 
+Every zone bound comes from ``zone_bounds``, the exception count's by the Basel
+binomial rule at the run's n and level; ``classify`` reads a zone off a pair.
+
 The rolling grader and the Monte Carlo secure and count per row of a matrix with
 ``_grade``: T with ``_exceptions`` against the VAR reserve, and G with ``_g_counts``
 from a partially sorted prefix, falling back on ``g_stat``'s ``_negative_sums``.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -32,10 +36,6 @@ __all__ = [
     "CALIBRATION",
     "CalibrationPoint",
     "ZONES",
-    "ZoneThresholds",
-    "VAR_THRESHOLDS",
-    "ES_THRESHOLDS",
-    "Z_THRESHOLDS",
     "StatResult",
     "BacktestResult",
     "RESULT_FIELDS",
@@ -44,6 +44,7 @@ __all__ = [
     "dual_t",
     "dual_g",
     "z_stat",
+    "zone_bounds",
     "classify",
 ]
 
@@ -64,38 +65,15 @@ RESULT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ZoneThresholds:
-    """Exclusive upper bounds of the green and yellow zones for one metric."""
-
-    metric: str
-    green_upper: float
-    yellow_upper: float
-
-    def __post_init__(self) -> None:
-        if not self.green_upper < self.yellow_upper:
-            raise ValueError(
-                f"green bound {self.green_upper} must lie below "
-                f"yellow bound {self.yellow_upper}"
-            )
-
-
 class CalibrationPoint(NamedTuple):
-    """Test window length and reserve levels at which zone thresholds hold."""
+    """The default test window length and reserve levels, where the ES and Z bounds hold."""
 
     n: int
     alpha_var: float
     alpha_es: float
 
 
-# Where all three threshold pairs below are calibrated; every default reads it.
 CALIBRATION = CalibrationPoint(n=250, alpha_var=0.01, alpha_es=0.025)
-# Nominal exception count: 0-4 green, 5-9 yellow, 10+ red.
-VAR_THRESHOLDS = ZoneThresholds("VAR", 5, 10)
-# Nominal worst-case-sum count: 0-11 green, 12-24 yellow, 25+ red.
-ES_THRESHOLDS = ZoneThresholds("ES", 12, 25)
-# Magnitude statistic: positive values flag underestimated risk.
-Z_THRESHOLDS = ZoneThresholds("Z", 0.7, 1.8)
 # a worst-case-sum count above this falls back to a full sort of its row
 _G_PREFIX = 48
 
@@ -251,16 +229,36 @@ def _z_rows(r: np.ndarray, v: np.ndarray, e: np.ndarray, alpha: float) -> np.nda
     return -core
 
 
-def classify(value: float, th: ZoneThresholds) -> str:
-    """Map a statistic to its traffic-light zone by exclusive upper bounds.
+@cache
+def zone_bounds(metric: str, n: int = CALIBRATION.n, level: float = CALIBRATION.alpha_var):
+    """Exclusive upper bounds (green, yellow) of a metric's zones. ``"VAR"`` takes
+    the Basel rule at n days and ``level``: yellow from the first count whose
+    binomial cdf reaches 95%, red from the first that reaches 99.99%. ``"ES"`` and
+    ``"Z"`` take fixed pairs, calibrated only at ``CALIBRATION``."""
+    if metric != "VAR":
+        # worst-case-sum count: 0-11 green, 12-24 yellow; z > 0 flags underestimated risk
+        return {"ES": (12, 25), "Z": (0.7, 1.8)}[metric]
+    _check_level(level)
+    k = np.arange(n + 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    log_pmf = (log_factorial[n] - log_factorial - log_factorial[::-1]
+               + k * math.log(level) + (n - k) * math.log1p(-level))
+    green, yellow = np.searchsorted(np.cumsum(np.exp(log_pmf)), (0.95, 0.9999))
+    return int(green), int(yellow)
 
-    A non-finite statistic has no zone and is rejected.
-    """
+
+def classify(value: float, bounds) -> str:
+    """Map a statistic to its traffic-light zone by the exclusive upper bounds of
+    ``zone_bounds``, of which equal ones leave yellow empty. A non-finite statistic
+    has no zone and is rejected, as are unordered bounds."""
+    green_upper, yellow_upper = bounds
+    if not green_upper <= yellow_upper:
+        raise ValueError(f"green bound {green_upper} lies above yellow bound {yellow_upper}")
     if not math.isfinite(value):
         raise ValueError(f"cannot classify non-finite statistic {value}")
-    if value < th.green_upper:
+    if value < green_upper:
         return "green"
-    if value < th.yellow_upper:
+    if value < yellow_upper:
         return "yellow"
     return "red"
 
@@ -288,16 +286,24 @@ class BacktestResult:
             raise ValueError("nominal counts must lie in [0, n]")
 
     @property
+    def var_bounds(self) -> tuple:
+        """T's zone bounds: at (n, level) where T is graded on a VAR reserve (a
+        ``var_*`` estimator or a comparison), at ``CALIBRATION`` on an ES reserve."""
+        level = self.alpha["var"] if isinstance(self.alpha, dict) else self.alpha
+        on_var = isinstance(self.alpha, dict) or self.estimator.startswith("var")
+        return zone_bounds("VAR", self.n, level) if on_var else zone_bounds("VAR")
+
+    @property
     def zone_var(self) -> str:
-        return classify(self.nominal_t, VAR_THRESHOLDS)
+        return classify(self.nominal_t, self.var_bounds)
 
     @property
     def zone_es(self) -> str:
-        return classify(self.nominal_g, ES_THRESHOLDS)
+        return classify(self.nominal_g, zone_bounds("ES"))
 
     @property
     def zone_z(self) -> Optional[str]:
-        return None if self.z is None else classify(self.z, Z_THRESHOLDS)
+        return None if self.z is None else classify(self.z, zone_bounds("Z"))
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key) for key in RESULT_FIELDS}

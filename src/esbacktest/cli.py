@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import harness, simulation
-from .backtest import CALIBRATION, ES_THRESHOLDS, RESULT_FIELDS, VAR_THRESHOLDS, ZONES
+from .backtest import CALIBRATION, RESULT_FIELDS, ZONES, zone_bounds
 from .dist import PRESETS, dist_from_json, preset
 from .harness import LEARN, DataError, RollingConfig
 from .simulation import McConfig, garch_from_json
@@ -340,9 +340,9 @@ def cmd_mc(args) -> int:
         return {"p_at_most": p_le, "p_below": p_lt, "mc_se": se}
 
     summary = dict(params)
-    for nd, th in zip(nulls, (VAR_THRESHOLDS, ES_THRESHOLDS)):
-        # the counts on either side of each zone bound
-        points = [k for b in (th.green_upper, th.yellow_upper) for k in (b - 1, b)]
+    for nd, bounds in zip(nulls, (zone_bounds("VAR", cfg.n, cfg.alpha_var), zone_bounds("ES"))):
+        # the counts on either side of each zone bound, each once, none below zero
+        points = dict.fromkeys(k for b in bounds for k in (b - 1, b) if k >= 0)
         summary[nd.metric.lower()] = {str(k): entry(nd, k) for k in points}
     summary = _write_json(summary_path, summary, args.opened)
     _check(list(summary) == [*params, "var", "es"], f"summary keys {list(summary)}")

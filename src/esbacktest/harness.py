@@ -578,11 +578,12 @@ def confusion(results_var, results_es) -> ConfusionMatrix:
 def heatmap_table(results: Sequence[BacktestResult]) -> list[tuple[int, int, int]]:
     """Aggregate (capped exception count, capped worst-case count) cells.
 
-    Counts above ``_CAP_T`` and ``_CAP_G`` are clamped onto them (caps
-    inclusive), so the top cells read 'at least this bad'. Rows are sorted
-    and only populated cells are emitted.
+    Counts above ``_CAP_G`` and the larger of ``_CAP_T`` and the red bounds are
+    clamped onto them (caps inclusive), so the top cells read 'at least this bad'.
+    Rows are sorted and only populated cells are emitted.
     """
+    cap_t = max([_CAP_T] + [r.var_bounds[1] for r in results])
     cells = Counter(
-        (min(r.nominal_t, _CAP_T), min(r.nominal_g, _CAP_G)) for r in results
+        (min(r.nominal_t, cap_t), min(r.nominal_g, _CAP_G)) for r in results
     )
     return [(t, g, cells[(t, g)]) for (t, g) in sorted(cells)]

@@ -11,17 +11,14 @@ from scipy import stats
 
 from esbacktest.backtest import (
     CALIBRATION,
-    ES_THRESHOLDS,
-    VAR_THRESHOLDS,
-    Z_THRESHOLDS,
     BacktestResult,
-    ZoneThresholds,
     classify,
     dual_g,
     dual_t,
     g_stat,
     t_stat,
     z_stat,
+    zone_bounds,
     _exceptions,
     _grade,
     _negative_sums,
@@ -183,13 +180,13 @@ def test_duality_identities_on_heavy_tailed_vectors():
 def test_z_stat_no_breaches_scores_minus_one():
     z = z_stat([1.0, 2.0, 0.5], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], 0.025)
     assert z == -1.0
-    assert classify(z, Z_THRESHOLDS) == "green"
+    assert classify(z, zone_bounds("Z")) == "green"
 
 
 def test_z_stat_single_breach_arithmetic():
     # core = -5 / (0.5 * 2) + 1 = -4, reported negated
     assert z_stat([-5.0], [2.0], [2.0], 0.5) == 4.0
-    assert classify(4.0, Z_THRESHOLDS) == "red"
+    assert classify(4.0, zone_bounds("Z")) == "red"
 
 
 def test_z_stat_null_mean_is_zero():
@@ -312,14 +309,47 @@ def test_g_stat_counts_past_a_sum_that_overflows_upwards():
         assert _negative_sums(y).tolist() == [2, 2]
 
 
-def test_calibration_point_is_where_the_var_thresholds_hold():
-    assert CALIBRATION == (250, 0.01, 0.025)
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 40, 50, 100, 250, 500, 1000, 2500])
+@pytest.mark.parametrize("level", [0.001, 0.01, 0.025, 0.05, 0.1, 0.3, 0.5, 0.9])
+def test_var_bounds_follow_the_binomial_rule(n, level):
     # the Basel rule: yellow from the first count whose binomial cdf reaches
     # 95%, red from the first that reaches 99.99%
-    n, alpha = CALIBRATION.n, CALIBRATION.alpha_var
-    cdf = stats.binom.cdf(np.arange(n + 1), n, alpha)
-    assert int(np.argmax(cdf >= 0.95)) == VAR_THRESHOLDS.green_upper
-    assert int(np.argmax(cdf >= 0.9999)) == VAR_THRESHOLDS.yellow_upper
+    cdf = stats.binom.cdf(np.arange(n + 1), n, level)
+    expect = (int(np.argmax(cdf >= 0.95)), int(np.argmax(cdf >= 0.9999)))
+    assert zone_bounds("VAR", n, level) == expect
+    assert all(type(b) is int for b in zone_bounds("VAR", n, level))
+
+
+def test_var_bounds_at_the_calibration_point_and_away_from_it():
+    assert CALIBRATION == (250, 0.01, 0.025)
+    assert zone_bounds("VAR") == zone_bounds("VAR", 250, 0.01) == (5, 10)
+    pinned = {(250, 0.05): (18, 27), (250, 0.1): (33, 44), (100, 0.01): (3, 6),
+              (500, 0.01): (9, 15), (1000, 0.01): (15, 24), (250, 0.025): (11, 17)}
+    for (n, level), bounds in pinned.items():
+        assert zone_bounds("VAR", n, level) == bounds
+        cdf = stats.binom.cdf(np.arange(n + 1), n, level)
+        assert cdf[bounds[0] - 1] < 0.95 <= cdf[bounds[0]]
+        assert cdf[bounds[1] - 1] < 0.9999 <= cdf[bounds[1]]
+    # ES and z keep the pairs calibrated at CALIBRATION, whatever n and level
+    for n, level in ((250, 0.025), (100, 0.1)):
+        assert zone_bounds("ES", n, level) == (12, 25)
+        assert zone_bounds("Z", n, level) == (0.7, 1.8)
+
+
+def test_equal_bounds_leave_the_yellow_zone_empty():
+    assert zone_bounds("VAR", 1, 0.1) == (1, 1)
+    assert [classify(k, (1, 1)) for k in (0, 1)] == ["green", "red"]
+    # for n <= 5 at 1% no count is green: 0.99 ** 5 is still at least 0.95
+    assert [zone_bounds("VAR", n, 0.01)[0] for n in range(1, 8)] == [0, 0, 0, 0, 0, 1, 1]
+    assert classify(0, zone_bounds("VAR", 5, 0.01)) == "yellow"
+
+
+def test_zone_bounds_reject_unknown_metrics_and_levels():
+    with pytest.raises(KeyError):
+        zone_bounds("T")
+    for level in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"^level must lie strictly inside \(0, 1\)"):
+            zone_bounds("VAR", 250, level)
 
 
 def test_z_stat_rejects_bad_inputs():
@@ -344,30 +374,30 @@ def test_z_stat_rejects_bad_inputs():
 
 
 def test_classify_var_zones():
-    assert classify(4, VAR_THRESHOLDS) == "green"
-    assert classify(5, VAR_THRESHOLDS) == "yellow"
-    assert classify(9, VAR_THRESHOLDS) == "yellow"
-    assert classify(10, VAR_THRESHOLDS) == "red"
+    assert classify(4, zone_bounds("VAR")) == "green"
+    assert classify(5, zone_bounds("VAR")) == "yellow"
+    assert classify(9, zone_bounds("VAR")) == "yellow"
+    assert classify(10, zone_bounds("VAR")) == "red"
 
 
 def test_classify_es_zones():
-    assert classify(11, ES_THRESHOLDS) == "green"
-    assert classify(12, ES_THRESHOLDS) == "yellow"
-    assert classify(24, ES_THRESHOLDS) == "yellow"
-    assert classify(25, ES_THRESHOLDS) == "red"
+    assert classify(11, zone_bounds("ES")) == "green"
+    assert classify(12, zone_bounds("ES")) == "yellow"
+    assert classify(24, zone_bounds("ES")) == "yellow"
+    assert classify(25, zone_bounds("ES")) == "red"
 
 
 def test_classify_z_zones():
-    assert classify(-1.0, Z_THRESHOLDS) == "green"
-    assert classify(0.7, Z_THRESHOLDS) == "yellow"
-    assert classify(1.8, Z_THRESHOLDS) == "red"
+    assert classify(-1.0, zone_bounds("Z")) == "green"
+    assert classify(0.7, zone_bounds("Z")) == "yellow"
+    assert classify(1.8, zone_bounds("Z")) == "red"
 
 
 def test_classify_is_monotone():
     order = {"green": 0, "yellow": 1, "red": 2}
     values = np.linspace(-2, 30, 200)
-    for th in (VAR_THRESHOLDS, ES_THRESHOLDS, Z_THRESHOLDS):
-        ranks = [order[classify(v, th)] for v in values]
+    for metric in ("VAR", "ES", "Z"):
+        ranks = [order[classify(v, zone_bounds(metric))] for v in values]
         assert ranks == sorted(ranks)
 
 
@@ -380,12 +410,13 @@ def test_statistics_reject_non_finite_samples():
 def test_classify_rejects_non_finite_statistics():
     for value in (float("nan"), float("inf"), np.nan):
         with pytest.raises(ValueError, match="non-finite"):
-            classify(value, VAR_THRESHOLDS)
+            classify(value, zone_bounds("VAR"))
 
 
 def test_thresholds_must_be_ordered():
-    with pytest.raises(ValueError):
-        ZoneThresholds("VAR", 10, 5)
+    with pytest.raises(ValueError, match="^green bound 10 lies above yellow bound 5$"):
+        classify(7, (10, 5))
+    assert classify(7, (5, 5)) == "red"
 
 
 # ---------------------------------------------------------------------------
@@ -459,3 +490,16 @@ def test_backtest_result_derives_its_zones():
     )
     with pytest.raises(TypeError):
         BacktestResult(250, 0.025, "es_hist", False, 22, 40, zone_var="green")
+
+
+def test_t_takes_the_bounds_of_its_n_and_level_only_on_a_var_reserve():
+    # 12 exceptions in 250 days: red at 1%, green at 5%, whose bounds are (18, 27)
+    levels = {"var": 0.05, "es": 0.025, "z": 0.025}
+    for alpha, estimator in ((0.05, "var_norm"), (0.05, "var_hist"), (levels, "hist")):
+        r = BacktestResult(250, alpha, estimator, False, 12, 0)
+        assert (r.var_bounds, r.zone_var) == ((18, 27), "green")
+    assert BacktestResult(1000, 0.01, "var_hist", False, 16, 0).var_bounds == (15, 24)
+    # on an ES reserve T keeps the pair of CALIBRATION
+    for estimator in ("es_norm", "es_hist"):
+        r = BacktestResult(250, 0.05, estimator, False, 12, 0)
+        assert (r.var_bounds, r.zone_var) == ((5, 10), "red")

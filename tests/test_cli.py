@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esbacktest import cli, harness, simulation
-from esbacktest.backtest import CALIBRATION, ES_THRESHOLDS, VAR_THRESHOLDS
+from esbacktest.backtest import CALIBRATION, zone_bounds
 from esbacktest.cli import main
 from esbacktest.dist import PRESETS
 
@@ -265,11 +265,27 @@ def test_mc_command_outputs_and_determinism(tmp_path, capsys):
     summary = json.loads((tmp_path / "run1_summary.json").read_text())
     assert summary["runs"] == 400
     assert list(summary["es"]) == ["11", "12", "24", "25"]
-    assert list(summary["var"]) == ["4", "5", "9", "10"]
+    # the VAR bounds at n = 100 and 1% are (3, 6)
+    assert list(summary["var"]) == ["2", "3", "5", "6"]
     # the points sit on either side of each zone bound
-    for key, th in (("var", VAR_THRESHOLDS), ("es", ES_THRESHOLDS)):
-        bounds = (th.green_upper, th.yellow_upper)
+    for key, bounds in (("var", zone_bounds("VAR", 100, 0.01)), ("es", zone_bounds("ES"))):
         assert list(summary[key]) == [str(k) for b in bounds for k in (b - 1, b)]
+
+
+@pytest.mark.parametrize("n, points", [("2", ["0", "1"]), ("500", ["8", "9", "14", "15"])])
+def test_mc_reads_the_var_points_at_its_n_each_once_and_none_below_zero(
+    tmp_path, capsys, n, points
+):
+    # the VAR bounds are (0, 1) at n = 2 and (9, 15) at n = 500
+    argv = ["mc", "--dist", "normal", "--runs", "200", "--n", n, "--seed", "1",
+            "--out-prefix", str(tmp_path / "m")]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "m_summary.json").read_text())
+    assert list(summary["var"]) == points
+    assert list(summary["es"]) == ["11", "12", "24", "25"]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in out if line.startswith("VAR")] == [
+        f"VAR cdf@{k}" for k in points]
 
 
 def test_mc_accepts_dist_json_and_rejects_bad_specs(tmp_path, capsys):
@@ -595,7 +611,9 @@ def _desk_reports(tmp_path) -> dict:
 
 
 # The desk reports' bytes, captured before the rolling reserves shared their
-# window reductions across estimators and levels: no output may move a bit
+# window reductions across estimators and levels: no output may move a bit. The
+# two var025 reports were captured again when T came to be graded by the VAR
+# bounds at its own level, (11, 17) at 2.5%: only their zones and confusions moved
 _PINNED_REPORTS = {
     "backtest var-hist.json": "566119e59a2e01d1",
     "backtest var-hist.json.heatmap.csv": "02d41881b57d29ee",
@@ -607,10 +625,10 @@ _PINNED_REPORTS = {
     "backtest es-norm.json.heatmap.csv": "033bfc8db08626db",
     "compare hist.json": "fe222e9782acd541",
     "compare hist z01.json": "22a35ef5203f22a0",
-    "compare hist var025.json": "ebeada54efcfc52b",
+    "compare hist var025.json": "2ef1eb647a119ce8",
     "compare norm.json": "8b1aa246a557bca2",
     "compare norm z01.json": "5b34d2add6e1590c",
-    "compare norm var025.json": "9d1919c659d9896f",
+    "compare norm var025.json": "446f6ccbc96d7e61",
 }
 
 
@@ -1476,6 +1494,9 @@ def test_hist_commands_run_with_scipy_blocked(tmp_path, panel_csv):
             ["backtest", *common, "--estimator", "var-hist",
              "--out", str(out / "var.json"), "--heatmap-out", str(out / "var.csv")],
             ["compare", *common, "--estimator", "hist", "--out", str(out / "cmp.json")],
+            # the VAR zone bounds at (50, 0.05) come from numpy alone too
+            ["backtest", *common, "--estimator", "var-hist", "--alpha", "0.05",
+             "--out", str(out / "var05.json"), "--heatmap-out", str(out / "var05.csv")],
         ]
 
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1493,11 +1514,11 @@ def test_hist_commands_run_with_scipy_blocked(tmp_path, panel_csv):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
-    assert [main(argv) for argv in argvs(tmp_path / "plain")] == [0, 0, 0]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 0]
+    assert [main(argv) for argv in argvs(tmp_path / "plain")] == [0, 0, 0, 0]
     names = sorted(p.name for p in (tmp_path / "plain").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "blocked").iterdir())
-    assert len(names) == 5
+    assert len(names) == 7
     for name in names:
         blocked = (tmp_path / "blocked" / name).read_bytes()
         assert blocked == (tmp_path / "plain" / name).read_bytes()

@@ -6,6 +6,7 @@ import math
 import tempfile
 import traceback
 import warnings
+from collections import Counter
 from itertools import takewhile
 from pathlib import Path
 
@@ -930,6 +931,30 @@ def test_compare_is_scale_exact_where_only_a_var_secured_day_overflows():
     assert (results[0].nominal_t, results[0].nominal_g, results[0].z) == (3, 23, 4.2241485567523)
 
 
+@pytest.mark.parametrize(
+    "estimator, alpha, test, zones",
+    [
+        ("var_norm", None, 250, {"green": 35, "yellow": 5}),
+        ("var_norm", 0.05, 250, {"green": 37, "yellow": 3}),
+        ("var_norm", 0.1, 250, {"green": 39, "yellow": 1}),
+        ("var_hist", None, 500, {"green": 36, "yellow": 4}),
+        # T on an ES reserve keeps the pair of CALIBRATION, (5, 10)
+        ("es_norm", 0.1, 250, {"green": 1, "yellow": 17, "red": 22}),
+    ],
+)
+def test_correct_var_reserves_are_graded_by_the_bounds_of_their_level_and_window(
+    estimator, alpha, test, zones
+):
+    # i.i.d. normal samples, each secured by a correctly specified estimator;
+    # graded by the pair of (250, 0.01) at every level and window, the 5% and
+    # 10% cases read 32 red / 8 yellow and 40 red, the 500-day one 34 yellow /
+    # 1 red / 5 green
+    x = np.random.default_rng(3).standard_normal((40, LEARN + test)) * 0.01
+    cfg = RollingConfig(estimator, test=test, alpha=alpha)
+    results = [rolling_backtest(row, cfg) for row in x]
+    assert dict(Counter(r.zone_var for r in results)) == zones
+
+
 def test_rolling_constant_series_is_fully_covered():
     for estimator in ("var_norm", "es_norm", "var_hist", "es_hist"):
         cfg = RollingConfig(estimator=estimator)
@@ -1286,6 +1311,18 @@ def test_heatmap_caps_and_aggregation():
     rows = heatmap_table([_result(22, 40), _result(3, 35), _result(3, 35)])
     assert rows == [(3, 35, 2), (15, 35, 1)]
     assert heatmap_table([]) == []
+
+
+def test_heatmap_keeps_yellow_and_red_exception_counts_apart_above_the_cap():
+    # at (250, 0.05) the bounds are (18, 27): counts 16 to 27 keep their own
+    # cells, and only counts past the red bound join its cell
+    results = [BacktestResult(250, 0.05, "var_hist", False, t, 0) for t in range(14, 31)]
+    assert heatmap_table(results) == [(t, 0, 1) for t in range(14, 27)] + [(27, 0, 4)]
+    # at 1000 days the red bound is 24; at the defaults the cap stays 15
+    results = [BacktestResult(1000, 0.01, "var_norm", False, t, 0) for t in (15, 24, 30)]
+    assert heatmap_table(results) == [(15, 0, 1), (24, 0, 2)]
+    results = [BacktestResult(250, 0.01, "var_norm", False, t, 0) for t in (10, 15, 30)]
+    assert heatmap_table(results) == [(10, 0, 1), (15, 0, 2)]
 
 
 def test_heatmap_caps_are_module_constants():

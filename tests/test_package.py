@@ -25,8 +25,10 @@ EXPORTED_BEFORE = {
     "run_compare_batch", "split_samples", "t_stat", "true_risk", "var_empirical",
     "var_normal", "write_heatmap_csv", "z_stat",
 }
-# names taken out of the public API on purpose: the cli writes the heatmap itself
-REMOVED = {"write_heatmap_csv"}
+# names taken out of the public API on purpose: the cli writes the heatmap itself,
+# and zone_bounds gives every zone bound that the four threshold names held
+REMOVED = {"write_heatmap_csv", "ZoneThresholds", "VAR_THRESHOLDS", "ES_THRESHOLDS",
+           "Z_THRESHOLDS"}
 
 
 def _module(name):
@@ -52,7 +54,7 @@ def test_no_name_exported_before_is_lost():
     newly = set(esbacktest.__all__) - EXPORTED_BEFORE
     assert newly == {
         "simulate_batch", "MODELS", "GARCH_BURN_IN", "CALIBRATION", "CalibrationPoint",
-        "RESULT_FIELDS", "ESTIMATORS", "FAMILIES", "FORMATS", "LEARN",
+        "RESULT_FIELDS", "ESTIMATORS", "FAMILIES", "FORMATS", "LEARN", "zone_bounds",
     }
     assert "main" not in esbacktest.__all__  # the cli is not re-exported
 
