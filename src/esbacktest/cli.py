@@ -14,9 +14,10 @@ cannot vouch for what it wrote under this configuration. An output path
 that cannot be written exits with code 3 too, and a missing output
 directory, two outputs at one path or an output at the input's path do so
 before any work is done. A run that exits non-zero removes the outputs it
-opened, and no other file. Every stochastic subcommand requires an explicit
-seed and is byte-reproducible for any worker count. ``--workers`` runs
-``backtest``, ``compare`` and ``mc`` on threads, as their numpy kernels
+opened, and no other file. Every CSV and JSON output is UTF-8 whatever the
+locale, with ``\\n`` line ends. Every stochastic subcommand requires an
+explicit seed and is byte-reproducible for any worker count. ``--workers``
+runs ``backtest``, ``compare`` and ``mc`` on threads, as their numpy kernels
 release the GIL (``mc``'s GARCH recursion, a Python loop over the days, steps
 groups of blocks, whose numpy calls are long enough to release it too), and
 ``simulate``'s fits on processes (see ``simulation.simulate_batch``). Without
@@ -165,10 +166,11 @@ def _require_output_dirs(*paths, source: Optional[str] = None) -> None:
         seen[real] = "two outputs at one path"
 
 
-def _open_output(path, opened: list, **kwargs):
-    """``open(path, "w", **kwargs)``, adding the file's real path to ``opened``,
-    the run's list of the files it wrote, which ``main`` removes if it fails."""
-    fh = open(path, "w", **kwargs)
+def _open_output(path, opened: list):
+    """Open ``path`` for writing as UTF-8 with ``\\n`` line ends, whatever the
+    locale and platform, adding its real path to ``opened``, the run's list of
+    the files it wrote, which ``main`` removes if it fails."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
     opened.append(os.path.realpath(path))
     return fh
 
@@ -177,15 +179,15 @@ def _write_json(path, payload, opened: list):
     """Write ``payload`` as JSON and return what the file then holds."""
     with _open_output(path, opened) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _write_csv(path, header, rows, opened: list, newline="\n") -> list[str]:
-    """Write ``header`` and then each of ``rows`` as a UTF-8 CSV line that ends
-    in ``newline``, and return the lines the file then holds. The lines stay
-    whole: a list of every cell would take several times the file's size."""
-    with _open_output(path, opened, encoding="utf-8", newline=newline) as fh:
+def _write_csv(path, header, rows, opened: list) -> list[str]:
+    """Write ``header`` and then each of ``rows`` as a CSV line, and return the
+    lines the file then holds. The lines stay whole: a list of every cell
+    would take several times the file's size."""
+    with _open_output(path, opened) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, cells)) + "\n" for cells in rows)
     with open(path, encoding="utf-8") as fh:
@@ -331,7 +333,7 @@ def cmd_mc(args) -> int:
     header = ["nominal_value", "pmf", "cdf"]
     for nd, path in zip(nulls, (var_csv, es_csv)):
         rows = zip(range(nd.n + 1), nd.pmf.tolist(), nd.cdf.tolist())
-        _check_csv(path, header, _write_csv(path, header, rows, args.opened, newline="\r\n"))
+        _check_csv(path, header, _write_csv(path, header, rows, args.opened))
 
     def entry(nd, k):
         p_le = nd.prob_at_most(k)
@@ -341,8 +343,8 @@ def cmd_mc(args) -> int:
 
     summary = dict(params)
     for nd, bounds in zip(nulls, (zone_bounds("VAR", cfg.n, cfg.alpha_var), zone_bounds("ES"))):
-        # the counts on either side of each zone bound, each once, none below zero
-        points = dict.fromkeys(k for b in bounds for k in (b - 1, b) if k >= 0)
+        # the counts on either side of each zone bound, each once, from 0 to n
+        points = dict.fromkeys(k for b in bounds for k in (b - 1, b) if 0 <= k <= cfg.n)
         summary[nd.metric.lower()] = {str(k): entry(nd, k) for k in points}
     summary = _write_json(summary_path, summary, args.opened)
     _check(list(summary) == [*params, "var", "es"], f"summary keys {list(summary)}")

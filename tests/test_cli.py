@@ -176,7 +176,7 @@ def test_backtest_short_panel_exits_3(tmp_path, capsys):
 def _csv_writer_that(change):
     """``cli._write_csv`` that applies ``change`` to the lines it reads back."""
     original = cli._write_csv
-    return lambda *args, **kwargs: change(original(*args, **kwargs))
+    return lambda *args: change(original(*args))
 
 
 def _rename_first_column(lines):
@@ -272,20 +272,26 @@ def test_mc_command_outputs_and_determinism(tmp_path, capsys):
         assert list(summary[key]) == [str(k) for b in bounds for k in (b - 1, b)]
 
 
-@pytest.mark.parametrize("n, points", [("2", ["0", "1"]), ("500", ["8", "9", "14", "15"])])
+@pytest.mark.parametrize("n, points", [("2", ["0", "1"]), ("500", ["8", "9", "14", "15"]),
+                                       ("11", ["0", "1", "2", "3"]),
+                                       ("24", ["0", "1", "2", "3"])])
 def test_mc_reads_the_var_points_at_its_n_each_once_and_none_below_zero(
     tmp_path, capsys, n, points
 ):
-    # the VAR bounds are (0, 1) at n = 2 and (9, 15) at n = 500
+    # the VAR bounds are (0, 1) at n = 2, (1, 3) at n = 11 and 24 and (9, 15) at
+    # n = 500; no point lies above n, so the ES points around (12, 25) are listed
+    # up to n: none at n = 2
+    es = {"2": [], "11": ["11"], "24": ["11", "12", "24"],
+          "500": ["11", "12", "24", "25"]}[n]
     argv = ["mc", "--dist", "normal", "--runs", "200", "--n", n, "--seed", "1",
             "--out-prefix", str(tmp_path / "m")]
     assert main(argv) == 0
     summary = json.loads((tmp_path / "m_summary.json").read_text())
     assert list(summary["var"]) == points
-    assert list(summary["es"]) == ["11", "12", "24", "25"]
+    assert list(summary["es"]) == es
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(" = ")[0] for line in out if line.startswith("VAR")] == [
-        f"VAR cdf@{k}" for k in points]
+    assert [line.split(" = ")[0] for line in out] == [
+        *(f"VAR cdf@{k}" for k in points), *(f"ES cdf@{k}" for k in es)]
 
 
 def test_mc_accepts_dist_json_and_rejects_bad_specs(tmp_path, capsys):
@@ -638,18 +644,18 @@ def test_desk_reports_are_pinned_to_their_bytes(tmp_path, capsys):
 
 
 def test_every_csv_the_cli_writes_is_pinned_to_its_bytes(tmp_path, capsys):
-    # mc's tables end their lines with \r\n, the heatmap and the simulated panel
-    # with \n; the heatmap's top cell holds the clamped counts (15, 35)
+    # every table ends its lines with \n; the heatmap's top cell holds the
+    # clamped counts (15, 35)
     argv = ["mc", "--dist", "t3", "--runs", "8", "--n", "5", "--alpha-var", "0.2",
             "--alpha-es", "0.3", "--seed", "1", "--out-prefix", str(tmp_path / "m")]
     assert main(argv) == 0
     assert (tmp_path / "m_var.csv").read_bytes() == (
-        b"nominal_value,pmf,cdf\r\n0,0.25,0.25\r\n1,0.5,0.75\r\n2,0.25,1.0\r\n"
-        b"3,0.0,1.0\r\n4,0.0,1.0\r\n5,0.0,1.0\r\n"
+        b"nominal_value,pmf,cdf\n0,0.25,0.25\n1,0.5,0.75\n2,0.25,1.0\n"
+        b"3,0.0,1.0\n4,0.0,1.0\n5,0.0,1.0\n"
     )
     assert (tmp_path / "m_es.csv").read_bytes() == (
-        b"nominal_value,pmf,cdf\r\n0,0.25,0.25\r\n1,0.375,0.625\r\n2,0.375,1.0\r\n"
-        b"3,0.0,1.0\r\n4,0.0,1.0\r\n5,0.0,1.0\r\n"
+        b"nominal_value,pmf,cdf\n0,0.25,0.25\n1,0.375,0.625\n2,0.375,1.0\n"
+        b"3,0.0,1.0\n4,0.0,1.0\n5,0.0,1.0\n"
     )
 
     rng = np.random.default_rng(5)
@@ -702,6 +708,41 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path, capsys):
     assert sim.startswith("α[0:100].p0,β[0:100].p0\n".encode())
     assert sim == (tmp_path / "here.csv").read_bytes()
     assert (tmp_path / "ascii.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["backtest", "compare", "mc", "simulate"])
+def test_every_output_ends_its_lines_with_a_newline_and_every_json_is_ascii(
+    tmp_path, capsys, command
+):
+    # a non-ASCII column name reaches the labels of every report and the fits
+    rng = np.random.default_rng(9)
+    panel = tmp_path / "p.csv"
+    rows = rng.standard_normal((500, 2)) * 0.01
+    panel.write_text("α,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()),
+                     encoding="utf-8")
+    outs = tmp_path / "outs"
+    outs.mkdir()
+    argv = {
+        "backtest": ["backtest", "--input", str(panel), "--estimator", "es-hist",
+                     "--out", str(outs / "r.json"), "--heatmap-out", str(outs / "h.csv")],
+        "compare": ["compare", "--input", str(panel), "--estimator", "norm",
+                    "--out", str(outs / "c.json")],
+        "mc": ["mc", "--dist", "t3", "--runs", "100", "--seed", "1",
+               "--out-prefix", str(outs / "m")],
+        "simulate": ["simulate", "--input", str(panel), "--model", "normal", "--picks", "1",
+                     "--seed", "1", "--out", str(outs / "s.csv"),
+                     "--fits-out", str(outs / "f.json")],
+    }[command]
+    assert main(argv) == 0
+    written = sorted(outs.iterdir())
+    assert len(written) == {"backtest": 2, "compare": 1, "mc": 3, "simulate": 2}[command]
+    for path in written:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path.name
+        if path.suffix == ".json":
+            text = data.decode("ascii")  # raises on any byte above 0x7f
+            assert command == "mc" or "\\u03b1" in text  # the label, escaped
     capsys.readouterr()
 
 
@@ -887,9 +928,9 @@ def test_a_failed_run_removes_every_output_it_wrote(tmp_path, panel_csv, capsys,
     }[command]
     names, open_output = [], cli._open_output
 
-    def recording(path, opened, **kwargs):
+    def recording(path, opened):
         names.append(os.path.basename(path))
-        return open_output(path, opened, **kwargs)
+        return open_output(path, opened)
 
     monkeypatch.setattr(cli, "_open_output", recording)
     monkeypatch.setattr(cli, *writer)
@@ -908,11 +949,11 @@ def test_a_failed_run_leaves_the_files_it_did_not_write(tmp_path, panel_csv, cap
     # a write that fails midway, as the ASCII locale once failed simulate's panel
     original = cli._write_csv
 
-    def failing(path, header, rows, opened, newline="\n"):
+    def failing(path, header, rows, opened):
         def rows_then_error():
             yield next(iter(rows))
             raise UnicodeEncodeError("ascii", "\u03b1", 0, 1, "ordinal not in range(128)")
-        return original(path, header, rows_then_error(), opened, newline)
+        return original(path, header, rows_then_error(), opened)
 
     monkeypatch.setattr(cli, "_write_csv", failing)
     sim, fits = tmp_path / "sim.csv", tmp_path / "fits.json"
